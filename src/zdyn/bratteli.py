@@ -7,11 +7,22 @@ Paths are tuples of edge ids from the root; two paths into the same
 vertex compare by the rank of their edges at the deepest level where they
 differ.  The successor of a path is the least strictly larger one, and
 iterating it from the minimal path enumerates the whole fiber.
+
+Every adjacency read goes through one index per diagram, built on first
+use and kept on the diagram: per edge level, the edge table, the ranked
+in-edges and the id-ordered out-edges of each vertex, and the position
+of each edge among its siblings, all read-only.  A stationary diagram
+indexes level 1 and shares one entry, its mono-graph's, among all deeper
+levels.  Tower heights are kept on the diagram as well, level by level.
+So a Vershik step costs the depth of its carry, whatever the number of
+edges, and no routine rescans a level.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import coverings, graphs, stationary
 from .errors import (
@@ -24,7 +35,7 @@ from .errors import (
     UnsupportedKind,
 )
 from .reports import FAILS, HOLDS, UNKNOWN, Report
-from .stationary import MonoGraph
+from .stationary import EdgeIndex, MonoGraph, index_edges
 
 MAXIMAL = "MAXIMAL"
 MINIMAL = "MINIMAL"
@@ -59,6 +70,43 @@ class BratteliDiagram:
         if n < 0 or (limit is not None and n > limit):
             raise DepthOutOfRange(f"level {n} not materializable")
 
+    def _table(self, n: int) -> dict:
+        """The level-n edge table read off the fields, without the index."""
+        if self.kind == "stationary":
+            if n == 1:
+                return {
+                    f"{v}<{i}": (ROOT, v, i)
+                    for v in sorted(self.mono.vertices)
+                    for i in range(1, self.multiplicities[v] + 1)
+                }
+            m = self.mono
+            return {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
+        return self.edge_levels[n - 1]
+
+    @cached_property
+    def _index(self) -> tuple[EdgeIndex, ...]:
+        """One entry per edge level; the last one serves all deeper levels."""
+        if self.kind == "stationary":
+            return (index_edges(self._table(1)), self.mono._index)
+        return tuple(index_edges(table) for table in self.edge_levels)
+
+    @cached_property
+    def _continuity(self) -> Report:
+        """The continuity report of a stationary diagram, decided once."""
+        return stationary.check_continuity(self.mono)
+
+    @cached_property
+    def _heights(self) -> list[dict]:
+        """Tower heights by level, ``[n][v]`` = l(v), extended on demand."""
+        return [{ROOT: 1}]
+
+    def _level(self, n: int) -> EdgeIndex:
+        if n < 1:
+            raise DepthOutOfRange("edge levels start at 1")
+        self._check_depth(n)
+        index = self._index
+        return index[min(n, len(index)) - 1]
+
     def level_vertices(self, n: int) -> list[str]:
         self._check_depth(n)
         if n == 0:
@@ -67,36 +115,16 @@ class BratteliDiagram:
             return sorted(self.mono.vertices)
         return sorted(self.levels[n])
 
-    def level_edges(self, n: int) -> dict:
-        """Level-n edges as ``id -> (src, rng, rank)``; n starts at 1."""
-        if n < 1:
-            raise DepthOutOfRange("edge levels start at 1")
-        self._check_depth(n)
-        if self.kind == "stationary":
-            if n == 1:
-                table = {}
-                for v in sorted(self.mono.vertices):
-                    for i in range(1, self.multiplicities[v] + 1):
-                        table[f"{v}<{i}"] = (ROOT, v, i)
-                return table
-            m = self.mono
-            return {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
-        return dict(self.edge_levels[n - 1])
+    def level_edges(self, n: int) -> Mapping:
+        """Level-n edges, read-only, as ``id -> (src, rng, rank)``; n >= 1."""
+        return self._level(n).edges
 
     def in_edges(self, n: int, v: str) -> list[str]:
         """Level-n edges into ``v``, in rank order."""
-        table = self.level_edges(n)
-        ranked = sorted(
-            (e for e, (_, r, _) in table.items() if r == v),
-            key=lambda e: table[e][2],
-        )
-        return ranked
-
-    def edge_src(self, n: int, e: str) -> str:
-        return self.level_edges(n)[e][0]
+        return list(self._level(n).ranked.get(v, ()))
 
     def edge_rng(self, n: int, e: str) -> str:
-        return self.level_edges(n)[e][1]
+        return self._level(n).edges[e][1]
 
 
 def stationary_diagram(mono: MonoGraph, multiplicities: dict) -> BratteliDiagram:
@@ -106,11 +134,12 @@ def stationary_diagram(mono: MonoGraph, multiplicities: dict) -> BratteliDiagram
 
 
 def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
+    """Invariant problems, read off the raw tables so loading stays index-free."""
     problems = []
     limit = d.depth()
     top = limit if limit is not None else depth
     for n in range(1, top + 1):
-        table = d.level_edges(n)
+        table = d._table(n)
         below = set(d.level_vertices(n - 1))
         here = set(d.level_vertices(n))
         targets = {}
@@ -127,7 +156,7 @@ def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
             elif ranks != list(range(1, len(ranks) + 1)):
                 problems.append(f"rank gap at vertex {v} (level {n})")
         if n < top:
-            srcs = {s for (s, _, _) in d.level_edges(n + 1).values()}
+            srcs = {s for (s, _, _) in d._table(n + 1).values()}
             for v in sorted(here - srcs):
                 problems.append(f"no outgoing edge at {v} (level {n})")
     return problems
@@ -137,28 +166,50 @@ def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
 # paths
 
 
+def _tower_heights(d: BratteliDiagram, n: int) -> list[dict]:
+    """The memo of tower heights, filled level by level up to ``n``."""
+    d._check_depth(n)
+    heights = d._heights
+    while len(heights) <= n:
+        level = d._level(len(heights))
+        below = heights[-1]
+        heights.append(
+            {
+                v: sum(below[level.edges[e][0]] for e in ranked)
+                for v, ranked in level.ranked.items()
+            }
+        )
+    return heights
+
+
 def enumerate_paths(d: BratteliDiagram, v: str, n: int) -> list[tuple[str, ...]]:
     """All paths from the root to ``v`` at level ``n``, in order."""
     d._check_depth(n)
     if n == 0:
         return [()]
-    result: list[tuple[str, ...]] = []
-    for e in d.in_edges(n, v):
-        below = enumerate_paths(d, d.edge_src(n, e), n - 1)
-        result.extend(p + (e,) for p in below)
-    return result
+    wanted = [{v}]
+    for k in range(n, 1, -1):
+        level = d._level(k)
+        wanted.append(
+            {level.edges[e][0] for w in wanted[-1] for e in level.ranked.get(w, ())}
+        )
+    paths = {ROOT: [()]}
+    for k in range(1, n + 1):
+        level = d._level(k)
+        paths = {
+            w: [
+                q + (e,)
+                for e in level.ranked.get(w, ())
+                for q in paths[level.edges[e][0]]
+            ]
+            for w in wanted[n - k]
+        }
+    return paths[v]
 
 
 def path_count(d: BratteliDiagram, v: str, n: int) -> int:
     """The tower height l(v): the number of paths from the root."""
-    counts = {ROOT: 1}
-    for k in range(1, n + 1):
-        table = d.level_edges(k)
-        nxt: dict[str, int] = {}
-        for e, (s, r, _) in table.items():
-            nxt[r] = nxt.get(r, 0) + counts[s]
-        counts = nxt
-    return counts[v]
+    return _tower_heights(d, n)[n][v]
 
 
 def path_rng(d: BratteliDiagram, p: tuple[str, ...]) -> str:
@@ -167,70 +218,78 @@ def path_rng(d: BratteliDiagram, p: tuple[str, ...]) -> str:
     return d.edge_rng(len(p), p[-1])
 
 
-def minimal_path(d: BratteliDiagram, v: str, n: int) -> tuple[str, ...]:
-    path: list[str] = []
+def _extreme_path(d: BratteliDiagram, v: str, n: int, last: bool) -> tuple[str, ...]:
+    """The least path to ``v`` at level ``n``, or the greatest when ``last``."""
+    pick = -1 if last else 0
+    path = [""] * n
     here = v
     for k in range(n, 0, -1):
-        e = d.in_edges(k, here)[0]
-        path.append(e)
-        here = d.edge_src(k, e)
-    return tuple(reversed(path))
+        level = d._level(k)
+        e = level.ranked.get(here, ())[pick]
+        path[k - 1] = e
+        here = level.edges[e][0]
+    return tuple(path)
+
+
+def minimal_path(d: BratteliDiagram, v: str, n: int) -> tuple[str, ...]:
+    return _extreme_path(d, v, n, last=False)
+
 
 def maximal_path(d: BratteliDiagram, v: str, n: int) -> tuple[str, ...]:
-    path: list[str] = []
-    here = v
-    for k in range(n, 0, -1):
-        e = d.in_edges(k, here)[-1]
-        path.append(e)
-        here = d.edge_src(k, e)
-    return tuple(reversed(path))
+    return _extreme_path(d, v, n, last=True)
 
 
 def path_index(d: BratteliDiagram, p: tuple[str, ...]) -> int:
-    """The floor of ``p`` inside its tower: its position in path order."""
+    """The floor of ``p`` inside its tower: its position in path order.
+
+    Each level adds the heights of the towers under the edges ranked
+    below the path's own edge there.
+    """
     if not p:
         return 0
-    k = len(p)
-    ranked = d.in_edges(k, path_rng(d, p))
-    pos = ranked.index(p[-1])
-    before = sum(
-        path_count(d, d.edge_src(k, e), k - 1) for e in ranked[:pos]
-    )
-    return before + path_index(d, p[:-1])
+    heights = _tower_heights(d, len(p) - 1)
+    floor = 0
+    for k, e in enumerate(p, start=1):
+        level = d._level(k)
+        below = heights[k - 1]
+        edges = level.edges
+        for f in level.ranked[edges[e][1]][: level.position[e]]:
+            floor += below[edges[f][0]]
+    return floor
+
+
+def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
+    """The path ``delta`` (+1 or -1) places from ``p`` in path order.
+
+    Bumps the shallowest edge that has a sibling on that side and resets
+    the levels below it to the extreme path on the other side; returns
+    MAXIMAL or MINIMAL when no edge can move.
+    """
+    for k, e in enumerate(p, start=1):
+        level = d._level(k)
+        siblings = level.ranked[level.edges[e][1]]
+        i = level.position[e] + delta
+        if 0 <= i < len(siblings):
+            f = siblings[i]
+            below = _extreme_path(d, level.edges[f][0], k - 1, last=delta < 0)
+            return below + (f,) + p[k:]
+    return MAXIMAL if delta > 0 else MINIMAL
 
 
 def vershik_successor(d: BratteliDiagram, p: tuple[str, ...]):
     """The least path strictly above ``p``, or MAXIMAL."""
-    for k in range(1, len(p) + 1):
-        e = p[k - 1]
-        ranked = d.in_edges(k, d.edge_rng(k, e))
-        pos = ranked.index(e)
-        if pos + 1 < len(ranked):
-            nxt = ranked[pos + 1]
-            return (
-                minimal_path(d, d.edge_src(k, nxt), k - 1) + (nxt,) + p[k:]
-            )
-    return MAXIMAL
+    return _step(d, p, 1)
 
 
 def vershik_predecessor(d: BratteliDiagram, p: tuple[str, ...]):
     """The greatest path strictly below ``p``, or MINIMAL."""
-    for k in range(1, len(p) + 1):
-        e = p[k - 1]
-        ranked = d.in_edges(k, d.edge_rng(k, e))
-        pos = ranked.index(e)
-        if pos > 0:
-            prv = ranked[pos - 1]
-            return (
-                maximal_path(d, d.edge_src(k, prv), k - 1) + (prv,) + p[k:]
-            )
-    return MINIMAL
+    return _step(d, p, -1)
 
 
 def _continuity_psi(d: BratteliDiagram) -> dict:
     if d.kind != "stationary":
         raise HorizonExceeded("no successor beyond the prefix of a finite diagram")
-    report = stationary.check_continuity(d.mono)
+    report = d._continuity
     if report.verdict != HOLDS:
         raise UndefinedVershik("the diagram carries no continuous successor map")
     return report.details["psi"]
@@ -246,59 +305,54 @@ def successor_values(d: BratteliDiagram, p: tuple[str, ...]):
     one-level-deeper extension, with the constant max column closed
     through psi.
     """
-    succ = vershik_successor(d, p)
-    if succ != MAXIMAL:
-        return frozenset({succ}), False
-    depth = len(p)
-    psi = _continuity_psi(d)
-    m = d.mono
-    targets: set[str] = set()
-
-    def explore(v: str, r: int, seen: frozenset) -> None:
-        for e in sorted(m.out_edges(v)):
-            w = m.rng[e]
-            if m.e_max(w) == e:
-                if w == v:
-                    targets.add(psi[v])
-                elif w not in seen:
-                    explore(w, r + 1, seen | {w})
-            else:
-                u = m.src[m.serial(e)]
-                for _ in range(r):
-                    u = m.min_of(u)
-                targets.add(u)
-
-    explore(path_rng(d, p), 0, frozenset({path_rng(d, p)}))
-    return frozenset(minimal_path(d, u, depth) for u in targets), True
+    return _step_values(d, p, 1)
 
 
 def predecessor_values(d: BratteliDiagram, p: tuple[str, ...]):
     """The dual of :func:`successor_values` for the inverse map."""
-    prev = vershik_predecessor(d, p)
-    if prev != MINIMAL:
-        return frozenset({prev}), False
+    return _step_values(d, p, -1)
+
+
+def _step_values(d: BratteliDiagram, p: tuple[str, ...], delta: int):
+    """:func:`successor_values` for ``delta = 1``, its dual for ``delta = -1``.
+
+    Past the boundary, each extension along the extreme edges is bumped
+    to its neighbour on the ``delta`` side at the first edge that has
+    one, with everything below reset to the opposite extreme; a constant
+    extreme column closes through psi (its preimages going backwards).
+    """
+    nxt = _step(d, p, delta)
+    if nxt not in (MAXIMAL, MINIMAL):
+        return frozenset({nxt}), False
+    forward = delta > 0
+    boundary, reset = (-1, 0) if forward else (0, -1)
     depth = len(p)
     psi = _continuity_psi(d)
     m = d.mono
+    ranked, position, out = m._index.ranked, m._index.position, m._index.out
     targets: set[str] = set()
 
     def explore(v: str, r: int, seen: frozenset) -> None:
-        for e in sorted(m.out_edges(v)):
+        for e in out.get(v, ()):
             w = m.rng[e]
-            ranked = m.in_edges(w)
-            if ranked[0] == e:
+            if ranked[w][boundary] == e:
                 if w == v:
-                    targets.update(u for u, t in psi.items() if t == v)
+                    if forward:
+                        targets.add(psi[v])
+                    else:
+                        targets.update(u for u, t in psi.items() if t == v)
                 elif w not in seen:
                     explore(w, r + 1, seen | {w})
             else:
-                u = m.src[ranked[ranked.index(e) - 1]]
+                u = m.src[ranked[w][position[e] + delta]]
                 for _ in range(r):
-                    u = m.max_of(u)
+                    u = m.src[ranked[u][reset]]
                 targets.add(u)
 
-    explore(path_rng(d, p), 0, frozenset({path_rng(d, p)}))
-    return frozenset(maximal_path(d, u, depth) for u in targets), True
+    start = path_rng(d, p)
+    explore(start, 0, frozenset({start}))
+    values = frozenset(_extreme_path(d, u, depth, last=not forward) for u in targets)
+    return values, True
 
 
 def vershik_orbit(d: BratteliDiagram, p: tuple[str, ...], steps: int) -> list:
@@ -331,15 +385,15 @@ def min_max_paths(d: BratteliDiagram, n: int):
 
     def classify(kind: str) -> list[ExtremePrefix]:
         out = []
+        last = kind == "max"
+        pick = -1 if last else 0
         if d.kind == "stationary":
             m = d.mono
-            extreme = m.max_edges() if kind == "max" else m.min_edges()
+            extreme = m.max_edges() if last else m.min_edges()
             alive = stationary._infinite_walk_vertices(m, extreme)
-            loops = (
-                m.max_loop_vertices() if kind == "max" else m.min_loop_vertices()
-            )
+            loops = m.max_loop_vertices() if last else m.min_loop_vertices()
         for v in d.level_vertices(n):
-            path = maximal_path(d, v, n) if kind == "max" else minimal_path(d, v, n)
+            path = _extreme_path(d, v, n, last)
             if d.kind == "stationary":
                 out.append(
                     ExtremePrefix(path, v, extendable=v in alive, straight=v in loops)
@@ -348,23 +402,42 @@ def min_max_paths(d: BratteliDiagram, n: int):
                 limit = d.depth()
                 here, ok = v, True
                 for k in range(n + 1, (limit or n) + 1):
-                    table = d.level_edges(k)
+                    level = d._level(k)
                     nxt = [
                         e
-                        for e, (s, r, _) in table.items()
-                        if s == here
-                        and (
-                            d.in_edges(k, r)[-1 if kind == "max" else 0] == e
-                        )
+                        for e in level.out.get(here, ())
+                        if level.ranked[level.edges[e][1]][pick] == e
                     ]
                     if not nxt:
                         ok = False
                         break
-                    here = table[sorted(nxt)[0]][1]
+                    here = level.edges[nxt[0]][1]
                 out.append(ExtremePrefix(path, v, extendable=ok, straight=None))
         return out
 
     return classify("min"), classify("max")
+
+
+# ---------------------------------------------------------------------------
+# walks
+
+
+def extend_walks(d: BratteliDiagram, walks, lo: int, hi: int) -> list:
+    """Extend walks whose last edge sits at level ``lo`` up to level ``hi``.
+
+    Each walk branches over the out-edges of its end vertex, in id order,
+    one level at a time; the empty walk ends at the root.  Extensions
+    keep the order of the walks they grow from.
+    """
+    walks = list(walks)
+    for k in range(lo + 1, hi + 1):
+        out = d._level(k).out
+        if k == 1:
+            walks = [w + (e,) for w in walks for e in out.get(ROOT, ())]
+            continue
+        edges = d._level(k - 1).edges
+        walks = [w + (e,) for w in walks for e in out.get(edges[w[-1]][1], ())]
+    return walks
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +473,17 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
     for cut in cuts:
         levels.append(tuple(d.level_vertices(cut)))
         table = {}
-        paths: list[tuple[str, ...]] = [()]
-        starts = {(): None}
         # walks from level prev to level cut
-        walks = _segment_walks(d, prev, cut)
+        first = d._level(prev + 1).edges
+        walks = extend_walks(d, [(e,) for e in first], prev + 1, cut)
+        top = d._level(cut).edges
         by_target: dict[str, list] = {}
         for w in walks:
-            by_target.setdefault(d.edge_rng(cut, w[-1]), []).append(w)
+            by_target.setdefault(top[w[-1]][1], []).append(w)
         for v, group in by_target.items():
             group.sort(key=lambda w: _segment_rank_key(d, prev, w))
             for i, w in enumerate(group, start=1):
-                table[" ".join(w)] = (_segment_src(d, prev, w), v, i)
+                table[" ".join(w)] = (first[w[0]][0], v, i)
         edge_levels.append(table)
         prev = cut
     return BratteliDiagram(
@@ -418,26 +491,9 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
     )
 
 
-def _segment_walks(d: BratteliDiagram, lo: int, hi: int):
-    walks = [(e,) for e in d.level_edges(lo + 1)]
-    for k in range(lo + 2, hi + 1):
-        table = d.level_edges(k)
-        walks = [
-            w + (e,)
-            for w in walks
-            for e, (s, _, _) in sorted(table.items())
-            if s == d.edge_rng(k - 1, w[-1])
-        ]
-    return walks
-
-
-def _segment_src(d: BratteliDiagram, lo: int, w) -> str:
-    return d.edge_src(lo + 1, w[0])
-
-
 def _segment_rank_key(d: BratteliDiagram, lo: int, w):
     return tuple(
-        d.level_edges(lo + 1 + i)[e][2] for i, e in enumerate(w)
+        d._level(lo + 1 + i).edges[e][2] for i, e in enumerate(w)
     )[::-1]
 
 
@@ -472,13 +528,10 @@ def _successor_projections(
         return set(), 1
     resolved = set()
     unresolved = 0
-    v = path_rng(d, prefix)
-    table = d.level_edges(k + 1)
-    for e, (s, r, _) in sorted(table.items()):
-        if s != v:
-            continue
+    level = d._level(k + 1)
+    for e in level.out.get(path_rng(d, prefix), ()):
         ext = prefix + (e,)
-        if d.in_edges(k + 1, r)[-1] == e:
+        if level.ranked[level.edges[e][1]][-1] == e:
             deeper, stuck = _successor_projections(d, ext, n, depth)
             resolved |= deeper
             unresolved += stuck
@@ -495,8 +548,7 @@ def _max_tail_targets(d: BratteliDiagram, v: str, n: int) -> set:
     the continuity condition; the image of the all-max point through a
     max self-loop at ``v`` is the all-min point through psi(v).
     """
-    m = d.mono
-    report = stationary.check_continuity(m)
+    report = d._continuity
     if report.verdict != HOLDS:
         raise UndefinedVershik("no continuous successor map exists")
     psi = report.details["psi"]

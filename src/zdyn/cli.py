@@ -405,6 +405,11 @@ def _diagram_of(obj) -> bratteli.BratteliDiagram:
     raise UnsupportedKind("need a diagram or covering presentation")
 
 
+def _check_vertex(d: bratteli.BratteliDiagram, vertex: str, level: int) -> None:
+    if vertex not in d.level_vertices(level):
+        raise DocumentSemanticError(f"no vertex {vertex!r} at level {level}")
+
+
 def _parse_l_seq(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -465,6 +470,8 @@ def _cmd_check(args) -> int:
     elif prop == "recoding":
         if args.radius is None:
             raise DocumentSemanticError("recoding needs --radius")
+        if not isinstance(obj, coverings.CoveringPresentation):
+            raise UnsupportedKind("recoding needs a covering presentation")
         level = args.level if args.level is not None else 1
         report = substitution.check_recoding(obj, level, args.radius)
     else:  # pragma: no cover - argparse restricts the choices
@@ -512,6 +519,7 @@ def _cmd_straighten(args) -> int:
 
 def _cmd_vershik(args) -> int:
     d = _diagram_of(read_document(args.file))
+    _check_vertex(d, args.vertex, args.level)
     start = bratteli.minimal_path(d, args.vertex, args.level)
     orbit = bratteli.vershik_orbit(d, start, args.steps)
     for q in orbit:
@@ -521,6 +529,7 @@ def _cmd_vershik(args) -> int:
 
 def _cmd_paths(args) -> int:
     d = _diagram_of(read_document(args.file))
+    _check_vertex(d, args.vertex, args.level)
     for q in bratteli.enumerate_paths(d, args.vertex, args.level):
         print(" ".join(q))
     return 0
@@ -557,6 +566,8 @@ def _plain_descriptor(desc):
 
 
 def _cmd_krieger(args) -> int:
+    if args.steps < 1:
+        raise DocumentSemanticError("--steps must be at least 1")
     obj = read_document(args.file)
     report = coverings.krieger_coverage(
         obj, args.level, args.steps, horizon=args.horizon

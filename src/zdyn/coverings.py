@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 from . import graphs
 from .errors import (
@@ -59,6 +60,11 @@ class CoveringPresentation:
         limit = self.depth()
         if n < 0 or (limit is not None and n > limit):
             raise DepthOutOfRange(f"level {n} not materializable")
+
+    @functools.cached_property
+    def _lengths(self) -> list:
+        """Stationary edge lengths by level, read-only, extended on demand."""
+        return [MappingProxyType(dict(self.multiplicities))]
 
 
 def stationary_presentation(cover: Cover, multiplicities: dict) -> CoveringPresentation:
@@ -116,13 +122,19 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
 # levels and covers
 
 
-@functools.lru_cache(maxsize=None)
-def _stationary_lengths(p: CoveringPresentation, n: int) -> dict:
-    if n == 1:
-        return dict(p.multiplicities)
-    below = _stationary_lengths(p, n - 1)
+def _stationary_lengths(p: CoveringPresentation, n: int):
+    """Level-n edge lengths of a stationary presentation, read-only.
+
+    Computed level by level and kept on the presentation.
+    """
+    lengths = p._lengths
     emap = p.self_cover.emap
-    return {e: sum(below[q] for q in emap[e]) for e in emap}
+    while len(lengths) < n:
+        below = lengths[-1]
+        lengths.append(
+            MappingProxyType({e: sum(below[q] for q in emap[e]) for e in emap})
+        )
+    return lengths[n - 1]
 
 
 def level_graph(p: CoveringPresentation, n: int) -> WeightedGraph:
@@ -132,7 +144,7 @@ def level_graph(p: CoveringPresentation, n: int) -> WeightedGraph:
         return singleton_graph()
     if p.kind == "stationary":
         g = p.self_cover.domain
-        lengths = _stationary_lengths(p, n)
+        lengths = dict(_stationary_lengths(p, n))
     elif n <= len(p.graphs):
         return p.graphs[n - 1]
     else:
@@ -621,22 +633,6 @@ def all_paths(p: CoveringPresentation, depth: int) -> tuple:
     return tuple(out)
 
 
-def _extensions(p: CoveringPresentation, prefix: tuple, depth: int) -> list:
-    from . import bratteli
-
-    d = _diagram(p)
-    result = [prefix]
-    for k in range(len(prefix) + 1, depth + 1):
-        table = d.level_edges(k)
-        result = [
-            q + (e,)
-            for q in result
-            for e, (s, _, _) in sorted(table.items())
-            if s == bratteli.path_rng(d, q)
-        ]
-    return result
-
-
 @functools.lru_cache(maxsize=None)
 def floor_paths(
     p: CoveringPresentation, n: int, e: str, floor: int, depth: int
@@ -646,7 +642,7 @@ def floor_paths(
 
     d = _diagram(p)
     prefix = bratteli.enumerate_paths(d, e, n)[floor]
-    return frozenset(_extensions(p, prefix, depth))
+    return frozenset(bratteli.extend_walks(d, [prefix], n, depth))
 
 
 def evaluate_set(p: CoveringPresentation, desc: tuple, depth: int) -> frozenset:
@@ -860,7 +856,8 @@ def krieger_markers(
     for e in J:
         ln = g.length[e]
         ke = (ln - Lp) // Lp
-        assert ln - 2 * Lp < Lp * ke <= ln - Lp, "k(e) window is empty"
+        if not ln - 2 * Lp < Lp * ke <= ln - Lp:
+            raise AssertionError("k(e) window is empty")
         k[e] = ke
     atoms = []
     E = frozenset()

@@ -247,15 +247,15 @@ def check_cover(c: Cover) -> CoverFlags:
         covered.update(c.emap[e])
     edge_surjective = covered == set(cod.edges)
 
-    plus = True
-    minus = True
-    edges = dom.sorted_edges()
-    for i, e in enumerate(edges):
-        for f in edges[i + 1 :]:
-            if dom.src[e] == dom.src[f] and c.emap[e][0] != c.emap[f][0]:
-                plus = False
-            if dom.rng[e] == dom.rng[f] and c.emap[e][-1] != c.emap[f][-1]:
-                minus = False
+    # +directional: co-sourced edges share their first image edge;
+    # -directional: co-ranged edges share their last one
+    firsts: dict[str, set] = {}
+    lasts: dict[str, set] = {}
+    for e in dom.edges:
+        firsts.setdefault(dom.src[e], set()).add(c.emap[e][0])
+        lasts.setdefault(dom.rng[e], set()).add(c.emap[e][-1])
+    plus = all(len(images) == 1 for images in firsts.values())
+    minus = all(len(images) == 1 for images in lasts.values())
     return CoverFlags(
         edge_surjective=edge_surjective,
         plus_directional=plus,

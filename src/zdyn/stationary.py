@@ -15,7 +15,10 @@ search that certifies bijectivity of the canonical row-1 injection.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from . import graphs
 from .errors import NotStraight
@@ -24,12 +27,55 @@ from .reports import FAILS, HOLDS, UNKNOWN, Report
 
 
 # ---------------------------------------------------------------------------
+# ranked adjacency
+
+
+@dataclass(frozen=True, slots=True)
+class EdgeIndex:
+    """The ranked adjacency of one edge table, every part read-only.
+
+    ``edges`` maps edge id to ``(src, rng, rank)``; ``ranked`` maps a
+    vertex to its in-edges in rank order and ``position`` an edge to its
+    place among them; ``out`` maps a vertex to its out-edges in id order.
+    """
+
+    edges: Mapping
+    ranked: Mapping
+    position: Mapping
+    out: Mapping
+
+
+def index_edges(table) -> EdgeIndex:
+    """Index an ``id -> (src, rng, rank)`` table in one pass."""
+    table = dict(table)
+    ranked: dict[str, list[str]] = {}
+    out: dict[str, list[str]] = {}
+    for e, (s, r, _) in table.items():
+        ranked.setdefault(r, []).append(e)
+        out.setdefault(s, []).append(e)
+    ranked = {
+        v: tuple(sorted(es, key=lambda e: table[e][2])) for v, es in ranked.items()
+    }
+    return EdgeIndex(
+        edges=MappingProxyType(table),
+        ranked=MappingProxyType(ranked),
+        position=MappingProxyType(
+            {e: i for es in ranked.values() for i, e in enumerate(es)}
+        ),
+        out=MappingProxyType({v: tuple(sorted(es)) for v, es in out.items()}),
+    )
+
+
+# ---------------------------------------------------------------------------
 # mono-graphs
 
 
 @dataclass(frozen=True)
 class MonoGraph:
-    """A finite ordered graph with ranked in-edges at every vertex."""
+    """A finite ordered graph with ranked in-edges at every vertex.
+
+    Adjacency reads go through one :class:`EdgeIndex`, built on first use.
+    """
 
     vertices: frozenset[str]
     edges: frozenset[str]
@@ -37,21 +83,24 @@ class MonoGraph:
     rng: dict = field(hash=False)
     rank: dict = field(hash=False)
 
-    def in_edges(self, v: str) -> list[str]:
-        """In-edges of ``v`` in rank order."""
-        return sorted(
-            (e for e in self.edges if self.rng[e] == v),
-            key=lambda e: self.rank[e],
+    @cached_property
+    def _index(self) -> EdgeIndex:
+        return index_edges(
+            {e: (self.src[e], self.rng[e], self.rank[e]) for e in self.edges}
         )
 
+    def in_edges(self, v: str) -> list[str]:
+        """In-edges of ``v`` in rank order."""
+        return list(self._index.ranked.get(v, ()))
+
     def out_edges(self, v: str) -> list[str]:
-        return sorted(e for e in self.edges if self.src[e] == v)
+        return list(self._index.out.get(v, ()))
 
     def e_max(self, v: str) -> str:
-        return self.in_edges(v)[-1]
+        return self._index.ranked.get(v, ())[-1]
 
     def e_min(self, v: str) -> str:
-        return self.in_edges(v)[0]
+        return self._index.ranked.get(v, ())[0]
 
     def max_edges(self) -> frozenset[str]:
         return frozenset(self.e_max(v) for v in self.vertices)
@@ -61,9 +110,10 @@ class MonoGraph:
 
     def serial(self, e: str) -> str | None:
         """The next-ranked in-edge after ``e``, or None for a maximal edge."""
-        ranked = self.in_edges(self.rng[e])
-        i = ranked.index(e)
-        return ranked[i + 1] if i + 1 < len(ranked) else None
+        index = self._index
+        ranked = index.ranked[self.rng[e]]
+        i = index.position[e] + 1
+        return ranked[i] if i < len(ranked) else None
 
     def max_loop_vertices(self) -> frozenset[str]:
         """Sources of maximal self-loops."""
@@ -101,12 +151,14 @@ def mono_graph(vertices, edge_table) -> MonoGraph:
 def validate_mono(m: MonoGraph, surjective: bool = True) -> list[str]:
     problems = []
     sources = {m.src[e] for e in m.edges}
+    ranks_at: dict[str, list[int]] = {}
+    for e in m.edges:
+        ranks_at.setdefault(m.rng[e], []).append(m.rank[e])
     for v in sorted(m.vertices):
-        ranked = m.in_edges(v)
-        if not ranked:
+        ranks = sorted(ranks_at.get(v, ()))
+        if not ranks:
             problems.append(f"no incoming edge at {v}")
             continue
-        ranks = [m.rank[e] for e in ranked]
         if ranks != list(range(1, len(ranks) + 1)):
             problems.append(f"rank gap at vertex {v}")
         if surjective and v not in sources:
@@ -174,14 +226,10 @@ def mono_power(m: MonoGraph, K: int) -> MonoGraph:
         raise ValueError("K must be at least 1")
     if K == 1:
         return m
+    out = m._index.out
     walks: list[tuple[str, ...]] = [(e,) for e in sorted(m.edges)]
     for _ in range(K - 1):
-        walks = [
-            w + (e,)
-            for w in walks
-            for e in sorted(m.edges)
-            if m.src[e] == m.rng[w[-1]]
-        ]
+        walks = [w + (e,) for w in walks for e in out.get(m.rng[w[-1]], ())]
     table = {}
     by_target: dict[str, list[tuple[str, ...]]] = {}
     for w in walks:

@@ -317,7 +317,8 @@ def _word_windows(p, n: int, word, radius: int):
                 columns.append((q, i == 0))
                 value_at.append(e)
     span = len(columns)
-    assert span == sum(up_lengths[e] for e in word)
+    if span != sum(up_lengths[e] for e in word):
+        raise AssertionError("expanded word does not span its level-(n+1) length")
     out = []
     for center in range(radius, span - radius):
         key = tuple(columns[center - radius : center + radius + 1])

@@ -241,3 +241,19 @@ def test_dot_ranks_bratteli_levels(capsys):
 
 def test_dot_rejects_unsupported_kinds(capsys):
     assert run("dot", DATA / "fib_substitution.json") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("vershik", DATA / "example2_covering.json", "nope"),
+        ("check", "recoding", DATA / "fib_bratteli.json", "--radius", "1"),
+        ("krieger", DATA / "example2_covering.json", "--steps", "0"),
+        ("paths", DATA / "example2_covering.json", "nope"),
+    ],
+)
+def test_bad_arguments_exit_2_with_a_message(argv, capsys):
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")

@@ -91,6 +91,21 @@ def test_example2_weighted_length_table():
     }
 
 
+def test_level_graphs_hand_out_their_own_lengths():
+    p = example2_unit()
+    coverings.level_graph(p, 2).length["e_a"] = 999
+    assert coverings.level_graph(p, 2).length["e_a"] == 1
+    assert coverings.level_graph(example2_unit(), 2).length["e_a"] == 1
+
+
+def test_deep_levels_need_no_recursion():
+    p = fib_presentation()
+    a, b = 1, 1  # level-1 lengths of e_a and e_b
+    for _ in range(2999):
+        a, b = 2 * a + b, a + b  # e_a -> e_a e_b e_a, e_b -> e_a e_b
+    assert lengths_at(p, 3000) == {"e_a": a, "e_b": b}
+
+
 def test_level_zero_is_the_singleton():
     g = coverings.level_graph(fib_presentation(), 0)
     assert g.vertices == frozenset({"v0"})
