@@ -100,6 +100,11 @@ class BratteliDiagram:
         """Tower heights by level, ``[n][v]`` = l(v), extended on demand."""
         return [{ROOT: 1}]
 
+    @cached_property
+    def _boundary(self) -> dict:
+        """:func:`boundary_targets` by ``(vertex, delta)``, filled on demand."""
+        return {}
+
     def _level(self, n: int) -> EdgeIndex:
         if n < 1:
             raise DepthOutOfRange("edge levels start at 1")
@@ -324,35 +329,52 @@ def _step_values(d: BratteliDiagram, p: tuple[str, ...], delta: int):
     nxt = _step(d, p, delta)
     if nxt not in (MAXIMAL, MINIMAL):
         return frozenset({nxt}), False
+    targets = boundary_targets(d, path_rng(d, p), delta)
+    return frozenset(_extreme_path(d, u, len(p), last=delta < 0) for u in targets), True
+
+
+def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
+    """Where the step past the end of ``v``'s tower lands, as vertices.
+
+    For ``delta = 1`` the successors of the points over the maximal path
+    into ``v`` start with the minimal paths into these vertices; for
+    ``delta = -1`` the predecessors of the points over the minimal path
+    end with their maximal paths.  Each extension along the extreme edges
+    is bumped to its neighbour on the ``delta`` side at the first edge
+    that has one, with everything below reset to the opposite extreme; a
+    constant extreme column closes through psi (its preimages going
+    backwards).  Decided once per (vertex, direction), kept on the diagram.
+    """
+    memo = d._boundary
+    if (v, delta) in memo:
+        return memo[v, delta]
+    psi = _continuity_psi(d)
     forward = delta > 0
     boundary, reset = (-1, 0) if forward else (0, -1)
-    depth = len(p)
-    psi = _continuity_psi(d)
     m = d.mono
     ranked, position, out = m._index.ranked, m._index.position, m._index.out
     targets: set[str] = set()
-
-    def explore(v: str, r: int, seen: frozenset) -> None:
-        for e in out.get(v, ()):
+    # each branch carries its own depth r and the vertices on its way up
+    pending = [(v, 0, frozenset({v}))]
+    while pending:
+        here, r, seen = pending.pop()
+        for e in out.get(here, ()):
             w = m.rng[e]
             if ranked[w][boundary] == e:
-                if w == v:
+                if w == here:
                     if forward:
-                        targets.add(psi[v])
+                        targets.add(psi[here])
                     else:
-                        targets.update(u for u, t in psi.items() if t == v)
+                        targets.update(u for u, t in psi.items() if t == here)
                 elif w not in seen:
-                    explore(w, r + 1, seen | {w})
+                    pending.append((w, r + 1, seen | {w}))
             else:
                 u = m.src[ranked[w][position[e] + delta]]
                 for _ in range(r):
                     u = m.src[ranked[u][reset]]
                 targets.add(u)
-
-    start = path_rng(d, p)
-    explore(start, 0, frozenset({start}))
-    values = frozenset(_extreme_path(d, u, depth, last=not forward) for u in targets)
-    return values, True
+    memo[v, delta] = frozenset(targets)
+    return memo[v, delta]
 
 
 def vershik_orbit(d: BratteliDiagram, p: tuple[str, ...], steps: int) -> list:
@@ -660,7 +682,8 @@ def weighted_to_bv(p) -> BratteliDiagram:
 
     Level-n vertices are the level-n edges of the covering; a vertex
     gets one in-edge per position of its expansion walk, ranked by
-    position, so tower heights equal edge lengths.
+    position, so tower heights equal edge lengths.  A finite prefix whose
+    last cover repeats has no diagram form and raises UnsupportedKind.
     """
     if p.kind == "stationary":
         g = p.self_cover.domain
@@ -671,9 +694,13 @@ def weighted_to_bv(p) -> BratteliDiagram:
                 table[f"{q}>{w}:{i}"] = (q, w, i)
         mono = stationary.mono_graph(g.edges, table)
         return stationary_diagram(mono, dict(p.multiplicities))
+    top = p.depth()
+    if top is None:
+        raise UnsupportedKind(
+            "no diagram form for a covering whose last cover repeats"
+        )
     levels = [(ROOT,)]
     edge_levels = []
-    top = p.depth()
     for n in range(1, top + 1):
         g = coverings.level_graph(p, n)
         levels.append(tuple(sorted(g.edges)))

@@ -11,6 +11,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -622,7 +623,9 @@ def _cmd_dot(args) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="zdyn",
         description="combinatorics of coverings, diagrams, and substitutions",

@@ -8,7 +8,11 @@ expanded on demand by length propagation.
 
 Finite approximations of the inverse limit (points, towers, marker sets)
 are evaluated as sets of depth-D path prefixes of the associated ordered
-Bratteli diagram; the shift map becomes the lexicographic successor.
+Bratteli diagram; the shift map becomes the lexicographic successor.  The
+marker checks name each depth-D cylinder by its tower coordinates
+(vertex, floor) instead, so that a shift moves one floor.  Derived values
+(the diagram, path sets, basic expansions) are memoised on the
+presentation they come from.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .errors import (
     HomomorphismViolation,
     HorizonExceeded,
     InvalidSequence,
+    UnsettledResidual,
 )
 from .graphs import Cover, FlexibleGraph, WeightedGraph, singleton_graph
 from .reports import FAILS, HOLDS, UNKNOWN, Report
@@ -65,6 +70,29 @@ class CoveringPresentation:
     def _lengths(self) -> list:
         """Stationary edge lengths by level, read-only, extended on demand."""
         return [MappingProxyType(dict(self.multiplicities))]
+
+    @functools.cached_property
+    def _memo(self) -> dict:
+        """Values derived from this presentation, by routine and arguments."""
+        return {}
+
+
+def _kept_on_presentation(fn):
+    """Memoise ``fn(p, *args)`` on the presentation ``p`` itself.
+
+    The values live as long as the presentation and equal presentations
+    share none of them.
+    """
+
+    @functools.wraps(fn)
+    def memoised(p: CoveringPresentation, *args):
+        memo = p._memo
+        key = (fn.__name__, *args)
+        if key not in memo:
+            memo[key] = fn(p, *args)
+        return memo[key]
+
+    return memoised
 
 
 def stationary_presentation(cover: Cover, multiplicities: dict) -> CoveringPresentation:
@@ -233,12 +261,12 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
 # basic expansions and points
 
 
-@functools.lru_cache(maxsize=None)
+@_kept_on_presentation
 def level_expansion(p: CoveringPresentation, n: int) -> graphs.BasicExpansion:
     return graphs.expand_to_basic(level_graph(p, n))
 
 
-@functools.lru_cache(maxsize=None)
+@_kept_on_presentation
 def basic_cover_at(p: CoveringPresentation, n: int) -> graphs.BasicCover:
     return graphs.expand_basic_cover(
         cover_at(p, n),
@@ -615,14 +643,14 @@ def periodic_orbits(
 # clopen evaluation on diagram prefixes
 
 
-@functools.lru_cache(maxsize=None)
+@_kept_on_presentation
 def _diagram(p: CoveringPresentation):
     from . import bratteli
 
     return bratteli.weighted_to_bv(p)
 
 
-@functools.lru_cache(maxsize=None)
+@_kept_on_presentation
 def all_paths(p: CoveringPresentation, depth: int) -> tuple:
     from . import bratteli
 
@@ -633,7 +661,7 @@ def all_paths(p: CoveringPresentation, depth: int) -> tuple:
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=None)
+@_kept_on_presentation
 def floor_paths(
     p: CoveringPresentation, n: int, e: str, floor: int, depth: int
 ) -> frozenset:
@@ -705,44 +733,6 @@ def _step_set(p: CoveringPresentation, paths, forward: bool):
         out |= values
         exceptional = exceptional or exc
     return frozenset(out), exceptional
-
-
-def _step_chain(p: CoveringPresentation, start: tuple, steps: int, forward: bool):
-    """All value cylinders reachable from ``start`` in ``steps`` shifts.
-
-    At most one exceptional boundary resolution is allowed along the
-    chain; a second raises HorizonExceeded.
-    """
-    current = frozenset({start})
-    budget = 1
-    for _ in range(steps):
-        current, exc = _step_set(p, current, forward)
-        if exc:
-            budget -= 1
-            if budget < 0:
-                raise HorizonExceeded("two boundary resolutions in one chain")
-    return current
-
-
-def _meets_after(p, start: tuple, steps: int, forward: bool, target) -> bool:
-    """Whether some point over ``start`` lands in ``target``.
-
-    ``target`` must be a union of whole depth-D cylinders, so membership
-    of each value cylinder is determined by its prefix.
-    """
-    return bool(_step_chain(p, start, steps, forward) & target)
-
-
-def _membership_after(p, start: tuple, steps: int, forward: bool, target) -> bool:
-    """Whether every point over ``start`` lands in ``target``.
-
-    Mixed answers across boundary branches raise HorizonExceeded.
-    """
-    current = _step_chain(p, start, steps, forward)
-    inside = current & target
-    if inside and inside != current:
-        raise HorizonExceeded("membership splits a horizon cylinder")
-    return bool(inside)
 
 
 def v_infinity_approx(p: CoveringPresentation, n: int) -> tuple:
@@ -832,6 +822,94 @@ class MarkerSet:
     atoms: tuple = ()
 
 
+class _Cylinders:
+    """The depth-``horizon`` cylinders of a presentation in tower coordinates.
+
+    A cylinder is named ``(v, f)``: the level-``horizon`` diagram vertex
+    its paths run through and its floor in that tower, the position of its
+    prefix in path order.  A shift moves a cylinder one floor up (or down)
+    and branches only past the end of a tower, onto the far ends of the
+    towers that :func:`bratteli.boundary_targets` names.  ``order`` lists
+    the cylinders in :func:`all_paths` order, ``path`` maps each to its
+    prefix, ``cell`` to the level-``n`` (edge, floor) cell holding it, and
+    ``members`` lists the cylinders of each cell.
+    """
+
+    def __init__(self, p: CoveringPresentation, n: int, horizon: int):
+        from . import bratteli
+
+        d = self.diagram = _diagram(p)
+        self.heights = {
+            v: bratteli.path_count(d, v, horizon) for v in d.level_vertices(horizon)
+        }
+        self.order = [(v, f) for v, h in self.heights.items() for f in range(h)]
+        self.path = dict(zip(self.order, all_paths(p, horizon)))
+        below = {
+            q: (e, i)
+            for e in d.level_vertices(n)
+            for i, q in enumerate(bratteli.enumerate_paths(d, e, n))
+        }
+        self.cell = {c: below[q[:n]] for c, q in self.path.items()}
+        self.members: dict[tuple, list] = {}
+        for c, cell in self.cell.items():
+            self.members.setdefault(cell, []).append(c)
+
+    def step(self, cylinders, forward: bool):
+        """The cylinders one shift of ``cylinders`` meets.
+
+        Returns ``(cylinders, exceptional)`` like :func:`_step_set`, the
+        flag telling whether some cylinder crossed the end of its tower.
+        """
+        heights = self.heights
+        delta = 1 if forward else -1
+        out = set()
+        exceptional = False
+        for v, f in cylinders:
+            if 0 <= f + delta < heights[v]:
+                out.add((v, f + delta))
+                continue
+            from . import bratteli
+
+            exceptional = True
+            for u in bratteli.boundary_targets(self.diagram, v, delta):
+                out.add((u, 0 if forward else heights[u] - 1))
+        return frozenset(out), exceptional
+
+
+def _shifts(cyl: _Cylinders, start: tuple, forward: bool):
+    """The cylinders the points over ``start`` meet after 1, 2, ... shifts.
+
+    At most one tower end may be crossed along the chain; the second
+    crossing raises HorizonExceeded.
+    """
+    current = frozenset({start})
+    budget = 1
+    while True:
+        current, exceptional = cyl.step(current, forward)
+        if exceptional:
+            budget -= 1
+            if budget < 0:
+                raise HorizonExceeded("two boundary resolutions in one chain")
+        yield current
+
+
+def _lands_in(cyl: _Cylinders, start: tuple, L: int, target) -> bool:
+    """Whether after some i <= L shifts all points over ``start`` are in ``target``.
+
+    ``target`` is a set of cylinders.  Mixed answers across boundary
+    branches raise HorizonExceeded.
+    """
+    if start in target:
+        return True
+    for current in itertools.islice(_shifts(cyl, start, True), L):
+        inside = current & target
+        if inside and inside != current:
+            raise HorizonExceeded("membership splits a horizon cylinder")
+        if inside:
+            return True
+    return False
+
+
 def krieger_markers(
     p: CoveringPresentation, n: int, L: int, horizon: int
 ) -> MarkerSet:
@@ -843,7 +921,20 @@ def krieger_markers(
     for L steps are added too.  ``F`` comes back as a set of
     depth-``horizon`` path prefixes, with its first L forward iterates
     checked pairwise disjoint.
+
+    The work runs on tower coordinates: each depth-``horizon`` cylinder
+    is a (vertex, floor) pair of the diagram, and a shift moves it one
+    floor, branching only past the end of a tower.  Path tuples appear
+    only in the result.  When the horizon cannot sort the points of a
+    residual floor (a chain crosses two tower ends, or the points of one
+    cylinder land on both sides), :class:`UnsettledResidual` names the
+    level-n edge and floor.
     """
+    return _krieger_markers(p, n, L, horizon)[0]
+
+
+def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
+    """:func:`krieger_markers`, its cylinders, and ``F`` as cylinders."""
     if L < 1:
         raise ValueError("L must be positive")
     if horizon < n + 1:
@@ -859,24 +950,24 @@ def krieger_markers(
         if not ln - 2 * Lp < Lp * ke <= ln - Lp:
             raise AssertionError("k(e) window is empty")
         k[e] = ke
+    cyl = _Cylinders(p, n, horizon)
     atoms = []
-    E = frozenset()
+    E = set()
     for e in J:
         floors = [Lp * i for i in range(k[e] + 1)]
-        E |= frozenset().union(
-            frozenset(), *(floor_paths(p, n, e, i, horizon) for i in floors)
-        )
+        for i in floors:
+            E.update(cyl.members.get((e, i), ()))
         atoms.extend({"kind": "E", "level": n, "edge": e, "floor": i} for i in floors)
     F = set(E)
     for e in J:
         if Lp * k[e] == g.length[e] - Lp:
             continue
         residual_floor = Lp * (k[e] + 1)
-        kept = [
-            q
-            for q in sorted(floor_paths(p, n, e, residual_floor, horizon))
-            if not any(_membership_after(p, q, i, True, E) for i in range(L + 1))
-        ]
+        candidates = sorted(cyl.members.get((e, residual_floor), ()), key=cyl.path.get)
+        try:
+            kept = [c for c in candidates if not _lands_in(cyl, c, L, E)]
+        except HorizonExceeded as exc:
+            raise UnsettledResidual(e, residual_floor, str(exc)) from exc
         if kept:
             F.update(kept)
             atoms.append(
@@ -885,28 +976,28 @@ def krieger_markers(
                     "level": horizon,
                     "edge": e,
                     "floor": residual_floor,
-                    "paths": tuple(kept),
+                    "paths": tuple(cyl.path[c] for c in kept),
                 }
             )
     F = frozenset(F)
     iterates = [F]
     for _ in range(L):
-        nxt, _ = _step_set(p, iterates[-1], forward=True)
-        iterates.append(nxt)
-    for i, j in itertools.combinations(range(len(iterates)), 2):
-        if iterates[i] & iterates[j]:
+        iterates.append(cyl.step(iterates[-1], forward=True)[0])
+    for a, b in itertools.combinations(iterates, 2):
+        if a & b:
             raise AssertionError("marker iterates are not disjoint")
-    return MarkerSet(
+    markers = MarkerSet(
         level=n,
         L=L,
         horizon=horizon,
         J=tuple(J),
         P=tuple(P),
         k=k,
-        F=F,
-        E=E,
+        F=frozenset(cyl.path[c] for c in F),
+        E=frozenset(cyl.path[c] for c in E),
         atoms=tuple(atoms),
     )
+    return markers, cyl, F
 
 
 def krieger_coverage(
@@ -916,9 +1007,30 @@ def krieger_coverage(
 
     Every depth-horizon cylinder outside the +-L shift iterates of the
     marker set must lie in a tower of height at most L that carries a
-    certified periodic orbit of period at most L.
+    certified periodic orbit of period at most L.  Cylinders are the
+    (vertex, floor) pairs of :func:`krieger_markers`; each one is probed
+    by forward and backward chains that grow one shift per step, and a
+    chain that crosses two tower ends counts as an unresolved probe and
+    leaves the cylinder to the tower test.
+
+    The verdict is UNKNOWN when the marker set itself cannot be built at
+    this horizon; the witness is ``(edge, floor, reason)`` for the
+    level-n residual floor that could not be settled.
     """
-    markers = krieger_markers(p, n, L, horizon)
+    try:
+        markers, cyl, F = _krieger_markers(p, n, L, horizon)
+    except UnsettledResidual as exc:
+        return Report(
+            tag="krieger",
+            verdict=UNKNOWN,
+            witnesses=((exc.edge, exc.floor, str(exc)),),
+            details={
+                "level": n,
+                "L": L,
+                "horizon": horizon,
+                "reason": "a residual marker floor is not settled at this horizon",
+            },
+        )
     certified = {
         orbit.support[0]: orbit.period
         for orbit in periodic_orbits(p, n, max_period=L)
@@ -927,23 +1039,29 @@ def krieger_coverage(
     violations = []
     outside_towers = set()
     unresolved = 0
-    for q in all_paths(p, horizon):
-        inside = q in markers.F
-        for i in range(1, L + 1):
+    for c in cyl.order:
+        inside = c in F
+        chains = [_shifts(cyl, c, True), _shifts(cyl, c, False)]
+        for _ in range(L):
             if inside:
                 break
-            for forward in (True, False):
+            for j, chain in enumerate(chains):
+                if chain is None:
+                    unresolved += 1
+                    continue
                 try:
-                    inside = _meets_after(p, q, i, forward, markers.F)
+                    inside = not F.isdisjoint(next(chain))
                 except HorizonExceeded:
                     # cannot trace this chain; fall through to the tower test
+                    chains[j] = None
                     unresolved += 1
                 if inside:
                     break
         if inside:
             continue
-        e = _tower_of(p, q, n)
+        e = cyl.cell[c][0]
         outside_towers.add(e)
+        q = cyl.path[c]
         if e not in markers.P:
             violations.append({"path": q, "tower": e, "reason": "tall tower"})
         elif e not in certified:
@@ -963,12 +1081,6 @@ def krieger_coverage(
             "violations": violations,
         },
     )
-
-
-def _tower_of(p: CoveringPresentation, path: tuple, n: int) -> str:
-    from . import bratteli
-
-    return bratteli.path_rng(_diagram(p), path[:n])
 
 
 # ---------------------------------------------------------------------------

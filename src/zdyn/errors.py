@@ -32,6 +32,18 @@ class HorizonExceeded(ZdynError):
     """
 
 
+class UnsettledResidual(HorizonExceeded):
+    """A residual marker floor whose points the horizon cannot sort.
+
+    ``edge`` and ``floor`` name the level-n cell; the message says why.
+    """
+
+    def __init__(self, edge: str, floor: int, reason: str):
+        super().__init__(reason)
+        self.edge = edge
+        self.floor = floor
+
+
 class NestingViolation(ZdynError):
     """A diagram-to-covering conversion was attempted without nesting."""
 

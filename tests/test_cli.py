@@ -1,6 +1,7 @@
 """Document round trips and command line behavior."""
 
 import json
+import shlex
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from zdyn import bratteli, cli, coverings
 from zdyn.errors import DocumentSemanticError, DocumentSyntaxError
 
 DATA = Path(__file__).parent / "data"
+ROOT = Path(__file__).parent.parent
 
 GOLDENS = [
     "example2_covering.json",
@@ -257,3 +259,40 @@ def test_bad_arguments_exit_2_with_a_message(argv, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+
+
+def test_unsettled_krieger_markers_answer_unknown(capsys):
+    assert run(
+        "krieger", DATA / "skew_covering.json",
+        "--level", "3", "--steps", "2", "--horizon", "7", "--format", "json",
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "UNKNOWN"
+    assert report["witnesses"] == [["y", 6, "two boundary resolutions in one chain"]]
+
+
+def test_a_repeating_tail_has_no_diagram_form(tmp_path, capsys):
+    assert run("telescope", DATA / "example2_covering.json", "1,3") == 0
+    doc = tmp_path / "tail.json"
+    doc.write_text(capsys.readouterr().out)
+    assert run("convert", "to-bv", doc) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_the_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def readme_commands():
+    text = (ROOT / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("zdyn ")]
+
+
+@pytest.mark.parametrize("line", readme_commands())
+def test_readme_commands_run(line, monkeypatch, capsys):
+    monkeypatch.chdir(ROOT)
+    assert run(*shlex.split(line)[1:]) in (0, 1)
+    assert capsys.readouterr().out
