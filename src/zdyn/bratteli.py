@@ -29,13 +29,13 @@ from .errors import (
     CoverViolation,
     DepthOutOfRange,
     HorizonExceeded,
-    InvalidSequence,
     NestingViolation,
     UndefinedVershik,
     UnsupportedKind,
 )
+from .graphs import EdgeIndex, index_edges
 from .reports import FAILS, HOLDS, UNKNOWN, Report
-from .stationary import EdgeIndex, MonoGraph, index_edges
+from .stationary import MonoGraph
 
 MAXIMAL = "MAXIMAL"
 MINIMAL = "MINIMAL"
@@ -474,9 +474,7 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
     finite prefix whose level-i edges are the old paths between
     consecutive cuts, ordered lexicographically.
     """
-    cuts = list(cut_points)
-    if not cuts or cuts[0] < 1 or any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise DepthOutOfRange("cut points must be strictly increasing and >= 1")
+    cuts = coverings._checked_cuts(cut_points, d.depth())
     if d.kind == "stationary":
         K = cuts[0]
         if all(c == K * (i + 1) for i, c in enumerate(cuts)):
@@ -485,9 +483,6 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
                 v: path_count(d, v, K) for v in d.mono.vertices
             }
             return stationary_diagram(powered, mult)
-    limit = d.depth()
-    if limit is not None and cuts[-1] > limit:
-        raise DepthOutOfRange("cut beyond the available depth")
 
     levels = [(ROOT,)]
     edge_levels = []
@@ -855,11 +850,7 @@ def check_closing_bv(d: BratteliDiagram) -> Report:
 
 def check_regulated_bv(d: BratteliDiagram, l_seq, n_max: int) -> Report:
     """Periodicity regulation on the diagram side (see check_closing_bv)."""
-    seq = list(l_seq)
-    if any(b <= a for a, b in zip(seq, seq[1:])) or any(x < 1 for x in seq):
-        raise InvalidSequence("l_seq must be strictly increasing and positive")
-    if len(seq) < n_max:
-        raise InvalidSequence("l_seq shorter than n_max")
+    seq = coverings._checked_l_seq(l_seq, n_max)
     if d.kind != "stationary":
         return Report(
             tag="regulated",

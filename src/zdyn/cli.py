@@ -5,7 +5,8 @@ Documents are JSON objects with a ``version`` tag (``zdyn/1``) and a
 document, dispatches to the library, and prints either a human-readable
 report or the JSON form of the result.  Exit codes: 0 for success (and
 for honest UNKNOWN verdicts), 1 for a failing property, 2 for input
-errors.
+errors, 3 for an internal error, so that a crash never reads as a
+failing verdict.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import functools
 import json
 import sys
+import traceback
 
 from . import bratteli, coverings, graphs, stationary, substitution
 from .errors import (
@@ -22,7 +24,7 @@ from .errors import (
     UnsupportedKind,
     ZdynError,
 )
-from .graphs import BasicGraph, Cover, FlexibleGraph, WeightedGraph
+from .graphs import BasicGraph, Cover, Graph
 from .reports import FAILS, Report
 from .stationary import MonoGraph
 
@@ -41,38 +43,47 @@ def _need(data: dict, key: str, context: str):
     return data[key]
 
 
+# the entries of one edge by document kind; a third entry is an integer
+_EDGE_ENTRIES = {
+    "basic_graph": ("src", "rng"),
+    "weighted_graph": ("src", "rng", "length"),
+    "flexible_graph": ("src", "rng"),
+    "mono_graph": ("src", "rng", "rank"),
+}
+
+
+def _entry(kind: str, edge, entry) -> tuple:
+    """One edge entry of a ``kind`` document, its arity and integer checked."""
+    names = _EDGE_ENTRIES[kind]
+    t = tuple(entry)
+    if len(t) != len(names):
+        raise DocumentSemanticError(
+            f"{kind} edge {edge}: expected [{', '.join(names)}], got {len(t)} entries"
+        )
+    if len(t) == 3 and (isinstance(t[2], bool) or not isinstance(t[2], int)):
+        raise DocumentSemanticError(
+            f"{kind} edge {edge}: {names[2]} {t[2]!r} is not an integer"
+        )
+    return t
+
+
 def _load_basic_graph(data) -> BasicGraph:
     edges = _need(data, "edges", "basic_graph")
     return BasicGraph(
         vertices=frozenset(_need(data, "vertices", "basic_graph")),
-        edges=frozenset((u, w) for u, w in edges),
+        edges=frozenset(_entry("basic_graph", list(t), t) for t in edges),
     )
 
 
-def _load_weighted_graph(data) -> WeightedGraph:
-    table = _need(data, "edges", "weighted_graph")
-    return graphs.weighted(
-        _need(data, "vertices", "weighted_graph"),
-        {e: tuple(t) for e, t in table.items()},
-    )
-
-
-def _load_flexible_graph(data) -> FlexibleGraph:
-    table = _need(data, "edges", "flexible_graph")
-    return graphs.flexible(
-        _need(data, "vertices", "flexible_graph"),
-        {e: tuple(t) for e, t in table.items()},
-    )
-
-
-def _load_graph(data):
+def _load_graph(data) -> BasicGraph | Graph:
     kind = _need(data, "kind", "graph")
     if kind == "basic_graph":
         return _load_basic_graph(data)
-    if kind == "weighted_graph":
-        return _load_weighted_graph(data)
-    if kind == "flexible_graph":
-        return _load_flexible_graph(data)
+    if kind in ("weighted_graph", "flexible_graph"):
+        edges = _need(data, "edges", kind)
+        build = graphs.weighted if kind == "weighted_graph" else graphs.flexible
+        table = {e: _entry(kind, e, t) for e, t in edges.items()}
+        return build(_need(data, "vertices", kind), table)
     raise DocumentSemanticError(f"not a graph kind: {kind}")
 
 
@@ -102,10 +113,10 @@ def _load_covering(data):
 
 
 def _load_mono(data) -> MonoGraph:
-    table = _need(data, "edges", "mono_graph")
+    edges = _need(data, "edges", "mono_graph")
     return stationary.mono_graph(
         _need(data, "vertices", "mono_graph"),
-        {e: tuple(t) for e, t in table.items()},
+        {e: _entry("mono_graph", e, t) for e, t in edges.items()},
     )
 
 
@@ -147,9 +158,9 @@ def _load_seed_row(data) -> substitution.SeedRow:
 
 
 _LOADERS = {
-    "basic_graph": _load_basic_graph,
-    "weighted_graph": _load_weighted_graph,
-    "flexible_graph": _load_flexible_graph,
+    "basic_graph": _load_graph,
+    "weighted_graph": _load_graph,
+    "flexible_graph": _load_graph,
     "cover": _load_cover,
     "covering": _load_covering,
     "mono_graph": _load_mono,
@@ -161,7 +172,7 @@ _LOADERS = {
 
 def _structure_problems(obj) -> list[str]:
     """Invariant problems for a loaded document, by type."""
-    if isinstance(obj, (BasicGraph, WeightedGraph, FlexibleGraph)):
+    if isinstance(obj, (BasicGraph, Graph)):
         return graphs.validate_graph(obj)
     if isinstance(obj, Cover):
         return graphs.cover_violations(obj)
@@ -222,6 +233,21 @@ def to_document(obj) -> dict:
     return doc
 
 
+def _edge_kind(obj) -> str | None:
+    """The document kind of a graph or mono-graph with an edge table."""
+    if isinstance(obj, MonoGraph):
+        return "mono_graph"
+    if isinstance(obj, Graph):
+        return "flexible_graph" if obj.length is None else "weighted_graph"
+    return None
+
+
+def _edge_entries(obj, kind: str) -> dict:
+    """The ``edges`` table of a ``kind`` document, in id order."""
+    maps = [getattr(obj, name) for name in _EDGE_ENTRIES[kind]]
+    return {e: [m[e] for m in maps] for e in sorted(obj.edges)}
+
+
 def _payload(obj) -> dict:
     if isinstance(obj, BasicGraph):
         return {
@@ -229,20 +255,12 @@ def _payload(obj) -> dict:
             "vertices": sorted(obj.vertices),
             "edges": [list(e) for e in sorted(obj.edges)],
         }
-    if isinstance(obj, WeightedGraph):
+    kind = _edge_kind(obj)
+    if kind:
         return {
-            "kind": "weighted_graph",
+            "kind": kind,
             "vertices": sorted(obj.vertices),
-            "edges": {
-                e: [obj.src[e], obj.rng[e], obj.length[e]]
-                for e in obj.sorted_edges()
-            },
-        }
-    if isinstance(obj, FlexibleGraph):
-        return {
-            "kind": "flexible_graph",
-            "vertices": sorted(obj.vertices),
-            "edges": {e: [obj.src[e], obj.rng[e]] for e in obj.sorted_edges()},
+            "edges": _edge_entries(obj, kind),
         }
     if isinstance(obj, Cover):
         return {
@@ -268,15 +286,6 @@ def _payload(obj) -> dict:
             "graphs": [_payload(g) for g in obj.graphs],
             "covers": [_payload(c) for c in obj.covers],
             "tail": obj.tail,
-        }
-    if isinstance(obj, MonoGraph):
-        return {
-            "kind": "mono_graph",
-            "vertices": sorted(obj.vertices),
-            "edges": {
-                e: [obj.src[e], obj.rng[e], obj.rank[e]]
-                for e in sorted(obj.edges)
-            },
         }
     if isinstance(obj, bratteli.BratteliDiagram):
         if obj.kind == "stationary":
@@ -327,19 +336,10 @@ def export_dot(obj) -> str:
     if isinstance(obj, BasicGraph):
         for u, w in sorted(obj.edges):
             lines.append(f'  "{u}" -> "{w}";')
-    elif isinstance(obj, WeightedGraph):
-        for e in obj.sorted_edges():
-            lines.append(
-                f'  "{obj.src[e]}" -> "{obj.rng[e]}" [label="{e}:{obj.length[e]}"];'
-            )
-    elif isinstance(obj, FlexibleGraph):
-        for e in obj.sorted_edges():
-            lines.append(f'  "{obj.src[e]}" -> "{obj.rng[e]}" [label="{e}"];')
-    elif isinstance(obj, MonoGraph):
-        for e in sorted(obj.edges):
-            lines.append(
-                f'  "{obj.src[e]}" -> "{obj.rng[e]}" [label="{e}:{obj.rank[e]}"];'
-            )
+    elif _edge_kind(obj):
+        for e, (s, r, *rest) in _edge_entries(obj, _edge_kind(obj)).items():
+            label = ":".join(str(x) for x in (e, *rest))
+            lines.append(f'  "{s}" -> "{r}" [label="{label}"];')
     elif isinstance(obj, bratteli.BratteliDiagram):
         limit = obj.depth()
         top = limit if limit is not None else 3
@@ -727,6 +727,10 @@ def main(argv=None) -> int:
     except ZdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":  # pragma: no cover

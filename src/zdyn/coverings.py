@@ -30,7 +30,7 @@ from .errors import (
     InvalidSequence,
     UnsettledResidual,
 )
-from .graphs import Cover, FlexibleGraph, WeightedGraph, singleton_graph
+from .graphs import Cover, Graph, singleton_graph
 from .reports import FAILS, HOLDS, UNKNOWN, Report
 
 TRUNCATED = "truncated"
@@ -165,34 +165,37 @@ def _stationary_lengths(p: CoveringPresentation, n: int):
     return lengths[n - 1]
 
 
-def level_graph(p: CoveringPresentation, n: int) -> WeightedGraph:
-    """The weighted graph at level ``n`` (level 0 is the singleton)."""
+def level_graph(p: CoveringPresentation, n: int) -> Graph:
+    """The weighted graph at level ``n`` (level 0 is the singleton).
+
+    It shares the read-only maps of its shape and the memoised lengths.
+    """
     p._check_depth(n)
     if n == 0:
         return singleton_graph()
     if p.kind == "stationary":
         g = p.self_cover.domain
-        lengths = dict(_stationary_lengths(p, n))
+        lengths = _stationary_lengths(p, n)
     elif n <= len(p.graphs):
         return p.graphs[n - 1]
     else:
         # the repeating tail keeps the top shape and propagates lengths
         g = p.graphs[-1]
         emap = p.covers[-1].emap
-        lengths = dict(g.length)
+        lengths = g.length
         for _ in range(n - len(p.graphs)):
             lengths = {e: sum(lengths[q] for q in emap[e]) for e in g.edges}
-    return WeightedGraph(
-        vertices=g.vertices,
-        edges=g.edges,
-        src=dict(g.src),
-        rng=dict(g.rng),
-        length=lengths,
+        lengths = MappingProxyType(lengths)
+    return Graph(
+        vertices=g.vertices, edges=g.edges, src=g.src, rng=g.rng, length=lengths
     )
 
 
 def cover_at(p: CoveringPresentation, n: int) -> Cover:
-    """The weighted cover from level ``n`` down to level ``n - 1``."""
+    """The weighted cover from level ``n`` down to level ``n - 1``.
+
+    Above level 1 it shares the read-only maps of the cover it repeats.
+    """
     if n < 1:
         raise DepthOutOfRange("covers start at level 1")
     p._check_depth(n)
@@ -201,8 +204,8 @@ def cover_at(p: CoveringPresentation, n: int) -> Cover:
         return Cover(
             domain=dom,
             codomain=level_graph(p, 0),
-            vmap={v: "v0" for v in dom.vertices},
-            emap={e: ("e0",) * dom.length[e] for e in dom.edges},
+            vmap=MappingProxyType({v: "v0" for v in dom.vertices}),
+            emap=MappingProxyType({e: ("e0",) * dom.length[e] for e in dom.edges}),
         )
     if p.kind == "stationary":
         base = p.self_cover
@@ -211,10 +214,7 @@ def cover_at(p: CoveringPresentation, n: int) -> Cover:
     else:
         base = p.covers[-1]
     return Cover(
-        domain=dom,
-        codomain=level_graph(p, n - 1),
-        vmap=dict(base.vmap),
-        emap=dict(base.emap),
+        domain=dom, codomain=level_graph(p, n - 1), vmap=base.vmap, emap=base.emap
     )
 
 
@@ -228,6 +228,16 @@ def compose_range(p: CoveringPresentation, m: int, n: int) -> Cover:
     return result
 
 
+def _checked_cuts(cut_points, limit: int | None) -> list:
+    """The cut points as a list, strictly increasing, >= 1 and <= ``limit``."""
+    cuts = list(cut_points)
+    if not cuts or cuts[0] < 1 or any(b <= a for a, b in zip(cuts, cuts[1:])):
+        raise DepthOutOfRange("cut points must be strictly increasing and >= 1")
+    if limit is not None and cuts[-1] > limit:
+        raise DepthOutOfRange("cut beyond the available depth")
+    return cuts
+
+
 def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
     """Telescope the covering along increasing cut points.
 
@@ -237,12 +247,7 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
     finite prefix whose last cover repeats; cuts on a finite prefix
     produce a truncated finite prefix.
     """
-    cuts = list(cut_points)
-    if not cuts or cuts[0] < 1 or any(b <= a for a, b in zip(cuts, cuts[1:])):
-        raise DepthOutOfRange("cut points must be strictly increasing and >= 1")
-    limit = p.depth()
-    if limit is not None and cuts[-1] > limit:
-        raise DepthOutOfRange("cut beyond the available depth")
+    cuts = _checked_cuts(cut_points, p.depth())
     if p.kind == "stationary":
         K = cuts[0]
         if all(c == K * (i + 1) for i, c in enumerate(cuts)):
@@ -522,6 +527,16 @@ def _prefix_chain_support(p: CoveringPresentation, n: int):
     return set(), set(alive.values())
 
 
+def _checked_l_seq(l_seq, n_max: int) -> list:
+    """The thresholds as a list, strictly increasing, positive, >= n_max long."""
+    seq = list(l_seq)
+    if any(x < 1 for x in seq) or any(b <= a for a, b in zip(seq, seq[1:])):
+        raise InvalidSequence("l_seq must be strictly increasing and positive")
+    if len(seq) < n_max:
+        raise InvalidSequence("l_seq shorter than n_max")
+    return seq
+
+
 def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
     """Short edges at each level must be constantly covered by circuits.
 
@@ -531,11 +546,7 @@ def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
     short forever; edges of unbounded length are listed as undecided
     since a finite threshold sequence cannot constrain their tail.
     """
-    seq = list(l_seq)
-    if any(x < 1 for x in seq) or any(b <= a for a, b in zip(seq, seq[1:])):
-        raise InvalidSequence("l_seq must be strictly increasing and positive")
-    if len(seq) < n_max:
-        raise InvalidSequence("l_seq shorter than n_max")
+    seq = _checked_l_seq(l_seq, n_max)
     p._check_depth(n_max)
     if p.kind == "stationary":
         good = _circuit_chain_edges(p.self_cover)
@@ -600,7 +611,7 @@ class PeriodicOrbit:
     support: tuple[str, ...]
 
 
-def _basic_as_flexible(bg: graphs.BasicGraph) -> FlexibleGraph:
+def _basic_as_flexible(bg: graphs.BasicGraph) -> Graph:
     return graphs.flexible(bg.vertices, {f"{u}>{w}": (u, w) for (u, w) in bg.edges})
 
 
@@ -844,8 +855,10 @@ class _Cylinders:
         }
         self.order = [(v, f) for v, h in self.heights.items() for f in range(h)]
         self.path = dict(zip(self.order, all_paths(p, horizon)))
+        # the level-n vertices of the diagram are the level-n edges, except
+        # that at level 0 the root stands for the singleton graph's loop e0
         below = {
-            q: (e, i)
+            q: (e if n else "e0", i)
             for e in d.level_vertices(n)
             for i, q in enumerate(bratteli.enumerate_paths(d, e, n))
         }

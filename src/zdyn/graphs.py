@@ -1,25 +1,77 @@
 """Finite directed graphs with edge lengths, walks, and covers.
 
-Three graph flavours are used throughout the toolkit:
-
-* ``BasicGraph``: a plain relation on vertices (no parallel edges).
-* ``WeightedGraph``: a multigraph whose edges carry positive integer lengths.
-* ``FlexibleGraph``: a multigraph with the lengths left implicit.
+One frozen record, :class:`Graph`, is every multigraph of the toolkit:
+its ``src``, ``rng`` and ``length`` maps are read-only, and ``length`` is
+None for a flexible graph.  Its adjacency is one :class:`EdgeIndex`, the
+index mono-graphs and diagrams use too.  ``BasicGraph`` is a plain
+relation on vertices, the form of an expanded weighted graph.
 
 A *cover* maps edges of one graph to walks of another so that endpoints
-match and, for weighted graphs, lengths are preserved.  Covers are the
-single building block for the covering sequences in :mod:`zdyn.coverings`.
+match and, for weighted graphs, lengths are preserved; its maps are
+read-only too, so covers and level graphs share them instead of copying.
+Covers are the single building block for the covering sequences in
+:mod:`zdyn.coverings`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 from .errors import DomainMismatch, HomomorphismViolation, CoverViolation
 
 
 # ---------------------------------------------------------------------------
 # graph types
+
+
+def read_only_fields(record, *names: str) -> None:
+    """Make the named mapping fields of a frozen record read-only views.
+
+    A read-only view is shared as it is; any other mapping is copied first.
+    """
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and not isinstance(value, MappingProxyType):
+            object.__setattr__(record, name, MappingProxyType(dict(value)))
+
+
+@dataclass(frozen=True, slots=True)
+class EdgeIndex:
+    """The ranked adjacency of one edge table, every part read-only.
+
+    ``edges`` maps edge id to ``(src, rng, rank)``; ``ranked`` maps a
+    vertex to its in-edges in rank order and ``position`` an edge to its
+    place among them; ``out`` maps a vertex to its out-edges in id order.
+    """
+
+    edges: Mapping
+    ranked: Mapping
+    position: Mapping
+    out: Mapping
+
+
+def index_edges(table) -> EdgeIndex:
+    """Index an ``id -> (src, rng, rank)`` table in one pass."""
+    table = dict(table)
+    ranked: dict[str, list[str]] = {}
+    out: dict[str, list[str]] = {}
+    for e, (s, r, _) in table.items():
+        ranked.setdefault(r, []).append(e)
+        out.setdefault(s, []).append(e)
+    ranked = {
+        v: tuple(sorted(es, key=lambda e: table[e][2])) for v, es in ranked.items()
+    }
+    return EdgeIndex(
+        edges=MappingProxyType(table),
+        ranked=MappingProxyType(ranked),
+        position=MappingProxyType(
+            {e: i for es in ranked.values() for i, e in enumerate(es)}
+        ),
+        out=MappingProxyType({v: tuple(sorted(es)) for v, es in out.items()}),
+    )
 
 
 @dataclass(frozen=True)
@@ -29,61 +81,45 @@ class BasicGraph:
     vertices: frozenset[str]
     edges: frozenset[tuple[str, str]]
 
-    def out_edges(self, v: str) -> list[tuple[str, str]]:
-        return sorted(e for e in self.edges if e[0] == v)
-
-    def in_edges(self, v: str) -> list[tuple[str, str]]:
-        return sorted(e for e in self.edges if e[1] == v)
-
 
 @dataclass(frozen=True)
-class WeightedGraph:
-    """A finite directed multigraph with a positive length per edge."""
+class Graph:
+    """A finite directed multigraph with read-only edge maps.
+
+    ``length`` gives each edge a positive length, or is None for a
+    flexible graph.  The adjacency index is built on first use.
+    """
 
     vertices: frozenset[str]
     edges: frozenset[str]
-    src: dict = field(hash=False)
-    rng: dict = field(hash=False)
-    length: dict = field(hash=False)
+    src: Mapping = field(hash=False)
+    rng: Mapping = field(hash=False)
+    length: Mapping | None = field(default=None, hash=False)
+
+    def __post_init__(self):
+        read_only_fields(self, "src", "rng", "length")
+
+    @cached_property
+    def _index(self) -> EdgeIndex:
+        # each edge ranks by its own id, so in-edges come in id order
+        return index_edges({e: (self.src[e], self.rng[e], e) for e in self.edges})
 
     def sorted_edges(self) -> list[str]:
         return sorted(self.edges)
 
     def out_edges(self, v: str) -> list[str]:
-        return sorted(e for e in self.edges if self.src[e] == v)
+        return list(self._index.out.get(v, ()))
 
     def in_edges(self, v: str) -> list[str]:
-        return sorted(e for e in self.edges if self.rng[e] == v)
+        return list(self._index.ranked.get(v, ()))
 
 
-@dataclass(frozen=True)
-class FlexibleGraph:
-    """Like :class:`WeightedGraph` but without lengths."""
-
-    vertices: frozenset[str]
-    edges: frozenset[str]
-    src: dict = field(hash=False)
-    rng: dict = field(hash=False)
-
-    def sorted_edges(self) -> list[str]:
-        return sorted(self.edges)
-
-    def out_edges(self, v: str) -> list[str]:
-        return sorted(e for e in self.edges if self.src[e] == v)
-
-    def in_edges(self, v: str) -> list[str]:
-        return sorted(e for e in self.edges if self.rng[e] == v)
-
-
-Graph = BasicGraph | WeightedGraph | FlexibleGraph
-
-
-def weighted(vertices, edge_table) -> WeightedGraph:
+def weighted(vertices, edge_table) -> Graph:
     """Convenience constructor.
 
     ``edge_table`` maps edge id to ``(src, rng, length)``.
     """
-    return WeightedGraph(
+    return Graph(
         vertices=frozenset(vertices),
         edges=frozenset(edge_table),
         src={e: t[0] for e, t in edge_table.items()},
@@ -92,9 +128,9 @@ def weighted(vertices, edge_table) -> WeightedGraph:
     )
 
 
-def flexible(vertices, edge_table) -> FlexibleGraph:
+def flexible(vertices, edge_table) -> Graph:
     """``edge_table`` maps edge id to ``(src, rng)``."""
-    return FlexibleGraph(
+    return Graph(
         vertices=frozenset(vertices),
         edges=frozenset(edge_table),
         src={e: t[0] for e, t in edge_table.items()},
@@ -102,7 +138,7 @@ def flexible(vertices, edge_table) -> FlexibleGraph:
     )
 
 
-def singleton_graph(vertex: str = "v0", edge: str = "e0") -> WeightedGraph:
+def singleton_graph(vertex: str = "v0", edge: str = "e0") -> Graph:
     """The one-vertex, one-self-loop weighted graph with length 1."""
     return weighted({vertex}, {edge: (vertex, vertex, 1)})
 
@@ -111,7 +147,7 @@ def singleton_graph(vertex: str = "v0", edge: str = "e0") -> WeightedGraph:
 # validation
 
 
-def validate_graph(g: Graph) -> list[str]:
+def validate_graph(g: Graph | BasicGraph) -> list[str]:
     """Return a list of violated invariants; an empty list means valid."""
     problems: list[str] = []
     if isinstance(g, BasicGraph):
@@ -132,7 +168,7 @@ def validate_graph(g: Graph) -> list[str]:
             problems.append(f"edge {e} has unknown source {g.src[e]}")
         if g.rng[e] not in g.vertices:
             problems.append(f"edge {e} has unknown range {g.rng[e]}")
-    if isinstance(g, WeightedGraph):
+    if g.length is not None:
         for e in g.sorted_edges():
             length = g.length[e]
             if not isinstance(length, int) or length < 1:
@@ -167,21 +203,9 @@ def walk_rng(g, edges: tuple[str, ...]) -> str:
     return g.rng[edges[-1]]
 
 
-def walk_length(g: WeightedGraph, edges: tuple[str, ...]) -> int:
+def walk_length(g: Graph, edges: tuple[str, ...]) -> int:
     """Total length of a walk in a weighted graph."""
     return sum(g.length[e] for e in edges)
-
-
-def is_cycle(g, edges: tuple[str, ...]) -> bool:
-    return is_walk(g, edges) and walk_src(g, edges) == walk_rng(g, edges)
-
-
-def is_circuit(g, edges: tuple[str, ...]) -> bool:
-    """A cycle whose edge sources are mutually distinct."""
-    if not is_cycle(g, edges):
-        return False
-    sources = [g.src[e] for e in edges]
-    return len(set(sources)) == len(sources)
 
 
 # ---------------------------------------------------------------------------
@@ -193,13 +217,17 @@ class Cover:
     """A graph homomorphism sending edges to walks.
 
     ``vmap`` maps domain vertices to codomain vertices and ``emap`` maps
-    each domain edge to a walk (tuple of edge ids) in the codomain.
+    each domain edge to a walk (tuple of edge ids) in the codomain; the
+    record keeps both maps read-only.
     """
 
     domain: Graph
     codomain: Graph
-    vmap: dict = field(hash=False)
-    emap: dict = field(hash=False)
+    vmap: Mapping = field(hash=False)
+    emap: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        read_only_fields(self, "vmap", "emap")
 
 
 @dataclass(frozen=True)
@@ -227,7 +255,7 @@ def cover_violations(c: Cover) -> list[str]:
             problems.append(f"edge {e}: source mismatch")
         if c.vmap[dom.rng[e]] != walk_rng(cod, w):
             problems.append(f"edge {e}: range mismatch")
-        if isinstance(dom, WeightedGraph) and isinstance(cod, WeightedGraph):
+        if dom.length is not None and cod.length is not None:
             if walk_length(cod, w) != dom.length[e]:
                 problems.append(f"edge {e}: length not preserved")
     return problems
@@ -324,7 +352,7 @@ class BasicExpansion:
     share each collapsed relation edge.
     """
 
-    source: WeightedGraph
+    source: Graph
     graph: BasicGraph
     chains: dict = field(hash=False)
     merges: dict = field(hash=False)
@@ -347,7 +375,7 @@ def interior_vertex(edge: str, i: int) -> str:
     return f"{edge}#{i}"
 
 
-def expand_to_basic(g: WeightedGraph) -> BasicExpansion:
+def expand_to_basic(g: Graph) -> BasicExpansion:
     """Expand a weighted graph into its basic graph."""
     vertices = set(g.vertices)
     edges: set[tuple[str, str]] = set()

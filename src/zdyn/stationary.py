@@ -18,52 +18,11 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 
 from . import graphs
 from .errors import NotStraight
-from .graphs import Cover, FlexibleGraph, cover_power
+from .graphs import Cover, EdgeIndex, Graph, cover_power, index_edges, read_only_fields
 from .reports import FAILS, HOLDS, UNKNOWN, Report
-
-
-# ---------------------------------------------------------------------------
-# ranked adjacency
-
-
-@dataclass(frozen=True, slots=True)
-class EdgeIndex:
-    """The ranked adjacency of one edge table, every part read-only.
-
-    ``edges`` maps edge id to ``(src, rng, rank)``; ``ranked`` maps a
-    vertex to its in-edges in rank order and ``position`` an edge to its
-    place among them; ``out`` maps a vertex to its out-edges in id order.
-    """
-
-    edges: Mapping
-    ranked: Mapping
-    position: Mapping
-    out: Mapping
-
-
-def index_edges(table) -> EdgeIndex:
-    """Index an ``id -> (src, rng, rank)`` table in one pass."""
-    table = dict(table)
-    ranked: dict[str, list[str]] = {}
-    out: dict[str, list[str]] = {}
-    for e, (s, r, _) in table.items():
-        ranked.setdefault(r, []).append(e)
-        out.setdefault(s, []).append(e)
-    ranked = {
-        v: tuple(sorted(es, key=lambda e: table[e][2])) for v, es in ranked.items()
-    }
-    return EdgeIndex(
-        edges=MappingProxyType(table),
-        ranked=MappingProxyType(ranked),
-        position=MappingProxyType(
-            {e: i for es in ranked.values() for i, e in enumerate(es)}
-        ),
-        out=MappingProxyType({v: tuple(sorted(es)) for v, es in out.items()}),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -74,14 +33,18 @@ def index_edges(table) -> EdgeIndex:
 class MonoGraph:
     """A finite ordered graph with ranked in-edges at every vertex.
 
-    Adjacency reads go through one :class:`EdgeIndex`, built on first use.
+    The record keeps ``src``, ``rng`` and ``rank`` read-only; adjacency
+    reads go through one :class:`EdgeIndex`, built on first use.
     """
 
     vertices: frozenset[str]
     edges: frozenset[str]
-    src: dict = field(hash=False)
-    rng: dict = field(hash=False)
-    rank: dict = field(hash=False)
+    src: Mapping = field(hash=False)
+    rng: Mapping = field(hash=False)
+    rank: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        read_only_fields(self, "src", "rng", "rank")
 
     @cached_property
     def _index(self) -> EdgeIndex:
@@ -325,7 +288,7 @@ class SelfCoverAnalysis:
     lim_l: dict = field(hash=False)
 
     @property
-    def graph(self) -> FlexibleGraph:
+    def graph(self) -> Graph:
         return self.cover.domain
 
     @property
@@ -433,12 +396,7 @@ def constant_sequences(a: SelfCoverAnalysis, k_max: int) -> ConstantSequenceRepo
             sequences.append(ConstantSequence(tuple(vertices), tuple(walk)))
     sequences.sort(key=lambda s: (len(s.vertices), s.vertices))
     report = graphs.enumerate_circuits(
-        FlexibleGraph(
-            vertices=g.vertices,
-            edges=fixed,
-            src={e: g.src[e] for e in fixed},
-            rng={e: g.rng[e] for e in fixed},
-        ),
+        graphs.flexible(g.vertices, {e: (g.src[e], g.rng[e]) for e in fixed}),
         max_len=max(1, len(g.vertices)),
     ) if fixed else None
     families = tuple(

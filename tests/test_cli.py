@@ -281,6 +281,52 @@ def test_a_repeating_tail_has_no_diagram_form(tmp_path, capsys):
     assert err.startswith("error:")
 
 
+def graph_document(kind, edges):
+    return {"version": "zdyn/1", "kind": kind, "vertices": ["v"], "edges": edges}
+
+
+@pytest.mark.parametrize(
+    "doc, named",
+    [
+        (graph_document("weighted_graph", {"e": ["v", "v"]}), "edge e:"),
+        (graph_document("flexible_graph", {"e": ["v"]}), "edge e:"),
+        (graph_document("basic_graph", [["v", "v", "x"]]), "edge ['v', 'v', 'x']:"),
+        (graph_document("mono_graph", {"e": ["v", "v"]}), "edge e:"),
+        (
+            graph_document("mono_graph", {"e": ["v", "v", 1], "f": ["v", "v", "x"]}),
+            "edge f: rank 'x'",
+        ),
+        (
+            graph_document("weighted_graph", {"e": ["v", "v", True]}),
+            "edge e: length True",
+        ),
+    ],
+    ids=["weighted-arity", "flexible-arity", "basic-arity", "mono-arity",
+         "mono-rank", "weighted-bool-length"],
+)
+def test_malformed_graph_entries_exit_2(doc, named, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    for command in ("validate", "dot"):
+        assert run(command, path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:")
+        assert named in err
+
+
+def test_an_internal_error_exits_3_not_1(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "read_document", broken)
+    assert run("check", "closing", DATA / "example2_covering.json") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback" in err
+
+
 def test_the_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 

@@ -93,9 +93,20 @@ def test_example2_weighted_length_table():
 
 def test_level_graphs_hand_out_their_own_lengths():
     p = example2_unit()
-    coverings.level_graph(p, 2).length["e_a"] = 999
+    with pytest.raises(TypeError):
+        coverings.level_graph(p, 2).length["e_a"] = 999
     assert coverings.level_graph(p, 2).length["e_a"] == 1
     assert coverings.level_graph(example2_unit(), 2).length["e_a"] == 1
+
+
+def test_level_graphs_and_covers_share_their_maps():
+    p = example2_unit()
+    base = p.self_cover
+    g = coverings.level_graph(p, 3)
+    assert g.src is base.domain.src and g.rng is base.domain.rng
+    assert g.length is coverings.level_graph(p, 3).length
+    c = coverings.cover_at(p, 3)
+    assert c.vmap is base.vmap and c.emap is base.emap
 
 
 def test_deep_levels_need_no_recursion():

@@ -50,6 +50,22 @@ class TestValidateGraph:
         assert any("non-positive length" in p for p in validate_graph(g))
 
 
+class TestReadOnlyRecord:
+    def test_a_plain_dict_is_copied_and_a_read_only_one_shared(self):
+        src = {"e": "v"}
+        g = graphs.Graph(frozenset({"v"}), frozenset({"e"}), src=src, rng={"e": "v"})
+        src["e"] = "w"
+        assert g.src == {"e": "v"}
+        h = graphs.Graph(g.vertices, g.edges, src=g.src, rng=g.rng)
+        assert h.src is g.src and h == g
+
+    def test_flexible_and_weighted_graphs_differ_only_in_length(self):
+        g = weighted({"v"}, {"e": ("v", "v", 1)})
+        assert g.length == {"e": 1}
+        assert graphs.flexible({"v"}, {"e": ("v", "v")}).length is None
+        assert g != graphs.flexible({"v"}, {"e": ("v", "v")})
+
+
 class TestCheckCover:
     def test_fibonacci_flags(self):
         flags = check_cover(fib_cover())

@@ -59,6 +59,11 @@ def oracle_paths(d, v, n):
     ]
 
 
+def scan_graph_edges(g, v, end):
+    """The edges of ``g`` whose ``end`` ("src" or "rng") is ``v``, sorted."""
+    return sorted(e for e in g.edges if getattr(g, end)[e] == v)
+
+
 def pairwise_directionality(c):
     """The +/- directionality flags by comparing every pair of edges."""
     dom = c.domain
@@ -100,6 +105,22 @@ def stationary_diagrams(draw):
     mono = draw(mono_graphs())
     mults = {v: draw(st.integers(1, 2)) for v in sorted(mono.vertices)}
     return bratteli.stationary_diagram(mono, mults)
+
+
+@st.composite
+def random_graphs(draw):
+    """A weighted or flexible multigraph; any vertex may lack edges."""
+    vertices = [f"u{i}" for i in range(draw(st.integers(1, 4)))]
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    table = {
+        f"x{i}": pair
+        for i, pair in enumerate(draw(st.lists(ends, min_size=1, max_size=9)))
+    }
+    if draw(st.booleans()):
+        return graphs.flexible(vertices, table)
+    return graphs.weighted(
+        vertices, {e: pair + (draw(st.integers(1, 3)),) for e, pair in table.items()}
+    )
 
 
 @st.composite
@@ -158,6 +179,24 @@ def test_loading_builds_no_index():
     assert "_index" in vars(d)
     # levels >= 2 of a stationary diagram share the mono-graph's entry
     assert d._index[1] is d.mono._index
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_graph_adjacency_matches_the_scans(g):
+    assert "_index" not in vars(g)
+    for v in sorted(g.vertices):
+        assert g.in_edges(v) == scan_graph_edges(g, v, "rng")
+        assert g.out_edges(v) == scan_graph_edges(g, v, "src")
+
+
+def test_loading_a_graph_builds_no_index():
+    g = cli.read_document(DATA / "fib_weighted_level2.json")
+    p = cli.read_document(DATA / "example2_covering.json")
+    for graph in (g, p.self_cover.domain, p.self_cover.codomain):
+        assert "_index" not in vars(graph)
+    assert g.out_edges("v") == ["e_a", "e_b"]
+    assert "_index" in vars(g)
 
 
 def test_continuity_is_decided_once_per_diagram(monkeypatch):

@@ -245,6 +245,14 @@ def test_an_unsettled_residual_floor_gives_unknown():
     assert report.details["horizon"] == 7
 
 
+def test_level_zero_cells_are_named_after_the_singleton_loop():
+    report = coverings.krieger_coverage(example2_unit(), 0, 1, 3)
+    assert report.details["outside_towers"] == ["e0"]
+    # e0 has length 1 <= L, so only the periodic-orbit test applies to it
+    assert {reason for _, reason in report.witnesses} == {"no certified periodic orbit"}
+    assert report.verdict == FAILS
+
+
 def test_a_dropped_presentation_frees_its_paths():
     p = example2_unit()
     assert coverings.krieger_coverage(p, 2, 1, 5).verdict == HOLDS

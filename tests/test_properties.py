@@ -2,9 +2,10 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from zdyn import bratteli, coverings, graphs, stationary, substitution as subs
+from zdyn import bratteli, cli, coverings, graphs, stationary, substitution as subs
 from zdyn.bratteli import MAXIMAL
 from zdyn.errors import NestingViolation, UndefinedVershik
 from zdyn.graphs import Cover, flexible, identity_cover
@@ -92,6 +93,41 @@ def test_composition_is_associative(c):
     cc = graphs.compose_covers(c, c)
     assert graphs.compose_covers(cc, c) == graphs.compose_covers(c, cc)
     assert graphs.compose_covers(cc, c) == graphs.cover_power(c, 3)
+
+
+# ---------------------------------------------------------------------------
+# the graph record: documents and read-only maps
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(loop_covers(), weighted_loop_covers()))
+def test_covers_round_trip_through_documents(c):
+    assert cli.load_document(cli.to_document(c)) == c
+
+
+@settings(max_examples=30, deadline=None)
+@given(loop_presentations(), st.integers(1, 3))
+def test_level_graphs_and_covers_round_trip_through_documents(p, n):
+    for x in (coverings.level_graph(p, n), coverings.cover_at(p, n)):
+        assert cli.load_document(cli.to_document(x)) == x
+
+
+def assert_maps_read_only(record, names):
+    for name in names:
+        mapping = getattr(record, name)
+        with pytest.raises(TypeError):
+            mapping["intruder"] = None
+        assert "intruder" not in mapping
+
+
+@settings(max_examples=30, deadline=None)
+@given(loop_presentations(), st.integers(1, 3))
+def test_every_map_of_a_graph_cover_and_mono_graph_is_read_only(p, n):
+    assert_maps_read_only(p.self_cover.domain, ("src", "rng"))
+    assert_maps_read_only(coverings.level_graph(p, n), ("src", "rng", "length"))
+    for c in (p.self_cover, coverings.cover_at(p, n)):
+        assert_maps_read_only(c, ("vmap", "emap"))
+    assert_maps_read_only(bratteli.weighted_to_bv(p).mono, ("src", "rng", "rank"))
 
 
 # ---------------------------------------------------------------------------
