@@ -387,7 +387,7 @@ def _mono_of(obj) -> MonoGraph:
     raise UnsupportedKind("continuity needs a mono-graph or a stationary input")
 
 
-def _self_cover_of(obj) -> Cover:
+def _self_cover_of(obj, needs: str) -> Cover:
     if isinstance(obj, Cover):
         return obj
     if (
@@ -395,7 +395,13 @@ def _self_cover_of(obj) -> Cover:
         and obj.kind == "stationary"
     ):
         return obj.self_cover
-    raise UnsupportedKind("overlap analysis needs a flexible self-cover")
+    raise UnsupportedKind(needs)
+
+
+def _presentation_of(obj, what: str) -> coverings.CoveringPresentation:
+    if isinstance(obj, coverings.CoveringPresentation):
+        return obj
+    raise UnsupportedKind(f"{what} needs a covering presentation")
 
 
 def _diagram_of(obj) -> bratteli.BratteliDiagram:
@@ -448,7 +454,7 @@ def _cmd_check(args) -> int:
         if isinstance(obj, bratteli.BratteliDiagram):
             report = bratteli.check_closing_bv(obj)
         else:
-            report = coverings.check_closing(obj)
+            report = coverings.check_closing(_presentation_of(obj, "closing"))
     elif prop == "regulated":
         if args.l_seq is None:
             raise DocumentSemanticError("regulated needs --l-seq")
@@ -457,24 +463,28 @@ def _cmd_check(args) -> int:
         if isinstance(obj, bratteli.BratteliDiagram):
             report = bratteli.check_regulated_bv(obj, seq, n_max)
         else:
-            report = coverings.check_regulated(obj, seq, n_max)
+            p = _presentation_of(obj, "regulated")
+            report = coverings.check_regulated(p, seq, n_max)
     elif prop == "nesting":
         level = args.level if args.level is not None else 1
         report = bratteli.check_nesting(_diagram_of(obj), level)
     elif prop == "continuity":
         report = stationary.check_continuity(_mono_of(obj))
     elif prop == "overlap":
-        analysis = stationary.analyze_self_cover(_self_cover_of(obj))
+        cover = _self_cover_of(
+            obj, "overlap needs a self-cover or a stationary covering"
+        )
         report = stationary.check_overlap(
-            analysis, k_max=args.k_max, depth_max=args.depth_max
+            stationary.analyze_self_cover(cover),
+            k_max=args.k_max,
+            depth_max=args.depth_max,
         )
     elif prop == "recoding":
         if args.radius is None:
             raise DocumentSemanticError("recoding needs --radius")
-        if not isinstance(obj, coverings.CoveringPresentation):
-            raise UnsupportedKind("recoding needs a covering presentation")
         level = args.level if args.level is not None else 1
-        report = substitution.check_recoding(obj, level, args.radius)
+        p = _presentation_of(obj, "recoding")
+        report = substitution.check_recoding(p, level, args.radius)
     else:  # pragma: no cover - argparse restricts the choices
         raise DocumentSemanticError(f"unknown property {prop}")
     return _emit_report(report, args.format)
@@ -509,7 +519,10 @@ def _cmd_straighten(args) -> int:
         K, powered = stationary.straighten_mono(obj)
         result = {"exponent": K, "mono": to_document(powered)}
     else:
-        analysis = stationary.analyze_self_cover(_self_cover_of(obj))
+        cover = _self_cover_of(
+            obj, "straighten needs a mono-graph, a self-cover or a stationary covering"
+        )
+        analysis = stationary.analyze_self_cover(cover)
         result = {
             "exponent": analysis.exponent,
             "cover": to_document(analysis.cover),
@@ -537,8 +550,8 @@ def _cmd_paths(args) -> int:
 
 
 def _cmd_towers(args) -> int:
-    obj = read_document(args.file)
-    decomposition = coverings.tower_decomposition(obj, args.level)
+    p = _presentation_of(read_document(args.file), "towers")
+    decomposition = coverings.tower_decomposition(p, args.level)
     if args.format == "json":
         print(
             json.dumps(
@@ -569,20 +582,20 @@ def _plain_descriptor(desc):
 def _cmd_krieger(args) -> int:
     if args.steps < 1:
         raise DocumentSemanticError("--steps must be at least 1")
-    obj = read_document(args.file)
+    p = _presentation_of(read_document(args.file), "krieger")
     report = coverings.krieger_coverage(
-        obj, args.level, args.steps, horizon=args.horizon
+        p, args.level, args.steps, horizon=args.horizon
     )
     return _emit_report(report, args.format)
 
 
 def _cmd_array(args) -> int:
-    obj = read_document(args.file)
+    p = _presentation_of(read_document(args.file), "array")
     seed = read_document(args.seed_file)
     if not isinstance(seed, substitution.SeedRow):
         raise UnsupportedKind("--seed-file must hold a seed_row document")
     rows = args.level if args.level is not None else seed.level
-    window = substitution.array_window(obj, seed, rows, _parse_cols(args.cols))
+    window = substitution.array_window(p, seed, rows, _parse_cols(args.cols))
     width = max(
         len(window.cells[(k, c)])
         for k in range(rows + 1)
@@ -605,7 +618,12 @@ def _cmd_subst(args) -> int:
     elif isinstance(obj, MonoGraph):
         s = substitution.read_substitution(obj)
     else:
-        s = substitution.read_substitution(_self_cover_of(obj))
+        cover = _self_cover_of(
+            obj,
+            "subst needs a substitution, a mono-graph, a self-cover"
+            " or a stationary covering",
+        )
+        s = substitution.read_substitution(cover)
     if args.depth is not None:
         for word in sorted(substitution.language(s, args.depth)):
             print(" ".join(word))

@@ -480,25 +480,23 @@ def _circuit_chain_edges(cover: Cover) -> set:
     return _icc_edges(loop_rel, _relation_cycles(loop_rel))
 
 
-def _bounded_edges(cover: Cover) -> set:
-    """Edges whose level-n length stays bounded as n grows.
+def growing_symbols(rules) -> frozenset:
+    """Symbols whose iterated image under ``rules`` grows without bound.
 
-    The length of an edge grows without bound exactly when its
-    membership closure under the expansion map reaches an edge that
-    lies on a membership cycle and expands to two or more edges.
+    ``rules`` maps each symbol to a non-empty word: a substitution, or a
+    self-cover's expansion map, whose other edges keep a bounded length.
+    A symbol grows exactly when it reaches, or is, a symbol that lies on
+    a reachability cycle and has an image of length two or more.
     """
-    emap = cover.emap
-    reach = {e: set(emap[e]) for e in emap}
-    changed = True
-    while changed:
-        changed = False
-        for r in reach.values():
-            extra = set().union(*(set(emap[q]) for q in r)) - r
-            if extra:
-                r |= extra
-                changed = True
-    pumping = {q for q in emap if q in reach[q] and len(emap[q]) >= 2}
-    return {e for e in emap if not (({e} | reach[e]) & pumping)}
+    reach = {a: set(w) for a, w in rules.items()}
+    for r in reach.values():
+        stack = list(r)
+        while stack:
+            new = set(rules[stack.pop()]) - r
+            r |= new
+            stack.extend(new)
+    pumping = {a for a, r in reach.items() if a in r and len(rules[a]) >= 2}
+    return frozenset(a for a, r in reach.items() if a in pumping or r & pumping)
 
 
 def _prefix_chain_support(p: CoveringPresentation, n: int):
@@ -574,15 +572,15 @@ def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
             overall = UNKNOWN
     details = {"levels": levels}
     if p.kind == "stationary":
-        bounded = _bounded_edges(p.self_cover)
-        stray = sorted(bounded - good)
+        growing = growing_symbols(p.self_cover.emap)
+        stray = sorted(p.self_cover.emap.keys() - growing - good)
         details["asymptotic"] = {
             "verdict": FAILS if stray else HOLDS,
             "witnesses": tuple(stray),
             "undecided": sorted(
                 e
                 for e in p.self_cover.domain.edges
-                if e not in bounded and e not in good
+                if e in growing and e not in good
             ),
         }
         if stray:

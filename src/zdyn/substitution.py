@@ -59,43 +59,59 @@ def substitution(rules: dict) -> Substitution:
 
 
 def growing_letters(s: Substitution) -> frozenset[str]:
-    """Letters whose iterated image length is unbounded.
+    """Letters whose iterated image length is unbounded."""
+    return coverings.growing_symbols(s.rules)
 
-    A letter grows exactly when its reachability closure under the
-    substitution meets a letter that sits on a reachability cycle and
-    has an image of length at least two.
+
+def _spanning_factors(rules, w, max_len: int):
+    """Factors of ``s(w)`` of length at most ``max_len`` that span ``w``.
+
+    They start inside ``s(w[0])`` and end inside ``s(w[-1])``; for a
+    letter that is every factor of its image.  Every other factor of
+    ``s(w)`` is a factor of ``s(w[1:])`` or of ``s(w[:-1])``.
     """
-    reach = {a: set(s.rules[a]) for a in s.alphabet}
-    changed = True
-    while changed:
-        changed = False
-        for r in reach.values():
-            extra = set().union(*(set(s.rules[q]) for q in r)) - r
-            if extra:
-                r |= extra
-                changed = True
-    pumping = {a for a in s.alphabet if a in reach[a] and len(s.rules[a]) >= 2}
-    return frozenset(
-        a for a in s.alphabet if ({a} | reach[a]) & pumping
-    )
+    head, tail = len(rules[w[0]]), sum(len(rules[a]) for a in w[:-1])
+    if tail + 1 - max_len >= head:
+        return
+    image = tuple(itertools.chain.from_iterable(rules[a] for a in w))
+    for i in range(max(0, tail + 1 - max_len), head):
+        for j in range(max(i, tail) + 1, min(i + max_len, len(image)) + 1):
+            yield image[i:j]
+
+
+def _closure_passes(s: Substitution, max_len: int):
+    """The words of length at most ``max_len`` that each pass adds.
+
+    Pass k adds the factors of the images of the words known after pass
+    k - 1; the first pass yields the letters too, and the first pass
+    that adds nothing yields the empty set and ends the closure.  Only
+    the last pass's words are expanded, and only their spanning factors
+    are read: the known words stay factor-closed, so a factor of ``s(w)``
+    that does not span ``w`` lies in the image of a shorter known word,
+    expanded no later than ``w``.  Every pass thus adds what a pass over
+    all known words and all factors would (the usual argument for
+    primitive substitutions; Queffelec, LNM 1294).
+    """
+    words = {(a,) for a in s.alphabet}
+    frontier, fresh = words.copy(), words.copy()
+    while True:
+        new = {f for w in frontier for f in _spanning_factors(s.rules, w, max_len)}
+        new -= words
+        words |= new
+        fresh |= new
+        yield fresh
+        if not fresh:
+            return
+        frontier, fresh = new, set()
 
 
 def language(s: Substitution, max_len: int) -> frozenset[tuple[str, ...]]:
     """All factors of iterated images, up to ``max_len``, to a fixed point."""
+    if max_len < 1:
+        raise DepthOutOfRange("language words have length at least 1")
     if not growing_letters(s):
         raise EmptyGrowingSet("no letter grows under this substitution")
-    words = {(a,) for a in s.alphabet}
-    while True:
-        grown = set(words)
-        for w in words:
-            image = s.apply(w)
-            for k in range(1, max_len + 1):
-                grown.update(
-                    image[i : i + k] for i in range(len(image) - k + 1)
-                )
-        if grown == words:
-            return frozenset(words)
-        words = grown
+    return frozenset().union(*_closure_passes(s, max_len))
 
 
 def read_substitution(source, iota: dict | None = None) -> Substitution:
@@ -285,101 +301,87 @@ def check_iota_window(p, w, depth_max: int = 6) -> Report:
                 word[i : i + len(pattern)] == pattern
                 for i in range(len(word) - len(pattern) + 1)
             ):
-                return Report(
-                    tag="iota-window",
-                    verdict="FOUND",
-                    witnesses=((a, n),),
-                    details={"letter": a, "depth": n},
-                )
+                details = {"letter": a, "depth": n}
+                return Report("iota-window", "FOUND", ((a, n),), details)
         images = {a: s.apply(word) for a, word in images.items()}
-    return Report(
-        tag="iota-window",
-        verdict=UNKNOWN,
-        details={"reason": f"not found up to depth {depth_max}"},
-    )
+    reason = f"not found up to depth {depth_max}"
+    return Report("iota-window", UNKNOWN, details={"reason": reason})
 
 
-def _word_windows(p, n: int, word, radius: int):
-    """(window key, center value) pairs read off one level-(n+1) word.
+def _level_cells(p, n: int) -> dict:
+    """The columns under each level-(n+1) edge, read once per check.
 
-    The key lists, for each column of the width-(2 radius + 1) window,
-    the level-n edge covering it and whether a level-n block starts
-    there; the value is the level-(n+1) edge over the center column.
+    A column is the level-n edge covering it and whether a level-n block
+    starts there.
     """
     up_lengths = coverings.level_graph(p, n + 1).length
     low_lengths = coverings.level_graph(p, n).length
-    emap = p.self_cover.emap
-    columns = []
-    value_at = []
-    for e in word:
-        for q in emap[e]:
-            for i in range(low_lengths[q]):
-                columns.append((q, i == 0))
-                value_at.append(e)
-    span = len(columns)
-    if span != sum(up_lengths[e] for e in word):
-        raise AssertionError("expanded word does not span its level-(n+1) length")
-    out = []
-    for center in range(radius, span - radius):
-        key = tuple(columns[center - radius : center + radius + 1])
-        out.append((key, value_at[center]))
-    return out
+    cells = {}
+    for e, walk in p.self_cover.emap.items():
+        cells[e] = tuple((q, i == 0) for q in walk for i in range(low_lengths[q]))
+        if len(cells[e]) != up_lengths[e]:
+            raise AssertionError("expanded word does not span its level-(n+1) length")
+    return cells
+
+
+def _word_windows(cells: dict, word, radius: int):
+    """(window key, center value) pairs of the windows spanning ``word``.
+
+    The key lists the width-(2 radius + 1) run of columns; the value is
+    the level-(n+1) edge over the center column.  Only windows meeting
+    the first and the last cell of the word are read; any other window
+    lies in ``word[1:]`` or ``word[:-1]``.
+    """
+    widths = [len(cells[e]) for e in word]
+    span = sum(widths)
+    lo = max(radius, span - widths[-1] - radius)
+    hi = min(span - radius, widths[0] + radius)
+    if lo >= hi:
+        return []
+    columns = [c for e in word for c in cells[e]]
+    values = [e for e, width in zip(word, widths) for _ in range(width)]
+    return [
+        (tuple(columns[c - radius : c + radius + 1]), values[c])
+        for c in range(lo, hi)
+    ]
 
 
 def check_recoding(p, n: int, radius: int, max_passes: int = 16) -> Report:
     """Can a radius-``radius`` row-n window always recover the cell above?
 
-    Walks the level-(n+1) substitution language, collecting every legal
-    window together with the level-(n+1) edge over its center.  Two
-    values behind one window mean AMBIGUOUS; a stabilized single-valued
-    table means DETERMINED; running out of passes means UNKNOWN.
+    Walks the level-(n+1) substitution language pass by pass, collecting
+    the windows of each pass's new words together with the level-(n+1)
+    edge over their centers.  Two values behind one window mean
+    AMBIGUOUS, with the least such window and its two least values; a
+    pass that adds no word means DETERMINED; running out of passes means
+    UNKNOWN.
     """
     if p.kind != "stationary":
         raise UnsupportedKind("recoding analysis needs a stationary presentation")
+    if n < 1:
+        raise DepthOutOfRange("recoding reads level 1 and above")
     if radius < 0:
         raise DepthOutOfRange("radius must be non-negative")
     s = read_substitution(p.self_cover)
-    cap = 2 * radius + 3  # word length in level-(n+1) cells
-    words = {(a,) for a in s.alphabet}
+    cells = _level_cells(p, n)
+    passes = _closure_passes(s, 2 * radius + 3)  # words in level-(n+1) cells
     table: dict = {}
-    for _ in range(max_passes):
-        grown = set(words)
-        for w in words:
-            image = s.apply(w)
-            for k in range(1, cap + 1):
-                grown.update(
-                    image[i : i + k] for i in range(len(image) - k + 1)
-                )
-        new_pairs = False
-        for w in grown:
-            for key, value in _word_windows(p, n, w, radius):
+    at = {"level": n, "radius": radius}
+    for _, fresh in zip(range(max_passes), passes):
+        ambiguous = []
+        for w in fresh:
+            for key, value in _word_windows(cells, w, radius):
                 seen = table.setdefault(key, set())
-                if value not in seen:
-                    seen.add(value)
-                    new_pairs = True
-        for key, values in table.items():
-            if len(values) > 1:
-                a, b = sorted(values)[:2]
-                return Report(
-                    tag="recoding",
-                    verdict="AMBIGUOUS",
-                    witnesses=((a, b),),
-                    details={"level": n, "radius": radius, "window": key},
-                )
-        stable = grown == words and not new_pairs
-        words = grown
-        if stable:
-            return Report(
-                tag="recoding",
-                verdict="DETERMINED",
-                details={
-                    "level": n,
-                    "radius": radius,
-                    "windows": len(table),
-                },
-            )
-    return Report(
-        tag="recoding",
-        verdict=UNKNOWN,
-        details={"level": n, "radius": radius, "reason": "did not stabilize"},
-    )
+                seen.add(value)
+                if len(seen) > 1:
+                    ambiguous.append(key)
+        if ambiguous:
+            key = min(ambiguous)
+            witness = tuple(sorted(table[key])[:2])
+            details = {**at, "window": key}
+            return Report("recoding", "AMBIGUOUS", (witness,), details)
+        if not fresh:
+            details = {**at, "windows": len(table)}
+            return Report("recoding", "DETERMINED", details=details)
+    details = {**at, "reason": "did not stabilize"}
+    return Report("recoding", UNKNOWN, details=details)

@@ -1,11 +1,15 @@
 """Document round trips and command line behavior."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import zdyn
 from zdyn import bratteli, cli, coverings
 from zdyn.errors import DocumentSemanticError, DocumentSyntaxError
 
@@ -144,6 +148,24 @@ def test_check_recoding_ambiguous_exit(tmp_path, capsys):
     assert "AMBIGUOUS" in capsys.readouterr().out
 
 
+def test_the_recoding_witness_does_not_depend_on_hash_order():
+    argv = [
+        sys.executable, "-m", "zdyn.cli", "check", "recoding",
+        str(DATA / "example2_covering.json"), "--radius", "1", "--format", "json",
+    ]
+    src = str(Path(zdyn.__file__).parent.parent)
+    outputs = set()
+    for seed in range(4):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        done = subprocess.run(argv, env=env, capture_output=True, timeout=60)
+        assert done.returncode == 1
+        outputs.add(done.stdout)
+    assert len(outputs) == 1
+    report = json.loads(outputs.pop())
+    assert report["witnesses"] == [["e_b", "e_d"]]
+    assert report["details"]["window"] == [["e_d", True], ["e_e", True], ["e_d", True]]
+
+
 # ---------------------------------------------------------------------------
 # conversions and transforms through the CLI
 
@@ -256,6 +278,60 @@ def test_dot_rejects_unsupported_kinds(capsys):
 )
 def test_bad_arguments_exit_2_with_a_message(argv, capsys):
     assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check", "recoding", DATA / "example2_covering.json", "--radius", "1",
+         "--level", "0"),
+        ("subst", DATA / "fib_substitution.json", "--depth", "0"),
+        ("subst", DATA / "fib_substitution.json", "--depth", "-1"),
+        ("subst", DATA / "example2_covering.json", "--depth", "0"),
+    ],
+    ids=["recoding-level-0", "subst-depth-0", "subst-depth-minus-1",
+         "subst-covering-depth-0"],
+)
+def test_levels_and_depths_below_one_exit_2(argv, capsys):
+    assert run(*argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def document_kind(name):
+    try:
+        return json.loads((DATA / name).read_text()).get("kind")
+    except json.JSONDecodeError:
+        return None
+
+
+# command -> (extra arguments, the document kinds it accepts)
+KIND_COMMANDS = {
+    "krieger": ((), {"covering"}),
+    "towers": ((), {"covering"}),
+    "closing": ((), {"covering", "bratteli"}),
+    "regulated": (("--l-seq", "1,2"), {"covering", "bratteli"}),
+    "array": (("0:3", "--seed-file", DATA / "ex2_seed.json"), {"covering"}),
+}
+
+
+@pytest.mark.parametrize(
+    "command, name",
+    [
+        (command, path.name)
+        for command, (_, kinds) in KIND_COMMANDS.items()
+        for path in sorted(DATA.glob("*.json"))
+        if document_kind(path.name) not in kinds
+    ],
+)
+def test_documents_of_the_wrong_kind_exit_2(command, name, capsys):
+    extra, _ = KIND_COMMANDS[command]
+    head = ("check", command) if command in ("closing", "regulated") else (command,)
+    assert run(*head, DATA / name, *extra) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
