@@ -51,14 +51,20 @@ class BratteliDiagram:
     level-1 multiplicities) or ``finite_prefix`` (explicit levels).  For
     finite prefixes ``levels[n]`` lists the level-n vertices and
     ``edge_levels[n - 1]`` maps the level-n edge ids to
-    ``(src, rng, rank)`` triples.
+    ``(src, rng, rank)`` triples.  The multiplicities and every edge
+    table are read-only.
     """
 
     kind: str
     mono: MonoGraph | None = None
-    multiplicities: dict | None = field(default=None, hash=False)
+    multiplicities: Mapping | None = field(default=None, hash=False)
     levels: tuple[tuple[str, ...], ...] = ()
-    edge_levels: tuple[dict, ...] = field(default=(), hash=False)
+    edge_levels: tuple[Mapping, ...] = field(default=(), hash=False)
+
+    def __post_init__(self):
+        graphs.read_only_fields(self, "multiplicities")
+        tables = tuple(map(graphs.read_only, self.edge_levels))
+        object.__setattr__(self, "edge_levels", tables)
 
     def depth(self) -> int | None:
         if self.kind == "stationary":
@@ -134,12 +140,18 @@ class BratteliDiagram:
 
 def stationary_diagram(mono: MonoGraph, multiplicities: dict) -> BratteliDiagram:
     return BratteliDiagram(
-        kind="stationary", mono=mono, multiplicities=dict(multiplicities)
+        kind="stationary", mono=mono, multiplicities=multiplicities
     )
 
 
 def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
     """Invariant problems, read off the raw tables so loading stays index-free."""
+    if d.kind == "stationary":
+        missing = sorted(set(d.mono.vertices) - set(d.multiplicities))
+        if missing:
+            return [f"vertex {v} lacks a multiplicity" for v in missing]
+    elif len(d.edge_levels) != len(d.levels) - 1:
+        return ["need one edge table per level above the root"]
     problems = []
     limit = d.depth()
     top = limit if limit is not None else depth

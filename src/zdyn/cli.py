@@ -43,6 +43,56 @@ def _need(data: dict, key: str, context: str):
     return data[key]
 
 
+# ---------------------------------------------------------------------------
+# names and shapes: every name a string, every map an object, every walk a
+# list of names, checked before any value is hashed, ordered or unpacked
+
+
+def _name(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise DocumentSemanticError(f"{what}: {value!r} is not a name")
+    return value
+
+
+def _names(value, what: str) -> tuple:
+    """A JSON array of names."""
+    if not isinstance(value, (list, tuple)):
+        raise DocumentSemanticError(f"{what}: {value!r} is not a list of names")
+    for x in value:
+        _name(x, what)
+    return tuple(value)
+
+
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DocumentSemanticError(f"{what}: {value!r} is not an integer")
+    return value
+
+
+def _named(data, key: str, context: str, item) -> dict:
+    """The JSON object ``data[key]`` keyed by names, ``item`` applied to each value."""
+    table = _need(data, key, context)
+    if not isinstance(table, dict):
+        raise DocumentSemanticError(f"{context} {key}: not a JSON object")
+    return {
+        _name(k, f"{context} {key}"): item(v, f"{context} {key} {k}")
+        for k, v in table.items()
+    }
+
+
+def _object(data, context: str) -> dict:
+    if not isinstance(data, dict):
+        raise DocumentSemanticError(f"{context}: not a JSON object")
+    return data
+
+
+def _list(data, key: str, context: str) -> list:
+    value = _need(data, key, context)
+    if not isinstance(value, list):
+        raise DocumentSemanticError(f"{context} {key}: not a list")
+    return value
+
+
 # the entries of one edge by document kind; a third entry is an integer
 _EDGE_ENTRIES = {
     "basic_graph": ("src", "rng"),
@@ -53,46 +103,55 @@ _EDGE_ENTRIES = {
 
 
 def _entry(kind: str, edge, entry) -> tuple:
-    """One edge entry of a ``kind`` document, its arity and integer checked."""
+    """One edge entry of a ``kind`` document, its arity, names and integer checked."""
     names = _EDGE_ENTRIES[kind]
-    t = tuple(entry)
-    if len(t) != len(names):
+    if not isinstance(entry, (list, tuple)) or len(entry) != len(names):
         raise DocumentSemanticError(
-            f"{kind} edge {edge}: expected [{', '.join(names)}], got {len(t)} entries"
+            f"{kind} edge {edge}: expected [{', '.join(names)}], got {entry!r}"
         )
+    what = f"{kind} edge {edge}"
+    t = (_name(entry[0], what), _name(entry[1], what), *entry[2:])
     if len(t) == 3 and (isinstance(t[2], bool) or not isinstance(t[2], int)):
-        raise DocumentSemanticError(
-            f"{kind} edge {edge}: {names[2]} {t[2]!r} is not an integer"
-        )
+        raise DocumentSemanticError(f"{what}: {names[2]} {t[2]!r} is not an integer")
     return t
 
 
+def _edge_table(table, kind: str) -> dict:
+    """A JSON object of ``kind`` edge entries keyed by edge name."""
+    if not isinstance(table, dict):
+        raise DocumentSemanticError(f"{kind} edges: not a JSON object")
+    return {_name(e, f"{kind} edges"): _entry(kind, e, t) for e, t in table.items()}
+
+
 def _load_basic_graph(data) -> BasicGraph:
-    edges = _need(data, "edges", "basic_graph")
     return BasicGraph(
-        vertices=frozenset(_need(data, "vertices", "basic_graph")),
-        edges=frozenset(_entry("basic_graph", list(t), t) for t in edges),
+        vertices=frozenset(
+            _names(_need(data, "vertices", "basic_graph"), "basic_graph vertices")
+        ),
+        edges=frozenset(
+            _entry("basic_graph", t, t) for t in _list(data, "edges", "basic_graph")
+        ),
     )
 
 
 def _load_graph(data) -> BasicGraph | Graph:
-    kind = _need(data, "kind", "graph")
+    kind = _need(_object(data, "graph"), "kind", "graph")
     if kind == "basic_graph":
         return _load_basic_graph(data)
     if kind in ("weighted_graph", "flexible_graph"):
-        edges = _need(data, "edges", kind)
         build = graphs.weighted if kind == "weighted_graph" else graphs.flexible
-        table = {e: _entry(kind, e, t) for e, t in edges.items()}
-        return build(_need(data, "vertices", kind), table)
+        table = _edge_table(_need(data, "edges", kind), kind)
+        return build(_names(_need(data, "vertices", kind), f"{kind} vertices"), table)
     raise DocumentSemanticError(f"not a graph kind: {kind}")
 
 
 def _load_cover(data) -> Cover:
+    data = _object(data, "cover")
     return Cover(
         domain=_load_graph(_need(data, "domain", "cover")),
         codomain=_load_graph(_need(data, "codomain", "cover")),
-        vmap=dict(_need(data, "vmap", "cover")),
-        emap={e: tuple(w) for e, w in _need(data, "emap", "cover").items()},
+        vmap=_named(data, "vmap", "cover", _name),
+        emap=_named(data, "emap", "cover", _names),
     )
 
 
@@ -101,22 +160,25 @@ def _load_covering(data):
     if form == "stationary":
         return coverings.stationary_presentation(
             _load_cover(_need(data, "cover", "covering")),
-            _need(data, "multiplicities", "covering"),
+            _named(data, "multiplicities", "covering", _integer),
         )
     if form == "finite_prefix":
+        tail = data.get("tail", coverings.TRUNCATED)
+        if tail not in (coverings.TRUNCATED, coverings.REPEAT):
+            raise DocumentSemanticError(f"unknown covering tail: {tail!r}")
         return coverings.finite_prefix_presentation(
-            [_load_graph(g) for g in _need(data, "graphs", "covering")],
-            [_load_cover(c) for c in _need(data, "covers", "covering")],
-            tail=data.get("tail", coverings.TRUNCATED),
+            [_load_graph(g) for g in _list(data, "graphs", "covering")],
+            [_load_cover(c) for c in _list(data, "covers", "covering")],
+            tail=tail,
         )
     raise DocumentSemanticError(f"unknown covering form: {form}")
 
 
 def _load_mono(data) -> MonoGraph:
-    edges = _need(data, "edges", "mono_graph")
+    data = _object(data, "mono_graph")
     return stationary.mono_graph(
-        _need(data, "vertices", "mono_graph"),
-        {e: _entry("mono_graph", e, t) for e, t in edges.items()},
+        _names(_need(data, "vertices", "mono_graph"), "mono_graph vertices"),
+        _edge_table(_need(data, "edges", "mono_graph"), "mono_graph"),
     )
 
 
@@ -125,15 +187,18 @@ def _load_bratteli(data) -> bratteli.BratteliDiagram:
     if form == "stationary":
         return bratteli.stationary_diagram(
             _load_mono(_need(data, "mono", "bratteli")),
-            _need(data, "multiplicities", "bratteli"),
+            _named(data, "multiplicities", "bratteli", _integer),
         )
     if form == "finite_prefix":
         return bratteli.BratteliDiagram(
             kind="finite_prefix",
-            levels=tuple(tuple(vs) for vs in _need(data, "levels", "bratteli")),
+            levels=tuple(
+                _names(vs, "bratteli levels")
+                for vs in _list(data, "levels", "bratteli")
+            ),
             edge_levels=tuple(
-                {e: tuple(t) for e, t in table.items()}
-                for table in _need(data, "edge_levels", "bratteli")
+                _edge_table(table, "mono_graph")
+                for table in _list(data, "edge_levels", "bratteli")
             ),
         )
     raise DocumentSemanticError(f"unknown bratteli form: {form}")
@@ -141,19 +206,17 @@ def _load_bratteli(data) -> bratteli.BratteliDiagram:
 
 def _load_substitution(data) -> substitution.Substitution:
     try:
-        return substitution.substitution(
-            {a: tuple(w) for a, w in _need(data, "rules", "substitution").items()}
-        )
+        return substitution.substitution(_named(data, "rules", "substitution", _names))
     except ValueError as exc:
         raise DocumentSemanticError(str(exc)) from exc
 
 
 def _load_seed_row(data) -> substitution.SeedRow:
     return substitution.SeedRow(
-        level=_need(data, "level", "seed_row"),
-        left=tuple(data.get("left", ())),
-        core=tuple(data.get("core", ())),
-        right=tuple(data.get("right", ())),
+        level=_integer(_need(data, "level", "seed_row"), "seed_row level"),
+        left=_names(data.get("left", ()), "seed_row left"),
+        core=_names(data.get("core", ()), "seed_row core"),
+        right=_names(data.get("right", ()), "seed_row right"),
     )
 
 
@@ -193,7 +256,7 @@ def load_document(data: dict, check: bool = True):
     if version != VERSION:
         raise DocumentSemanticError(f"unsupported version: {version}")
     kind = _need(data, "kind", "document")
-    loader = _LOADERS.get(kind)
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
         raise DocumentSemanticError(f"unknown document kind: {kind}")
     try:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -29,6 +30,7 @@ from .errors import (
     HorizonExceeded,
     InvalidSequence,
     UnsettledResidual,
+    UnsupportedKind,
 )
 from .graphs import Cover, Graph, singleton_graph
 from .reports import FAILS, HOLDS, UNKNOWN, Report
@@ -41,8 +43,8 @@ REPEAT = "repeat_last_as_stationary"
 class CoveringPresentation:
     """A covering sequence, stationary or a finite prefix.
 
-    Stationary: ``self_cover`` is a flexible self-cover and
-    ``multiplicities`` gives the level-1 length of each edge.  Finite
+    Stationary: ``self_cover`` is a flexible self-cover and the read-only
+    ``multiplicities`` give the level-1 length of each edge.  Finite
     prefix: ``graphs`` lists the weighted levels G1..GN and ``covers``
     the weighted covers G2 -> G1, ..., GN -> GN-1; ``tail`` says whether
     the sequence simply stops or repeats its last cover forever.
@@ -50,10 +52,13 @@ class CoveringPresentation:
 
     kind: str
     self_cover: Cover | None = None
-    multiplicities: dict | None = field(default=None, hash=False)
+    multiplicities: Mapping | None = field(default=None, hash=False)
     graphs: tuple = ()
     covers: tuple = ()
     tail: str = TRUNCATED
+
+    def __post_init__(self):
+        graphs.read_only_fields(self, "multiplicities")
 
     def depth(self) -> int | None:
         """Largest materializable level, or None when unbounded."""
@@ -69,7 +74,7 @@ class CoveringPresentation:
     @functools.cached_property
     def _lengths(self) -> list:
         """Stationary edge lengths by level, read-only, extended on demand."""
-        return [MappingProxyType(dict(self.multiplicities))]
+        return [self.multiplicities]
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -99,7 +104,7 @@ def stationary_presentation(cover: Cover, multiplicities: dict) -> CoveringPrese
     if cover.domain != cover.codomain:
         raise HomomorphismViolation("a stationary presentation needs a self-cover")
     return CoveringPresentation(
-        kind="stationary", self_cover=cover, multiplicities=dict(multiplicities)
+        kind="stationary", self_cover=cover, multiplicities=multiplicities
     )
 
 
@@ -1098,37 +1103,231 @@ def krieger_coverage(
 # isomorphism of stationary presentations
 
 
+class _Colouring:
+    """One colouring of the edges and vertices of two presentations.
+
+    Objects are numbered: the edges of ``p`` in id order, then those of
+    ``q``, then the vertices of ``p`` and of ``q``, each in id order.
+    ``colour[x]`` names the cell of ``x`` and ``cells`` maps a cell to its
+    members, so one cell means the same thing on both sides; a cell is
+    balanced when it holds as many objects of ``p`` as of ``q``.
+    ``pending`` holds, in queue order, the cells that the others are not
+    yet stable against.
+    """
+
+    def __init__(self, links, in_q, n_edges, colour, cells, pending, next_cell):
+        self.links, self.in_q, self.n_edges = links, in_q, n_edges
+        self.colour, self.cells = colour, cells
+        self.pending, self.next_cell = pending, next_cell
+        self.first_open = 0
+
+    def copy(self) -> "_Colouring":
+        twin = _Colouring(
+            self.links,
+            self.in_q,
+            self.n_edges,
+            list(self.colour),
+            {c: set(members) for c, members in self.cells.items()},
+            dict(self.pending),
+            self.next_cell,
+        )
+        twin.first_open = self.first_open
+        return twin
+
+    def split(self, c: int, groups: dict) -> bool:
+        """Move each group of cell ``c`` to a cell of its own.
+
+        ``groups`` maps a signature to the members of ``c`` that have it;
+        members in no group keep ``c``, and when there are none the
+        largest group keeps it.  The pieces are queued as splitters, all
+        but the largest unless ``c`` was still queued (Hopcroft).  False
+        when a piece is unbalanced: no isomorphism is left below.
+        """
+        cell = self.cells[c]
+        pieces = [groups[key] for key in sorted(groups)]
+        rest = len(cell) - sum(map(len, pieces))
+        if rest == 0:
+            if len(pieces) < 2:
+                return True
+            j = max(range(len(pieces)), key=lambda i: len(pieces[i]))
+            rest = len(pieces.pop(j))
+        in_q = self.in_q
+        for piece in pieces:
+            if 2 * sum(in_q[x] for x in piece) != len(piece):
+                return False
+        new = []
+        for piece in pieces:
+            d = self.next_cell
+            self.next_cell += 1
+            cell.difference_update(piece)
+            self.cells[d] = set(piece)
+            for x in piece:
+                self.colour[x] = d
+            new.append((len(piece), d))
+        if c not in self.pending:
+            new.append((rest, c))
+            new.remove(max(new, key=lambda t: t[0]))
+        self.pending.update((d, None) for _, d in new)
+        return True
+
+    def refine(self) -> bool:
+        """Split cells until every cell is stable against every other.
+
+        A splitter sends each object linked to one of its members a code:
+        the places of its letters in an edge's word, the places where an
+        edge occurs in its words, and the ends of its edges; or, for a
+        vertex cell, which edges start or end there.  Objects of one cell
+        with different code multisets are told apart.  False when the two
+        sides stop matching.
+        """
+        links, colour = self.links, self.colour
+        while self.pending:
+            s, _ = self.pending.popitem()
+            codes = {}
+            for x in self.cells[s]:
+                for y, code in links[x]:
+                    codes.setdefault(y, []).append(code)
+            touched = {}
+            for y, received in codes.items():
+                received.sort()
+                groups = touched.setdefault(colour[y], {})
+                groups.setdefault(tuple(received), []).append(y)
+            for c, groups in touched.items():
+                if not self.split(c, groups):
+                    return False
+        return True
+
+    def open_edge(self) -> int | None:
+        """The least edge of ``p`` whose image is not yet determined."""
+        colour, cells = self.colour, self.cells
+        while self.first_open < self.n_edges:
+            if len(cells[colour[self.first_open]]) > 2:
+                return self.first_open
+            self.first_open += 1
+        return None
+
+    def branches(self, x: int):
+        """Refined colourings that pair ``x`` with each candidate in turn."""
+        for y in sorted(y for y in self.cells[self.colour[x]] if self.in_q[y]):
+            child = self.copy()
+            if child.split(self.colour[x], {(): [x, y]}) and child.refine():
+                yield child
+
+
+def _colouring(p: CoveringPresentation, q: CoveringPresentation) -> _Colouring | None:
+    """The shared starting colouring of ``p`` and ``q``, every cell queued.
+
+    Edges are coloured by (multiplicity, word length) and vertices by one
+    colour; None when the edge colours do not match between the sides.
+    """
+    sides = (p, q)
+    edge_ids = [s.self_cover.domain.sorted_edges() for s in sides]
+    vertex_ids = [sorted(s.self_cover.domain.vertices) for s in sides]
+    n_edges, n_vertices = len(edge_ids[0]), len(vertex_ids[0])
+    size = 2 * (n_edges + n_vertices)
+    links = [[] for _ in range(size)]
+    in_q = [0] * n_edges + [1] * n_edges + [0] * n_vertices + [1] * n_vertices
+    start = {}
+    for k, s in enumerate(sides):
+        g, walks = s.self_cover.domain, s.self_cover.emap
+        edge = {e: k * n_edges + i for i, e in enumerate(edge_ids[k])}
+        first = 2 * n_edges + k * n_vertices
+        vertex = {v: first + i for i, v in enumerate(vertex_ids[k])}
+        for e, x in edge.items():
+            for i, letter in enumerate(walks[e]):
+                y = edge[letter]
+                links[x].append((y, 4 * i + 1))  # y occurs at place i of x's word
+                links[y].append((x, 4 * i))  # x's word has y at place i
+            src, rng = vertex[g.src[e]], vertex[g.rng[e]]
+            links[x] += ((src, 2), (rng, 3))
+            links[src].append((x, 2))
+            links[rng].append((x, 3))
+            start.setdefault((s.multiplicities[e], len(walks[e])), []).append(x)
+    root = _Colouring(
+        links,
+        in_q,
+        n_edges,
+        [0] * (2 * n_edges) + [1] * (2 * n_vertices),
+        {0: set(range(2 * n_edges)), 1: set(range(2 * n_edges, size))},
+        {0: None, 1: None},
+        2,
+    )
+    return root if root.split(0, start) else None
+
+
+def _structure_map(p: CoveringPresentation, q: CoveringPresentation, emap: dict):
+    """The vertex map that makes ``emap`` an isomorphism of ``p`` onto ``q``.
+
+    None unless ``emap`` carries multiplicities, sources, ranges and the
+    expansion walks and the vertex map it induces is injective.
+    """
+    g1, g2 = p.self_cover.domain, q.self_cover.domain
+    edges1 = g1.sorted_edges()
+    if any(p.multiplicities[e] != q.multiplicities[emap[e]] for e in edges1):
+        return None
+    vmap = {}
+    for e in edges1:
+        for a, b in ((g1.src[e], g2.src[emap[e]]), (g1.rng[e], g2.rng[emap[e]])):
+            if vmap.setdefault(a, b) != b:
+                return None
+    if len(set(vmap.values())) != len(vmap):
+        return None
+    if all(
+        tuple(emap[x] for x in p.self_cover.emap[e]) == q.self_cover.emap[emap[e]]
+        for e in edges1
+    ):
+        return vmap
+    return None
+
+
 def find_cover_isomorphism(p: CoveringPresentation, q: CoveringPresentation):
     """A structure bijection between two stationary presentations.
 
     Returns ``(vertex_map, edge_map)`` or None.  The maps must carry
     sources, ranges, multiplicities, and the expansion walks of one
-    self-cover onto the other.
+    self-cover onto the other.  A finite prefix raises
+    :class:`UnsupportedKind`: its levels cannot settle the question.
+
+    The search colours the edges and vertices of both presentations at
+    once (colour refinement, as in McKay and Piperno, *Practical graph
+    isomorphism II*, 2014).  Edges start coloured by multiplicity and
+    word length; an edge is then told apart by the colours of its ends,
+    of its word's letters place by place, and of the words it occurs in
+    with its places there, and a vertex by the colours of its out- and
+    in-edges.  Only cells that split are used to split others.  A colour
+    class with more members on one side ends the branch.  When the
+    colours are stable but do not pair every edge, the least edge of
+    ``p`` (in id order) with an undetermined image is paired with each
+    edge of ``q`` in its class, in id order, and the colours are refined
+    again.  An isomorphism keeps every colour, so refinement cuts only
+    branches without one; every edge of ``p`` before the paired one is
+    already determined, so the first complete pairing that passes the
+    structure check is the isomorphism whose edge map, read in the id
+    order of ``p``, is lexicographically least.
     """
     if p.kind != "stationary" or q.kind != "stationary":
-        return None
+        raise UnsupportedKind("cover isomorphism needs two stationary presentations")
     g1, g2 = p.self_cover.domain, q.self_cover.domain
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    edges1 = g1.sorted_edges()
-    for perm in itertools.permutations(g2.sorted_edges()):
-        emap = dict(zip(edges1, perm))
-        if any(p.multiplicities[e] != q.multiplicities[emap[e]] for e in edges1):
+    root = _colouring(p, q)
+    if root is None or not root.refine():
+        return None
+    edges1, edges2 = g1.sorted_edges(), g2.sorted_edges()
+    n = len(edges1)
+    stack = [iter([root])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
             continue
-        vmap = {}
-        ok = True
-        for e in edges1:
-            for a, b in ((g1.src[e], g2.src[emap[e]]), (g1.rng[e], g2.rng[emap[e]])):
-                if vmap.setdefault(a, b) != b:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok or len(set(vmap.values())) != len(vmap):
+        x = node.open_edge()
+        if x is not None:
+            stack.append(node.branches(x))
             continue
-        if all(
-            tuple(emap[x] for x in p.self_cover.emap[e]) == q.self_cover.emap[emap[e]]
-            for e in edges1
-        ):
+        cells, colour = node.cells, node.colour
+        emap = {edges1[e]: edges2[max(cells[colour[e]]) - n] for e in range(n)}
+        vmap = _structure_map(p, q, emap)
+        if vmap is not None:
             return vmap, emap
     return None

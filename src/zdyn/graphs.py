@@ -27,15 +27,20 @@ from .errors import DomainMismatch, HomomorphismViolation, CoverViolation
 # graph types
 
 
-def read_only_fields(record, *names: str) -> None:
-    """Make the named mapping fields of a frozen record read-only views.
+def read_only(mapping: Mapping | None) -> Mapping | None:
+    """A read-only view of ``mapping``.
 
     A read-only view is shared as it is; any other mapping is copied first.
     """
+    if mapping is None or isinstance(mapping, MappingProxyType):
+        return mapping
+    return MappingProxyType(dict(mapping))
+
+
+def read_only_fields(record, *names: str) -> None:
+    """Make the named mapping fields of a frozen record read-only views."""
     for name in names:
-        value = getattr(record, name)
-        if value is not None and not isinstance(value, MappingProxyType):
-            object.__setattr__(record, name, MappingProxyType(dict(value)))
+        object.__setattr__(record, name, read_only(getattr(record, name)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -251,9 +256,9 @@ def cover_violations(c: Cover) -> list[str]:
             problems.append(f"edge {e} does not map to a walk")
             continue
         w = tuple(w)
-        if c.vmap[dom.src[e]] != walk_src(cod, w):
+        if c.vmap.get(dom.src[e]) != walk_src(cod, w):
             problems.append(f"edge {e}: source mismatch")
-        if c.vmap[dom.rng[e]] != walk_rng(cod, w):
+        if c.vmap.get(dom.rng[e]) != walk_rng(cod, w):
             problems.append(f"edge {e}: range mismatch")
         if dom.length is not None and cod.length is not None:
             if walk_length(cod, w) != dom.length[e]:

@@ -276,16 +276,19 @@ class SelfCoverAnalysis:
     """A flexible self-cover raised to its straightening power.
 
     ``cover`` is the straight power; ``lim_v``, ``lim_f`` and ``lim_l``
-    are the idempotent limit maps on vertices, first edges, and last
-    edges, with image sets exposed separately.
+    are the read-only idempotent limit maps on vertices, first edges, and
+    last edges, with image sets exposed separately.
     """
 
     base: Cover
     exponent: int
     cover: Cover
-    lim_v: dict = field(hash=False)
-    lim_f: dict = field(hash=False)
-    lim_l: dict = field(hash=False)
+    lim_v: Mapping = field(hash=False)
+    lim_f: Mapping = field(hash=False)
+    lim_l: Mapping = field(hash=False)
+
+    def __post_init__(self):
+        read_only_fields(self, "lim_v", "lim_f", "lim_l")
 
     @property
     def graph(self) -> Graph:

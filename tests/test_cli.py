@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import pytest
 
 import zdyn
 from zdyn import bratteli, cli, coverings
-from zdyn.errors import DocumentSemanticError, DocumentSyntaxError
+from zdyn.errors import DocumentSemanticError, DocumentSyntaxError, ZdynError
 
 DATA = Path(__file__).parent / "data"
 ROOT = Path(__file__).parent.parent
@@ -361,6 +362,18 @@ def graph_document(kind, edges):
     return {"version": "zdyn/1", "kind": kind, "vertices": ["v"], "edges": edges}
 
 
+def edited(name, edit):
+    doc = json.loads((DATA / name).read_text())
+    edit(doc)
+    return doc
+
+
+def covering_with_vmap(image):
+    return edited(
+        "example2_covering.json", lambda d: d["cover"]["vmap"].update(v_l=image)
+    )
+
+
 @pytest.mark.parametrize(
     "doc, named",
     [
@@ -376,9 +389,13 @@ def graph_document(kind, edges):
             graph_document("weighted_graph", {"e": ["v", "v", True]}),
             "edge e: length True",
         ),
+        (graph_document("flexible_graph", {"e": [["v"], "v"]}), "edge e: ['v']"),
+        (dict(graph_document("flexible_graph", {}), vertices=["v", 1]), "vertices: 1"),
+        (covering_with_vmap(["w"]), "cover vmap v_l: ['w']"),
     ],
     ids=["weighted-arity", "flexible-arity", "basic-arity", "mono-arity",
-         "mono-rank", "weighted-bool-length"],
+         "mono-rank", "weighted-bool-length", "list-as-name", "int-as-vertex",
+         "list-in-vmap"],
 )
 def test_malformed_graph_entries_exit_2(doc, named, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -389,6 +406,79 @@ def test_malformed_graph_entries_exit_2(doc, named, tmp_path, capsys):
         assert out == ""
         assert err.startswith("error:")
         assert named in err
+
+
+@pytest.mark.parametrize(
+    "doc, problem",
+    [
+        (
+            edited("example2_covering.json", lambda d: d["cover"]["vmap"].pop("v_l")),
+            "vertex v_l maps outside the codomain",
+        ),
+        (
+            edited("fib_bratteli.json", lambda d: d["multiplicities"].pop("e_a")),
+            "vertex e_a lacks a multiplicity",
+        ),
+        (
+            edited("non_nesting_bratteli.json", lambda d: d["edge_levels"].pop()),
+            "need one edge table per level above the root",
+        ),
+    ],
+    ids=["vertex-not-in-vmap", "missing-multiplicity", "missing-edge-table"],
+)
+def test_unknown_names_are_reported_not_raised(doc, problem, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", path) == 2
+    assert problem in capsys.readouterr().out.splitlines()
+
+
+JUNK = (None, 0, -1, 2, 1.5, True, "", "w", "e_a", [], ["w"], [1], [[]], {}, {"w": 1})
+
+
+def places(node, path=()):
+    """The path of every value inside a parsed JSON document."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    else:
+        items = enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield from places(value, path + (key,))
+
+
+def mutant(doc, rng):
+    """``doc`` with one or two values replaced by junk or deleted."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(rng.choice((1, 2))):
+        path = rng.choice([p for p in places(doc) if p])
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if rng.random() < 0.2:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = json.loads(json.dumps(rng.choice(JUNK)))
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in DATA.glob("*.json") if p.name != "broken_syntax.json"),
+)
+def test_mutated_documents_raise_only_toolkit_errors(name, tmp_path, capsys):
+    base = json.loads((DATA / name).read_text())
+    rng = random.Random(name)
+    path = tmp_path / "mutant.json"
+    for _ in range(1500):
+        doc = mutant(base, rng)
+        try:
+            cli.to_document(cli.load_document(doc))
+        except ZdynError:
+            pass
+        path.write_text(json.dumps(doc))
+        assert run("validate", path) in (0, 1, 2), json.dumps(doc)
+        capsys.readouterr()
 
 
 def test_an_internal_error_exits_3_not_1(monkeypatch, capsys):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from zdyn import coverings, graphs
+from zdyn import cli, coverings, graphs
 from zdyn.errors import DepthOutOfRange, HomomorphismViolation, InvalidSequence
 from zdyn.reports import FAILS, HOLDS, UNKNOWN
 
@@ -14,6 +14,7 @@ from helpers import (
     skew_presentation,
     weighted_cover,
 )
+from test_cli import DATA
 
 
 def lengths_at(p, n):
@@ -97,6 +98,14 @@ def test_level_graphs_hand_out_their_own_lengths():
         coverings.level_graph(p, 2).length["e_a"] = 999
     assert coverings.level_graph(p, 2).length["e_a"] == 1
     assert coverings.level_graph(example2_unit(), 2).length["e_a"] == 1
+
+
+def test_multiplicities_cannot_change_after_a_read():
+    p = cli.read_document(DATA / "example2_covering.json")
+    assert coverings.level_graph(p, 2).length["e_b"] == 4
+    with pytest.raises(TypeError):
+        p.multiplicities["e_b"] = 7
+    assert coverings.level_graph(p, 3).length["e_b"] == 11
 
 
 def test_level_graphs_and_covers_share_their_maps():

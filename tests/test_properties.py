@@ -11,7 +11,12 @@ from zdyn.errors import NestingViolation, UndefinedVershik
 from zdyn.graphs import Cover, flexible, identity_cover
 from zdyn.reports import HOLDS
 
-from helpers import example2_unit, example2_weighted, fib_presentation
+from helpers import (
+    example2_unit,
+    example2_weighted,
+    fib_presentation,
+    non_nesting_diagram,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -19,9 +24,9 @@ from helpers import example2_unit, example2_weighted, fib_presentation
 
 
 @st.composite
-def loop_covers(draw):
+def loop_covers(draw, max_edges=3):
     """A flexible self-cover on a single vertex: any edge word is a walk."""
-    k = draw(st.integers(1, 3))
+    k = draw(st.integers(1, max_edges))
     edges = [f"e{i}" for i in range(k)]
     g = flexible({"v"}, {e: ("v", "v") for e in edges})
     emap = {
@@ -34,8 +39,8 @@ def loop_covers(draw):
 
 
 @st.composite
-def loop_presentations(draw):
-    cover = draw(loop_covers())
+def loop_presentations(draw, max_edges=3):
+    cover = draw(loop_covers(max_edges))
     mults = {e: draw(st.integers(1, 2)) for e in cover.domain.edges}
     return coverings.stationary_presentation(cover, mults)
 
@@ -127,7 +132,34 @@ def test_every_map_of_a_graph_cover_and_mono_graph_is_read_only(p, n):
     assert_maps_read_only(coverings.level_graph(p, n), ("src", "rng", "length"))
     for c in (p.self_cover, coverings.cover_at(p, n)):
         assert_maps_read_only(c, ("vmap", "emap"))
-    assert_maps_read_only(bratteli.weighted_to_bv(p).mono, ("src", "rng", "rank"))
+    d = bratteli.weighted_to_bv(p)
+    assert_maps_read_only(d.mono, ("src", "rng", "rank"))
+    assert_maps_read_only(p, ("multiplicities",))
+    assert_maps_read_only(d, ("multiplicities",))
+    prefix = bratteli.telescope_bv(d, [n, n + 2, n + 3])
+    assert len(prefix.edge_levels) == 3
+    for table in prefix.edge_levels:
+        with pytest.raises(TypeError):
+            table["intruder"] = ("v0", "v0", 1)
+
+
+def test_records_share_no_dict_with_their_caller():
+    p = example2_unit()
+    mults = dict(p.multiplicities)
+    q = coverings.stationary_presentation(p.self_cover, mults)
+    d = bratteli.weighted_to_bv(q)
+    vertex_mults = dict(d.multiplicities)
+    e = bratteli.stationary_diagram(d.mono, vertex_mults)
+    tables = [dict(t) for t in non_nesting_diagram().edge_levels]
+    f = bratteli.BratteliDiagram(
+        kind="finite_prefix", levels=non_nesting_diagram().levels, edge_levels=tables
+    )
+    mults["e_b"] = 7
+    vertex_mults["e_b"] = 7
+    tables[0]["intruder"] = ("v0", "x", 2)
+    assert q.multiplicities["e_b"] == 1 and e.multiplicities["e_b"] == 1
+    assert "intruder" not in f.edge_levels[0]
+    assert coverings.level_graph(q, 3).length["e_b"] == 11
 
 
 # ---------------------------------------------------------------------------

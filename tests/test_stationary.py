@@ -156,6 +156,9 @@ def test_example2_limit_data():
     assert a.lim_vertices == frozenset({"v_l", "v_m", "v_r"})
     assert a.lim_last == frozenset({"e_a", "e_e", "e_f"})
     assert a.lim_first == frozenset({"e_a", "e_d", "e_f"})
+    for limit in (a.lim_v, a.lim_f, a.lim_l):
+        with pytest.raises(TypeError):
+            limit["e_a"] = "e_b"
 
 
 def test_analysis_of_straight_cover_is_idempotent():
