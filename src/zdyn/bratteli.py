@@ -29,6 +29,7 @@ from .errors import (
     CoverViolation,
     DepthOutOfRange,
     HorizonExceeded,
+    InvalidParameter,
     NestingViolation,
     UndefinedVershik,
     UnsupportedKind,
@@ -391,6 +392,8 @@ def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
 
 def vershik_orbit(d: BratteliDiagram, p: tuple[str, ...], steps: int) -> list:
     """Iterated successors, stopping early at MAXIMAL."""
+    if steps < 0:
+        raise InvalidParameter(f"the number of steps must be at least 0, got {steps}")
     orbit = [p]
     for _ in range(steps):
         nxt = vershik_successor(d, orbit[-1])
@@ -641,6 +644,7 @@ def clusters(d: BratteliDiagram, n: int, depth: int | None = None) -> ClusterPar
 
 def check_nesting(d: BratteliDiagram, n: int, depth: int | None = None) -> Report:
     """Does every level-(n+1) cluster sit inside one level-n base?"""
+    d._check_depth(n)
     part = clusters(d, n + 1, depth)
     for cluster in part.clusters:
         truncations = {

@@ -643,8 +643,6 @@ def _plain_descriptor(desc):
 
 
 def _cmd_krieger(args) -> int:
-    if args.steps < 1:
-        raise DocumentSemanticError("--steps must be at least 1")
     p = _presentation_of(read_document(args.file), "krieger")
     report = coverings.krieger_coverage(
         p, args.level, args.steps, horizon=args.horizon

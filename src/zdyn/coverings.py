@@ -17,10 +17,11 @@ presentation they come from.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
 from . import graphs
@@ -28,6 +29,7 @@ from .errors import (
     DepthOutOfRange,
     HomomorphismViolation,
     HorizonExceeded,
+    InvalidParameter,
     InvalidSequence,
     UnsettledResidual,
     UnsupportedKind,
@@ -844,9 +846,16 @@ class _Cylinders:
     prefix in path order.  A shift moves a cylinder one floor up (or down)
     and branches only past the end of a tower, onto the far ends of the
     towers that :func:`bratteli.boundary_targets` names.  ``order`` lists
-    the cylinders in :func:`all_paths` order, ``path`` maps each to its
-    prefix, ``cell`` to the level-``n`` (edge, floor) cell holding it, and
-    ``members`` lists the cylinders of each cell.
+    the cylinders in :func:`all_paths` order and ``path`` maps each to its
+    prefix.
+
+    The level-``n`` cells are found in tower coordinates too.  Each
+    level-``n`` tower is one block of ``floors[e]`` floors; each deeper
+    tower stacks the blocks of its in-edges' sources in rank order, as
+    path order does, so ``stack[v]`` lists the level-``n`` edges of the
+    blocks of ``v`` bottom to top and ``starts[v]`` their first floors.
+    ``blocks[e]`` lists the ``(v, start)`` places of the blocks of ``e``,
+    from which :meth:`members` reads the cylinders of a cell.
     """
 
     def __init__(self, p: CoveringPresentation, n: int, horizon: int):
@@ -860,15 +869,40 @@ class _Cylinders:
         self.path = dict(zip(self.order, all_paths(p, horizon)))
         # the level-n vertices of the diagram are the level-n edges, except
         # that at level 0 the root stands for the singleton graph's loop e0
-        below = {
-            q: (e if n else "e0", i)
-            for e in d.level_vertices(n)
-            for i, q in enumerate(bratteli.enumerate_paths(d, e, n))
+        self.floors = {
+            e if n else "e0": bratteli.path_count(d, e, n) for e in d.level_vertices(n)
         }
-        self.cell = {c: below[q[:n]] for c, q in self.path.items()}
-        self.members: dict[tuple, list] = {}
-        for c, cell in self.cell.items():
-            self.members.setdefault(cell, []).append(c)
+        stack = {e: [e if n else "e0"] for e in d.level_vertices(n)}
+        for k in range(n + 1, horizon + 1):
+            level = d._level(k)
+            edges = level.edges
+            stack = {
+                v: list(itertools.chain(*(stack[edges[e][0]] for e in ranked)))
+                for v, ranked in level.ranked.items()
+            }
+        self.stack = stack
+        self.starts: dict[str, list] = {}
+        self.blocks: dict[str, list] = {}
+        for v in self.heights:
+            starts = self.starts[v] = list(
+                itertools.accumulate((self.floors[e] for e in stack[v][:-1]), initial=0)
+            )
+            for e, start in zip(stack[v], starts):
+                self.blocks.setdefault(e, []).append((v, start))
+
+    def members(self, cell: tuple) -> list:
+        """The cylinders of the level-``n`` (edge, floor) ``cell``, in order."""
+        e, i = cell
+        if not 0 <= i < self.floors.get(e, 0):
+            return []
+        return [(v, start + i) for v, start in self.blocks.get(e, ())]
+
+    def cell(self, cylinder: tuple) -> tuple:
+        """The level-``n`` (edge, floor) cell holding ``cylinder``."""
+        v, f = cylinder
+        starts = self.starts[v]
+        j = bisect.bisect_right(starts, f) - 1
+        return self.stack[v][j], f - starts[j]
 
     def step(self, cylinders, forward: bool):
         """The cylinders one shift of ``cylinders`` meets.
@@ -913,10 +947,16 @@ def _lands_in(cyl: _Cylinders, start: tuple, L: int, target) -> bool:
     """Whether after some i <= L shifts all points over ``start`` are in ``target``.
 
     ``target`` is a set of cylinders.  Mixed answers across boundary
-    branches raise HorizonExceeded.
+    branches raise HorizonExceeded.  A start at least L floors below the
+    top floor of its tower only climbs that tower for L shifts, so the L
+    floors above it decide; a chain runs only from the floors nearer the
+    top.
     """
     if start in target:
         return True
+    v, f = start
+    if f + L < cyl.heights[v]:
+        return any((v, f + i) in target for i in range(1, L + 1))
     for current in itertools.islice(_shifts(cyl, start, True), L):
         inside = current & target
         if inside and inside != current:
@@ -946,13 +986,22 @@ def krieger_markers(
     cylinder land on both sides), :class:`UnsettledResidual` names the
     level-n edge and floor.
     """
-    return _krieger_markers(p, n, L, horizon)[0]
+    markers, cyl, E, F = _krieger_markers(p, n, L, horizon)
+    return replace(
+        markers,
+        F=frozenset(cyl.path[c] for c in F),
+        E=frozenset(cyl.path[c] for c in E),
+    )
 
 
 def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
-    """:func:`krieger_markers`, its cylinders, and ``F`` as cylinders."""
+    """:func:`krieger_markers` in tower coordinates.
+
+    Returns the marker set with its path sets ``F`` and ``E`` left empty,
+    the cylinders, and ``E`` and ``F`` as sets of cylinders.
+    """
     if L < 1:
-        raise ValueError("L must be positive")
+        raise InvalidParameter(f"the window L must be at least 1, got {L}")
     if horizon < n + 1:
         raise HorizonExceeded("horizon must reach past the level")
     g = level_graph(p, n)
@@ -972,14 +1021,14 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
     for e in J:
         floors = [Lp * i for i in range(k[e] + 1)]
         for i in floors:
-            E.update(cyl.members.get((e, i), ()))
+            E.update(cyl.members((e, i)))
         atoms.extend({"kind": "E", "level": n, "edge": e, "floor": i} for i in floors)
     F = set(E)
     for e in J:
         if Lp * k[e] == g.length[e] - Lp:
             continue
         residual_floor = Lp * (k[e] + 1)
-        candidates = sorted(cyl.members.get((e, residual_floor), ()), key=cyl.path.get)
+        candidates = sorted(cyl.members((e, residual_floor)), key=cyl.path.get)
         try:
             kept = [c for c in candidates if not _lands_in(cyl, c, L, E)]
         except HorizonExceeded as exc:
@@ -1009,11 +1058,44 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
         J=tuple(J),
         P=tuple(P),
         k=k,
-        F=frozenset(cyl.path[c] for c in F),
-        E=frozenset(cyl.path[c] for c in E),
         atoms=tuple(atoms),
     )
-    return markers, cyl, F
+    return markers, cyl, frozenset(E), F
+
+
+def _probe(cyl: _Cylinders, start: tuple, L: int, F) -> tuple[bool, int]:
+    """Whether some shift of ``start`` by at most L either way meets ``F``.
+
+    The forward and backward chains grow one shift per round, forward
+    first.  Returns the answer and the number of unresolved probes: a
+    chain that crosses two tower ends counts once then and once for every
+    round after it.
+    """
+    if start in F:
+        return True, 0
+    unresolved = 0
+    chains = [_shifts(cyl, start, True), _shifts(cyl, start, False)]
+    for _ in range(L):
+        for j, chain in enumerate(chains):
+            if chain is None:
+                unresolved += 1
+                continue
+            try:
+                if not F.isdisjoint(next(chain)):
+                    return True, unresolved
+            except HorizonExceeded:
+                # cannot trace this chain; fall through to the tower test
+                chains[j] = None
+                unresolved += 1
+    return False, unresolved
+
+
+def _zeros(near: bytearray, lo: int, hi: int):
+    """The indices in ``[lo, hi)`` where ``near`` holds 0, in order."""
+    i = near.find(0, lo, hi)
+    while i >= 0:
+        yield i
+        i = near.find(0, i + 1, hi)
 
 
 def krieger_coverage(
@@ -1024,17 +1106,21 @@ def krieger_coverage(
     Every depth-horizon cylinder outside the +-L shift iterates of the
     marker set must lie in a tower of height at most L that carries a
     certified periodic orbit of period at most L.  Cylinders are the
-    (vertex, floor) pairs of :func:`krieger_markers`; each one is probed
-    by forward and backward chains that grow one shift per step, and a
-    chain that crosses two tower ends counts as an unresolved probe and
-    leaves the cylinder to the tower test.
+    (vertex, floor) pairs of :func:`krieger_markers`.  A cylinder at
+    floor f of a tower of height h with L <= f < h - L crosses no tower
+    end within L shifts either way, so it is covered exactly when a
+    floor of ``F`` in its own tower lies within L of f; each tower marks
+    those floors once.  Only the floors within L of a tower end are
+    probed by forward and backward chains that grow one shift per step,
+    and a chain that crosses two tower ends counts as an unresolved probe
+    and leaves the cylinder to the tower test.
 
     The verdict is UNKNOWN when the marker set itself cannot be built at
     this horizon; the witness is ``(edge, floor, reason)`` for the
     level-n residual floor that could not be settled.
     """
     try:
-        markers, cyl, F = _krieger_markers(p, n, L, horizon)
+        markers, cyl, _, F = _krieger_markers(p, n, L, horizon)
     except UnsettledResidual as exc:
         return Report(
             tag="krieger",
@@ -1052,38 +1138,34 @@ def krieger_coverage(
         for orbit in periodic_orbits(p, n, max_period=L)
         if orbit.certainty == "CERTIFIED"
     }
+    # near[v][f + L] is 1 when a floor of F in the tower of v lies within
+    # L of floor f
+    near = {v: bytearray(h + 2 * L) for v, h in cyl.heights.items()}
+    window = b"\x01" * (2 * L + 1)
+    for v, f in F:
+        near[v][f : f + 2 * L + 1] = window
     violations = []
     outside_towers = set()
     unresolved = 0
-    for c in cyl.order:
-        inside = c in F
-        chains = [_shifts(cyl, c, True), _shifts(cyl, c, False)]
-        for _ in range(L):
-            if inside:
-                break
-            for j, chain in enumerate(chains):
-                if chain is None:
-                    unresolved += 1
-                    continue
-                try:
-                    inside = not F.isdisjoint(next(chain))
-                except HorizonExceeded:
-                    # cannot trace this chain; fall through to the tower test
-                    chains[j] = None
-                    unresolved += 1
+    for v, h in cyl.heights.items():
+        # the floors within L of an end, and the uncovered ones between
+        bottom, top = range(min(L, h)), range(max(L, h - L), h)
+        uncovered = (i - L for i in _zeros(near[v], 2 * L, h))
+        for f in itertools.chain(bottom, uncovered, top):
+            if not L <= f < h - L:
+                inside, probes = _probe(cyl, (v, f), L, F)
+                unresolved += probes
                 if inside:
-                    break
-        if inside:
-            continue
-        e = cyl.cell[c][0]
-        outside_towers.add(e)
-        q = cyl.path[c]
-        if e not in markers.P:
-            violations.append({"path": q, "tower": e, "reason": "tall tower"})
-        elif e not in certified:
-            violations.append(
-                {"path": q, "tower": e, "reason": "no certified periodic orbit"}
-            )
+                    continue
+            e = cyl.cell((v, f))[0]
+            outside_towers.add(e)
+            q = cyl.path[v, f]
+            if e not in markers.P:
+                violations.append({"path": q, "tower": e, "reason": "tall tower"})
+            elif e not in certified:
+                violations.append(
+                    {"path": q, "tower": e, "reason": "no certified periodic orbit"}
+                )
     return Report(
         tag="krieger",
         verdict=HOLDS if not violations else FAILS,

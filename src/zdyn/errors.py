@@ -21,6 +21,10 @@ class DepthOutOfRange(ZdynError):
     """A level or depth beyond what the presentation can materialize."""
 
 
+class InvalidParameter(ZdynError):
+    """A numeric argument outside the range an operation accepts."""
+
+
 class InvalidSequence(ZdynError):
     """A height sequence that is not strictly increasing and positive."""
 

@@ -108,7 +108,7 @@ def _closure_passes(s: Substitution, max_len: int):
 def language(s: Substitution, max_len: int) -> frozenset[tuple[str, ...]]:
     """All factors of iterated images, up to ``max_len``, to a fixed point."""
     if max_len < 1:
-        raise DepthOutOfRange("language words have length at least 1")
+        raise DepthOutOfRange(f"language words have length at least 1, got {max_len}")
     if not growing_letters(s):
         raise EmptyGrowingSet("no letter grows under this substitution")
     return frozenset().union(*_closure_passes(s, max_len))
@@ -359,7 +359,7 @@ def check_recoding(p, n: int, radius: int, max_passes: int = 16) -> Report:
     if p.kind != "stationary":
         raise UnsupportedKind("recoding analysis needs a stationary presentation")
     if n < 1:
-        raise DepthOutOfRange("recoding reads level 1 and above")
+        raise DepthOutOfRange(f"recoding reads level 1 and above, got {n}")
     if radius < 0:
         raise DepthOutOfRange("radius must be non-negative")
     s = read_substitution(p.self_cover)

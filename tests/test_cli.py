@@ -1,5 +1,6 @@
 """Document round trips and command line behavior."""
 
+import itertools
 import json
 import os
 import random
@@ -292,15 +293,18 @@ def test_bad_arguments_exit_2_with_a_message(argv, capsys):
         ("subst", DATA / "fib_substitution.json", "--depth", "0"),
         ("subst", DATA / "fib_substitution.json", "--depth", "-1"),
         ("subst", DATA / "example2_covering.json", "--depth", "0"),
+        ("vershik", DATA / "example2_covering.json", "e_a", "--steps", "-5"),
+        ("check", "nesting", DATA / "fib_bratteli.json", "--level", "-1"),
     ],
     ids=["recoding-level-0", "subst-depth-0", "subst-depth-minus-1",
-         "subst-covering-depth-0"],
+         "subst-covering-depth-0", "vershik-steps-minus-5", "nesting-level-minus-1"],
 )
 def test_levels_and_depths_below_one_exit_2(argv, capsys):
     assert run(*argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error:")
+    assert argv[-1] in err
 
 
 def document_kind(name):
@@ -479,6 +483,36 @@ def test_mutated_documents_raise_only_toolkit_errors(name, tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert run("validate", path) in (0, 1, 2), json.dumps(doc)
         capsys.readouterr()
+
+
+def option_grid(path):
+    """Every small --level/--steps/--horizon setting of the option commands."""
+    levels, steps, horizons = range(-2, 5), range(-1, 4), range(-1, 7)
+    vertices = ["v0"]
+    try:
+        vertices.append(cli._diagram_of(cli.read_document(path)).level_vertices(1)[0])
+    except ZdynError:
+        pass
+    for level in levels:
+        yield "towers", path, "--level", level
+        yield "check", "nesting", path, "--level", level
+        for vertex in vertices:
+            yield "paths", path, vertex, "--level", level
+            for step in steps:
+                yield "vershik", path, vertex, "--level", level, "--steps", step
+        for step, horizon in itertools.product(steps, horizons):
+            yield ("krieger", path, "--level", level, "--steps", step,
+                   "--horizon", horizon)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
+def test_small_option_values_never_crash(name, capsys):
+    for argv in option_grid(DATA / name):
+        code = run(*argv)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (argv, err)
+        if code == 2:
+            assert out == "" and err.startswith("error:"), (argv, out, err)
 
 
 def test_an_internal_error_exits_3_not_1(monkeypatch, capsys):

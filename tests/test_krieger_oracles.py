@@ -4,7 +4,9 @@ The oracles are the path-tuple forms of the marker construction and of
 the coverage check: they step frozensets of depth-horizon path prefixes
 through ``_step_set`` and walk every probe chain again from its start.
 The library names each cylinder by its (vertex, floor) tower coordinates
-instead; both must give the same markers, reports and errors.
+instead; both must give the same markers, reports and errors.  A second
+oracle keeps the per-cylinder chain loop in tower coordinates, which the
+library now runs only near the tower ends.
 """
 
 import gc
@@ -15,7 +17,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdyn import bratteli, cli, coverings
-from zdyn.errors import HorizonExceeded, UnsettledResidual, ZdynError
+from zdyn.errors import (
+    HorizonExceeded,
+    InvalidParameter,
+    UnsettledResidual,
+    ZdynError,
+)
 from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
 
 from helpers import example2_unit, skew_presentation
@@ -60,7 +67,7 @@ def oracle_membership_after(p, start, steps, forward, target):
 
 def oracle_markers(p, n, L, horizon):
     if L < 1:
-        raise ValueError("L must be positive")
+        raise InvalidParameter(f"the window L must be at least 1, got {L}")
     if horizon < n + 1:
         raise HorizonExceeded("horizon must reach past the level")
     g = coverings.level_graph(p, n)
@@ -162,6 +169,74 @@ def oracle_coverage(p, n, L, horizon):
     )
 
 
+def oracle_chain_coverage(p, n, L, horizon):
+    """Coverage with a forward and a backward chain from every cylinder."""
+    try:
+        markers, cyl, _, F = coverings._krieger_markers(p, n, L, horizon)
+    except UnsettledResidual as exc:
+        return Report(
+            tag="krieger",
+            verdict=UNKNOWN,
+            witnesses=((exc.edge, exc.floor, str(exc)),),
+            details={
+                "level": n,
+                "L": L,
+                "horizon": horizon,
+                "reason": "a residual marker floor is not settled at this horizon",
+            },
+        )
+    certified = {
+        orbit.support[0]: orbit.period
+        for orbit in coverings.periodic_orbits(p, n, max_period=L)
+        if orbit.certainty == "CERTIFIED"
+    }
+    d = coverings._diagram(p)
+    violations = []
+    outside_towers = set()
+    unresolved = 0
+    for c in cyl.order:
+        inside = c in F
+        chains = [coverings._shifts(cyl, c, True), coverings._shifts(cyl, c, False)]
+        for _ in range(L):
+            if inside:
+                break
+            for j, chain in enumerate(chains):
+                if chain is None:
+                    unresolved += 1
+                    continue
+                try:
+                    inside = not F.isdisjoint(next(chain))
+                except HorizonExceeded:
+                    chains[j] = None
+                    unresolved += 1
+                if inside:
+                    break
+        if inside:
+            continue
+        q = cyl.path[c]
+        e = bratteli.path_rng(d, q[:n]) if n else "e0"
+        outside_towers.add(e)
+        if e not in markers.P:
+            violations.append({"path": q, "tower": e, "reason": "tall tower"})
+        elif e not in certified:
+            violations.append(
+                {"path": q, "tower": e, "reason": "no certified periodic orbit"}
+            )
+    return Report(
+        tag="krieger",
+        verdict=HOLDS if not violations else FAILS,
+        witnesses=tuple((v["tower"], v["reason"]) for v in violations),
+        details={
+            "level": n,
+            "L": L,
+            "horizon": horizon,
+            "outside_towers": sorted(outside_towers),
+            "unresolved_probes": unresolved,
+            "violations": violations,
+        },
+    )
+
+
 def outcome(fn, *args):
     """The value of a call, or the class and message of what it raised."""
     try:
@@ -174,9 +249,30 @@ def outcome(fn, *args):
 # comparisons
 
 
+def assert_cells_match(p, n, horizon):
+    """Cells and their members in tower coordinates against path prefixes."""
+    cyl = coverings._Cylinders(p, n, horizon)
+    d = coverings._diagram(p)
+    members = {}
+    for c in cyl.order:
+        q = cyl.path[c]
+        prefix = q[:n]
+        want = (bratteli.path_rng(d, prefix), bratteli.path_index(d, prefix))
+        if not n:
+            want = ("e0", 0)
+        assert cyl.cell(c) == want
+        members.setdefault(want, []).append(c)
+    cells = [(e, i) for e, h in cyl.floors.items() for i in range(-1, h + 1)]
+    assert {cell: cyl.members(cell) for cell in cells if cyl.members(cell)} == members
+    assert cyl.members(("nope", 0)) == []
+
+
 def assert_step_matches(p, n, horizon):
     cyl = coverings._Cylinders(p, n, horizon)
-    sets = [[c] for c in cyl.order] + list(cyl.members.values()) + [cyl.order]
+    assert_cells_match(p, n, horizon)
+    cells = [(e, i) for e, h in cyl.floors.items() for i in range(h)]
+    members = [cyl.members(cell) for cell in cells]
+    sets = [[c] for c in cyl.order] + members + [cyl.order]
     for cylinders in sets:
         paths = frozenset(cyl.path[c] for c in cylinders)
         for forward in (True, False):
@@ -231,6 +327,75 @@ def test_krieger_matches_the_path_oracle_on_fixtures(name):
             assert_krieger_matches(cli.read_document(DATA / name), n, L, horizon)
 
 
+def assert_chain_oracle_matches(p, n, L, horizon):
+    want = outcome(oracle_chain_coverage, p, n, L, horizon)
+    assert outcome(coverings.krieger_coverage, p, n, L, horizon) == want
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_floor_distance_matches_the_chain_loop_on_fixtures(name):
+    # horizons up to n + 5 reach towers taller than 2L, so that the floor
+    # distance decides some floors and the chains the rest
+    for n in (1, 2, 3):
+        for L, horizon in itertools.product((1, 2, 3, 4), range(n + 1, n + 6)):
+            assert_chain_oracle_matches(cli.read_document(DATA / name), n, L, horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loop_presentations(), st.integers(0, 2), st.integers(1, 3), st.integers(1, 3)
+)
+def test_floor_distance_matches_the_chain_loop_on_loop_presentations(p, n, L, extra):
+    assert_chain_oracle_matches(p, n, L, n + extra)
+
+
+def test_floor_distance_matches_the_chain_loop_on_the_skew_case():
+    for n, L, horizon in itertools.product((0, 1, 2, 3), (1, 2, 3), range(4, 9)):
+        if horizon > n:
+            assert_chain_oracle_matches(skew_presentation(), n, L, horizon)
+    assert coverings.krieger_coverage(skew_presentation(), 3, 2, 7).verdict == UNKNOWN
+
+
+def count_chains(monkeypatch):
+    """Count the probe chains started through ``coverings._shifts``."""
+    started = []
+    shifts = coverings._shifts
+
+    def counted(cyl, start, forward):
+        started.append(start)
+        return shifts(cyl, start, forward)
+
+    monkeypatch.setattr(coverings, "_shifts", counted)
+    return started
+
+
+@pytest.mark.parametrize("L", [1, 2])
+def test_coverage_probes_chains_only_near_tower_ends(L, monkeypatch):
+    p = cli.read_document(DATA / "fib_covering.json")
+    started = count_chains(monkeypatch)
+    coverings.krieger_markers(p, 3, L, 8)
+    residual = len(started)
+    # the residual floors probe only within L floors of a tower top
+    cyl = coverings._Cylinders(p, 3, 8)
+    assert all(f + L >= cyl.heights[v] for v, f in started)
+    report = coverings.krieger_coverage(p, 3, L, 8)
+    assert report.verdict == HOLDS
+    coverage = len(started) - 2 * residual
+    assert coverage <= 4 * L * len(cyl.heights)
+    # one forward and one backward chain from every cylinder outside F
+    del started[:]
+    oracle_chain_coverage(p, 3, L, 8)
+    assert len(started) - residual > 4 * L * len(cyl.heights)
+
+
+@pytest.mark.parametrize("L", [0, -1])
+def test_a_window_below_one_is_a_toolkit_error(L):
+    p = example2_unit()
+    for check in (coverings.krieger_markers, coverings.krieger_coverage):
+        with pytest.raises(InvalidParameter, match=f"got {L}$"):
+            check(p, 2, L, 4)
+
+
 # ---------------------------------------------------------------------------
 # unsettled residual floors and the memo's lifetime
 
@@ -246,6 +411,7 @@ def test_an_unsettled_residual_floor_gives_unknown():
 
 
 def test_level_zero_cells_are_named_after_the_singleton_loop():
+    assert_cells_match(example2_unit(), 0, 3)
     report = coverings.krieger_coverage(example2_unit(), 0, 1, 3)
     assert report.details["outside_towers"] == ["e0"]
     # e0 has length 1 <= L, so only the periodic-orbit test applies to it
