@@ -10,12 +10,15 @@ iterating it from the minimal path enumerates the whole fiber.
 
 Every adjacency read goes through one index per diagram, built on first
 use and kept on the diagram: per edge level, the edge table, the ranked
-in-edges and the id-ordered out-edges of each vertex, and the position
-of each edge among its siblings, all read-only.  A stationary diagram
-indexes level 1 and shares one entry, its mono-graph's, among all deeper
-levels.  Tower heights are kept on the diagram as well, level by level.
-So a Vershik step costs the depth of its carry, whatever the number of
-edges, and no routine rescans a level.
+in-edges of each vertex and the position of each edge among its
+siblings, all read-only; the id-ordered out-edges are built on first
+read.  A stationary diagram indexes level 1 and shares one entry, its
+mono-graph's, among all deeper levels.  Tower heights are kept on the
+diagram as well, filled over the backward cone of the vertices asked
+for: the vertex and every vertex beneath it, and nothing else.  So a
+Vershik step costs the depth of its carry and ``path_index`` the size
+of one cone, whatever the number of edges, and no routine rescans a
+level.  A vertex or edge the diagram lacks raises ``UnknownName``.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .errors import (
     InvalidParameter,
     NestingViolation,
     UndefinedVershik,
+    UnknownName,
     UnsupportedKind,
 )
 from .graphs import EdgeIndex, index_edges
@@ -104,7 +108,11 @@ class BratteliDiagram:
 
     @cached_property
     def _heights(self) -> list[dict]:
-        """Tower heights by level, ``[n][v]`` = l(v), extended on demand."""
+        """Tower heights by level, ``[n][v]`` = l(v), filled on demand.
+
+        A vertex is entered only after every vertex beneath it, so each
+        level holds the union of the backward cones asked for so far.
+        """
         return [{ROOT: 1}]
 
     @cached_property
@@ -184,19 +192,38 @@ def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
 # paths
 
 
-def _tower_heights(d: BratteliDiagram, n: int) -> list[dict]:
-    """The memo of tower heights, filled level by level up to ``n``."""
+def _tower_heights(d: BratteliDiagram, n: int, vertices) -> list[dict]:
+    """The memo of tower heights, filled for ``vertices`` at level ``n``.
+
+    Collects, level by level downwards, the in-neighbours whose heights
+    are missing, down to the first level that has them all, then sums
+    upwards.  So only the backward cone of ``vertices`` is filled.
+    """
     d._check_depth(n)
     heights = d._heights
     while len(heights) <= n:
-        level = d._level(len(heights))
-        below = heights[-1]
-        heights.append(
-            {
-                v: sum(below[level.edges[e][0]] for e in ranked)
-                for v, ranked in level.ranked.items()
-            }
-        )
+        heights.append({})
+    index = d._index
+    want = {v for v in vertices if v not in heights[n]}
+    cone = []
+    k = n
+    while want:
+        if k == 0:
+            raise UnknownName(f"no vertex {min(want)!r} at level 0")
+        level = index[k - 1] if k <= len(index) else index[-1]
+        cone.append((heights[k], level, want))
+        edges, ranked, below = level.edges, level.ranked, heights[k - 1]
+        try:
+            sources = {edges[e][0] for v in want for e in ranked[v]}
+        except KeyError as exc:
+            raise UnknownName(f"no vertex {exc.args[0]!r} at level {k}") from None
+        want = {u for u in sources if u not in below}
+        k -= 1
+    for here, level, want in reversed(cone):
+        edges, ranked, below = level.edges, level.ranked, heights[k]
+        for v in want:
+            here[v] = sum(below[edges[e][0]] for e in ranked[v])
+        k += 1
     return heights
 
 
@@ -227,7 +254,7 @@ def enumerate_paths(d: BratteliDiagram, v: str, n: int) -> list[tuple[str, ...]]
 
 def path_count(d: BratteliDiagram, v: str, n: int) -> int:
     """The tower height l(v): the number of paths from the root."""
-    return _tower_heights(d, n)[n][v]
+    return _tower_heights(d, n, (v,))[n][v]
 
 
 def path_rng(d: BratteliDiagram, p: tuple[str, ...]) -> str:
@@ -238,14 +265,19 @@ def path_rng(d: BratteliDiagram, p: tuple[str, ...]) -> str:
 
 def _extreme_path(d: BratteliDiagram, v: str, n: int, last: bool) -> tuple[str, ...]:
     """The least path to ``v`` at level ``n``, or the greatest when ``last``."""
+    d._check_depth(n)
+    index = d._index
     pick = -1 if last else 0
     path = [""] * n
     here = v
-    for k in range(n, 0, -1):
-        level = d._level(k)
-        e = level.ranked.get(here, ())[pick]
-        path[k - 1] = e
-        here = level.edges[e][0]
+    try:
+        for k in range(n, 0, -1):
+            level = index[k - 1] if k <= len(index) else index[-1]
+            e = level.ranked[here][pick]
+            path[k - 1] = e
+            here = level.edges[e][0]
+    except KeyError:
+        raise UnknownName(f"no vertex {here!r} at level {k}") from None
     return tuple(path)
 
 
@@ -261,19 +293,40 @@ def path_index(d: BratteliDiagram, p: tuple[str, ...]) -> int:
     """The floor of ``p`` inside its tower: its position in path order.
 
     Each level adds the heights of the towers under the edges ranked
-    below the path's own edge there.
+    below the path's own edge there.  Those towers all lie in the
+    backward cone of the path's end vertex, which is filled once.
     """
     if not p:
         return 0
-    heights = _tower_heights(d, len(p) - 1)
-    floor = 0
-    for k, e in enumerate(p, start=1):
-        level = d._level(k)
-        below = heights[k - 1]
-        edges = level.edges
-        for f in level.ranked[edges[e][1]][: level.position[e]]:
-            floor += below[edges[f][0]]
+    n = len(p)
+    d._check_depth(n)
+    index = d._index
+    try:
+        end = (index[n - 1] if n <= len(index) else index[-1]).edges[p[-1]][1]
+        heights = _tower_heights(d, n, (end,))
+        floor = 0
+        here = ROOT
+        for k, e in enumerate(p, start=1):
+            level = index[k - 1] if k <= len(index) else index[-1]
+            below = heights[k - 1]
+            edges = level.edges
+            s, r, _ = edges[e]
+            if s != here:
+                raise _not_a_path(d, p)
+            here = r
+            for f in level.ranked[r][: level.position[e]]:
+                floor += below[edges[f][0]]
+    except KeyError:
+        raise _not_a_path(d, p) from None
     return floor
+
+
+def _not_a_path(d: BratteliDiagram, p: tuple[str, ...]) -> UnknownName:
+    """The error for a tuple of edge ids that is not a path of ``d``."""
+    for k, e in enumerate(p, start=1):
+        if e not in d._level(k).edges:
+            return UnknownName(f"no edge {e!r} at level {k}")
+    return UnknownName(f"the edges {' '.join(p)!r} do not form a path")
 
 
 def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
@@ -283,14 +336,20 @@ def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
     the levels below it to the extreme path on the other side; returns
     MAXIMAL or MINIMAL when no edge can move.
     """
-    for k, e in enumerate(p, start=1):
-        level = d._level(k)
-        siblings = level.ranked[level.edges[e][1]]
-        i = level.position[e] + delta
-        if 0 <= i < len(siblings):
-            f = siblings[i]
-            below = _extreme_path(d, level.edges[f][0], k - 1, last=delta < 0)
-            return below + (f,) + p[k:]
+    d._check_depth(len(p))
+    index = d._index
+    try:
+        for k, e in enumerate(p, start=1):
+            level = index[k - 1] if k <= len(index) else index[-1]
+            edges = level.edges
+            siblings = level.ranked[edges[e][1]]
+            i = level.position[e] + delta
+            if 0 <= i < len(siblings):
+                f = siblings[i]
+                below = _extreme_path(d, edges[f][0], k - 1, last=delta < 0)
+                return below + (f,) + p[k:]
+    except KeyError:
+        raise _not_a_path(d, p) from None
     return MAXIMAL if delta > 0 else MINIMAL
 
 
@@ -704,7 +763,7 @@ def weighted_to_bv(p) -> BratteliDiagram:
             for i, q in enumerate(walk, start=1):
                 table[f"{q}>{w}:{i}"] = (q, w, i)
         mono = stationary.mono_graph(g.edges, table)
-        return stationary_diagram(mono, dict(p.multiplicities))
+        return stationary_diagram(mono, p.multiplicities)
     top = p.depth()
     if top is None:
         raise UnsupportedKind(

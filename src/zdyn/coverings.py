@@ -862,17 +862,17 @@ class _Cylinders:
         from . import bratteli
 
         d = self.diagram = _diagram(p)
-        self.heights = {
-            v: bratteli.path_count(d, v, horizon) for v in d.level_vertices(horizon)
-        }
+        tops = d.level_vertices(horizon)
+        heights = bratteli._tower_heights(d, horizon, tops)[horizon]
+        self.heights = {v: heights[v] for v in tops}
         self.order = [(v, f) for v, h in self.heights.items() for f in range(h)]
         self.path = dict(zip(self.order, all_paths(p, horizon)))
         # the level-n vertices of the diagram are the level-n edges, except
         # that at level 0 the root stands for the singleton graph's loop e0
-        self.floors = {
-            e if n else "e0": bratteli.path_count(d, e, n) for e in d.level_vertices(n)
-        }
-        stack = {e: [e if n else "e0"] for e in d.level_vertices(n)}
+        bases = d.level_vertices(n)
+        heights = bratteli._tower_heights(d, n, bases)[n]
+        self.floors = {e if n else "e0": heights[e] for e in bases}
+        stack = {e: [e if n else "e0"] for e in bases}
         for k in range(n + 1, horizon + 1):
             level = d._level(k)
             edges = level.edges

@@ -21,6 +21,10 @@ class DepthOutOfRange(ZdynError):
     """A level or depth beyond what the presentation can materialize."""
 
 
+class UnknownName(ZdynError):
+    """A vertex or edge id that the diagram does not have at that level."""
+
+
 class InvalidParameter(ZdynError):
     """A numeric argument outside the range an operation accepts."""
 

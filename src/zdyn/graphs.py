@@ -43,39 +43,47 @@ def read_only_fields(record, *names: str) -> None:
         object.__setattr__(record, name, read_only(getattr(record, name)))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class EdgeIndex:
     """The ranked adjacency of one edge table, every part read-only.
 
     ``edges`` maps edge id to ``(src, rng, rank)``; ``ranked`` maps a
     vertex to its in-edges in rank order and ``position`` an edge to its
-    place among them; ``out`` maps a vertex to its out-edges in id order.
+    place among them.  ``out`` maps a vertex to its out-edges in id
+    order; it is built from ``edges`` when first read, since paths and
+    Vershik steps only go down the in-edges.
     """
 
     edges: Mapping
     ranked: Mapping
     position: Mapping
-    out: Mapping
+
+    @cached_property
+    def out(self) -> Mapping:
+        out: dict[str, list[str]] = {}
+        for e, (s, _, _) in self.edges.items():
+            out.setdefault(s, []).append(e)
+        for es in out.values():
+            es.sort()
+        return MappingProxyType({v: tuple(es) for v, es in out.items()})
 
 
 def index_edges(table) -> EdgeIndex:
     """Index an ``id -> (src, rng, rank)`` table in one pass."""
     table = dict(table)
     ranked: dict[str, list[str]] = {}
-    out: dict[str, list[str]] = {}
-    for e, (s, r, _) in table.items():
+    for e, (_, r, _) in table.items():
         ranked.setdefault(r, []).append(e)
-        out.setdefault(s, []).append(e)
-    ranked = {
-        v: tuple(sorted(es, key=lambda e: table[e][2])) for v, es in ranked.items()
-    }
+    position = {}
+    for v, es in ranked.items():
+        es.sort(key=lambda e: table[e][2])
+        ranked[v] = es = tuple(es)
+        for i, e in enumerate(es):
+            position[e] = i
     return EdgeIndex(
         edges=MappingProxyType(table),
         ranked=MappingProxyType(ranked),
-        position=MappingProxyType(
-            {e: i for es in ranked.values() for i, e in enumerate(es)}
-        ),
-        out=MappingProxyType({v: tuple(sorted(es)) for v, es in out.items()}),
+        position=MappingProxyType(position),
     )
 
 
@@ -127,9 +135,9 @@ def weighted(vertices, edge_table) -> Graph:
     return Graph(
         vertices=frozenset(vertices),
         edges=frozenset(edge_table),
-        src={e: t[0] for e, t in edge_table.items()},
-        rng={e: t[1] for e, t in edge_table.items()},
-        length={e: t[2] for e, t in edge_table.items()},
+        src=MappingProxyType({e: t[0] for e, t in edge_table.items()}),
+        rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
+        length=MappingProxyType({e: t[2] for e, t in edge_table.items()}),
     )
 
 
@@ -138,8 +146,8 @@ def flexible(vertices, edge_table) -> Graph:
     return Graph(
         vertices=frozenset(vertices),
         edges=frozenset(edge_table),
-        src={e: t[0] for e, t in edge_table.items()},
-        rng={e: t[1] for e, t in edge_table.items()},
+        src=MappingProxyType({e: t[0] for e, t in edge_table.items()}),
+        rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
     )
 
 

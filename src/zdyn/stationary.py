@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 
 from . import graphs
 from .errors import NotStraight
@@ -105,9 +106,9 @@ def mono_graph(vertices, edge_table) -> MonoGraph:
     return MonoGraph(
         vertices=frozenset(vertices),
         edges=frozenset(edge_table),
-        src={e: t[0] for e, t in edge_table.items()},
-        rng={e: t[1] for e, t in edge_table.items()},
-        rank={e: t[2] for e, t in edge_table.items()},
+        src=MappingProxyType({e: t[0] for e, t in edge_table.items()}),
+        rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
+        rank=MappingProxyType({e: t[2] for e, t in edge_table.items()}),
     )
 
 

@@ -2,18 +2,31 @@
 
 The oracles here read ``mono.src/rng/rank`` and ``edge_levels`` directly
 and never touch the index: in-edges by scanning and sorting a level,
-tower heights by recursion, and path fibers by recursive enumeration.
+out-edges by scanning and sorting the sources, tower heights by
+recursion or by filling whole levels, and path fibers by recursive
+enumeration.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zdyn import bratteli, cli, graphs, stationary
+from zdyn import bratteli, cli, coverings, graphs, stationary
 from zdyn.bratteli import MAXIMAL, MINIMAL, ROOT
+from zdyn.errors import UnknownName, ZdynError
 
 from helpers import example2_cover, example2_unit, skew_fixed_edge_cover
 from test_cli import DATA
-from test_properties import loop_covers, mono_graphs
+from test_properties import loop_covers, loop_presentations, mono_graphs
+
+COVERING_FIXTURES = (
+    "example2_covering.json",
+    "example2_weighted_covering.json",
+    "fib_covering.json",
+    "skew_covering.json",
+)
+DIAGRAM_FIXTURES = COVERING_FIXTURES + ("fib_bratteli.json", "non_nesting_bratteli.json")
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +72,31 @@ def oracle_paths(d, v, n):
     ]
 
 
+def scan_out_edges(d, n, v):
+    return sorted(e for e, (s, _, _) in raw_table(d, n).items() if s == v)
+
+
+def whole_level_heights(d, n):
+    """Tower heights up to level ``n``, every vertex of every level."""
+    heights = [{ROOT: 1}]
+    for k in range(1, n + 1):
+        level = {}
+        for s, r, _ in raw_table(d, k).values():
+            level[r] = level.get(r, 0) + heights[-1][s]
+        heights.append(level)
+    return heights
+
+
+def oracle_floor(d, p, heights):
+    """The floor of ``p``: the towers under its lower-ranked siblings."""
+    floor = 0
+    for k, e in enumerate(p, start=1):
+        table = raw_table(d, k)
+        _, r, rank = table[e]
+        floor += sum(heights[k - 1][s] for s, w, i in table.values() if w == r and i < rank)
+    return floor
+
+
 def scan_graph_edges(g, v, end):
     """The edges of ``g`` whose ``end`` ("src" or "rng") is ``v``, sorted."""
     return sorted(e for e in g.edges if getattr(g, end)[e] == v)
@@ -80,6 +118,9 @@ def pairwise_directionality(c):
 
 def assert_matches_oracles(d, depth):
     for n in range(1, depth + 1):
+        out = d._level(n).out
+        for u in d.level_vertices(n - 1):
+            assert out.get(u, ()) == tuple(scan_out_edges(d, n, u))
         for v in d.level_vertices(n):
             assert d.in_edges(n, v) == scan_in_edges(d, n, v)
             paths = oracle_paths(d, v, n)
@@ -216,10 +257,169 @@ def test_continuity_is_decided_once_per_diagram(monkeypatch):
 
 
 def test_deep_tower_coordinates_need_no_recursion():
+    for d, v in (
+        (bratteli.weighted_to_bv(example2_unit()), "e_b"),
+        (cli.read_document(DATA / "fib_bratteli.json"), "e_a"),
+    ):
+        top = bratteli.maximal_path(d, v, 3000)
+        assert bratteli.path_index(d, top) == bratteli.path_count(d, v, 3000) - 1
+        assert bratteli.vershik_successor(d, top) == MAXIMAL
+        bottom = bratteli.minimal_path(d, v, 3000)
+        assert bratteli.path_index(d, bottom) == 0
+        assert bratteli.vershik_predecessor(d, bottom) == MINIMAL
+
+
+# ---------------------------------------------------------------------------
+# tower heights over backward cones
+
+
+def fixture_diagram(name):
+    """A diagram fixture, or the diagram of a covering fixture."""
+    doc = cli.read_document(DATA / name)
+    if isinstance(doc, bratteli.BratteliDiagram):
+        return doc
+    return bratteli.weighted_to_bv(doc)
+
+
+def sample_paths(d, n):
+    """The least, a middle and the greatest path of every level-n tower."""
+    out = []
+    for v in d.level_vertices(n):
+        paths = oracle_paths(d, v, n)
+        out.extend({paths[0], paths[len(paths) // 2], paths[-1]})
+    return out
+
+
+def assert_memo_is_exact(d, want):
+    for k, level in enumerate(d._heights):
+        for v, h in level.items():
+            assert h == want[k][v], (k, v)
+
+
+def assert_cone_fill_matches(d, n):
+    """Cone fills and whole-level fills, in both orders, against the oracle."""
+    want = whole_level_heights(d, n)
+    paths = sample_paths(d, n)
+    floors = [oracle_floor(d, q, want) for q in paths]
+
+    partial_first = dataclasses.replace(d)
+    assert [bratteli.path_index(partial_first, q) for q in paths] == floors
+    assert_memo_is_exact(partial_first, want)
+    for k in range(n + 1):
+        for v in d.level_vertices(k):
+            assert bratteli.path_count(partial_first, v, k) == want[k].get(v, 0)
+    assert_memo_is_exact(partial_first, want)
+
+    whole_first = dataclasses.replace(d)
+    for k in range(n, -1, -1):
+        level = bratteli._tower_heights(whole_first, k, d.level_vertices(k))[k]
+        assert level == {v: want[k][v] for v in d.level_vertices(k)}
+    assert [bratteli.path_index(whole_first, q) for q in paths] == floors
+    assert_memo_is_exact(whole_first, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(stationary_diagrams(), st.integers(1, 3))
+def test_cone_fill_matches_whole_levels_on_stationary_diagrams(d, n):
+    assert_cone_fill_matches(d, n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(stationary_diagrams(), non_arithmetic_cuts())
+def test_cone_fill_matches_whole_levels_on_finite_prefixes(d, cuts):
+    t = bratteli.telescope_bv(d, cuts)
+    assert_cone_fill_matches(t, t.depth())
+
+
+@settings(max_examples=25, deadline=None)
+@given(loop_presentations(), st.integers(1, 3))
+def test_cone_fill_matches_whole_levels_on_loop_presentations(p, n):
+    assert_cone_fill_matches(bratteli.weighted_to_bv(p), n)
+
+
+def test_cone_fill_matches_whole_levels_on_the_fixtures():
+    for name in DIAGRAM_FIXTURES:
+        d = fixture_diagram(name)
+        assert_cone_fill_matches(d, d.depth() or 3)
+
+
+def loop_covering(edges):
+    """One vertex, loops ``e_i -> e_0 e_i e_(i+1)`` (indices mod ``edges``)."""
+    name = [f"e{i:02d}" for i in range(edges)]
+    g = graphs.flexible({"v"}, {e: ("v", "v") for e in name})
+    emap = {name[i]: (name[0], name[i], name[(i + 1) % edges]) for i in range(edges)}
+    cover = graphs.Cover(domain=g, codomain=g, vmap={"v": "v"}, emap=emap)
+    return coverings.stationary_presentation(cover, {e: 1 for e in name})
+
+
+def test_path_index_fills_only_the_backward_cone():
+    n = 9
+    d = bratteli.weighted_to_bv(loop_covering(64))
+    q = bratteli.maximal_path(d, "e05", n)
+    assert bratteli.path_index(d, q) == bratteli.path_count(d, "e05", n) - 1
+    # e_i at level k has in-neighbours e_0, e_i and e_(i+1) at level k - 1
+    for k in range(n + 1):
+        assert 1 <= len(d._heights[k]) <= 2 * (n - k) + 2, k
+    assert bratteli.path_count(d, "e05", n) == whole_level_heights(d, n)[n]["e05"]
+
+
+# ---------------------------------------------------------------------------
+# out-edges built on first read
+
+
+def test_walks_leave_the_out_edges_unbuilt():
+    d = bratteli.weighted_to_bv(cli.read_document(DATA / "example2_covering.json"))
+    q = bratteli.minimal_path(d, "e_d", 6)
+    assert bratteli.path_index(d, q) == 0
+    for _ in range(50):
+        q = bratteli.vershik_successor(d, q)
+    assert bratteli.path_index(d, q) == 50
+    assert all("out" not in vars(index) for index in d._index)
+    for n, index in enumerate(d._index, start=1):
+        assert dict(index.out) == {
+            v: tuple(scan_out_edges(d, n, v)) for v in d.level_vertices(n - 1)
+        }
+        assert "out" in vars(index)
+        with pytest.raises(TypeError):
+            index.out["intruder"] = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            index.out = {}
+
+
+# ---------------------------------------------------------------------------
+# names outside the diagram
+
+
+@pytest.mark.parametrize("name", DIAGRAM_FIXTURES)
+def test_names_outside_the_diagram_raise_unknown_name(name):
+    d = fixture_diagram(name)
+    n = min(3, d.depth() or 3)
+    calls = [
+        lambda: bratteli.path_count(d, "nope", n),
+        lambda: bratteli.path_count(d, "nope", 0),
+        lambda: bratteli.path_index(d, ("nope",)),
+        lambda: bratteli.path_index(d, bratteli.minimal_path(d, d.level_vertices(1)[0], 1) + ("nope",)),
+        lambda: bratteli.vershik_successor(d, ("nope", "x")),
+        lambda: bratteli.vershik_predecessor(d, ("nope", "x")),
+        lambda: bratteli.minimal_path(d, "nope", n),
+        lambda: bratteli.maximal_path(d, "nope", n),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownName, match="'nope'"):
+            call()
+    assert issubclass(UnknownName, ZdynError)
+    assert all(not level for level in d._heights[1:])
+
+
+def test_a_broken_path_raises_unknown_name():
     d = bratteli.weighted_to_bv(example2_unit())
-    top = bratteli.maximal_path(d, "e_b", 3000)
-    assert bratteli.path_index(d, top) == bratteli.path_count(d, "e_b", 3000) - 1
-    assert bratteli.vershik_successor(d, top) == MAXIMAL
+    good = bratteli.minimal_path(d, "e_b", 2)
+    # e_a at level 1 is not a source of e_b's in-edges at level 2
+    other = bratteli.minimal_path(d, "e_f", 2)
+    broken = good[:1] + other[1:]
+    assert bratteli.path_rng(d, good[:1]) != d.level_edges(2)[other[1]][0]
+    with pytest.raises(UnknownName, match="do not form a path"):
+        bratteli.path_index(d, broken)
 
 
 # ---------------------------------------------------------------------------

@@ -162,6 +162,11 @@ def test_records_share_no_dict_with_their_caller():
     assert coverings.level_graph(q, 3).length["e_b"] == 11
 
 
+def test_a_diagram_shares_the_read_only_multiplicities_of_its_covering():
+    p = example2_unit()
+    assert bratteli.weighted_to_bv(p).multiplicities is p.multiplicities
+
+
 # ---------------------------------------------------------------------------
 # length bookkeeping
 
