@@ -12,13 +12,17 @@ Every adjacency read goes through one index per diagram, built on first
 use and kept on the diagram: per edge level, the edge table, the ranked
 in-edges of each vertex and the position of each edge among its
 siblings, all read-only; the id-ordered out-edges are built on first
-read.  A stationary diagram indexes level 1 and shares one entry, its
-mono-graph's, among all deeper levels.  Tower heights are kept on the
-diagram as well, filled over the backward cone of the vertices asked
-for: the vertex and every vertex beneath it, and nothing else.  So a
-Vershik step costs the depth of its carry and ``path_index`` the size
-of one cone, whatever the number of edges, and no routine rescans a
-level.  A vertex or edge the diagram lacks raises ``UnknownName``.
+read.  A stationary diagram indexes level 1 and one deeper level, which
+serves all the others.  Its level 1 is read off the multiplicities, and
+the deeper levels of a diagram made by :func:`weighted_to_bv` off the
+expansion walks of its self-cover: each vertex is named and entered on
+first read, and its mono-graph is built only when asked for.  Tower
+heights are kept on the diagram as well, filled over the backward cone
+of the vertices asked for: the vertex and every vertex beneath it, and
+nothing else.  So a Vershik step costs the depth of its carry and
+``path_index`` the size of one cone, whatever the number of edges, and
+no routine rescans a level.  A vertex or edge the diagram lacks raises
+``UnknownName``.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from .errors import (
     UnknownName,
     UnsupportedKind,
 )
-from .graphs import EdgeIndex, index_edges
+from .graphs import Cover, EdgeIndex, index_edges, walk_index, walk_tables
 from .reports import FAILS, HOLDS, UNKNOWN, Report
 from .stationary import MonoGraph
 
@@ -46,6 +50,70 @@ MAXIMAL = "MAXIMAL"
 MINIMAL = "MINIMAL"
 
 ROOT = "v0"
+
+
+def _root_edges(counts: Mapping):
+    """Level 1: ``counts[v]`` in-edges ``v<1``, ``v<2``, ... from the root."""
+
+    def sources(v):
+        return (ROOT,) * counts[v]
+
+    def names(v):
+        return tuple([f"{v}<{i}" for i in range(1, counts[v] + 1)])
+
+    return sources, names
+
+
+def _walk_edges(walks: Mapping):
+    """Deeper levels: ``q>w:i`` into ``w`` from the i-th place ``q`` of its walk."""
+
+    def names(w):
+        return tuple([f"{q}>{w}:{i}" for i, q in enumerate(walks[w], start=1)])
+
+    return walks.__getitem__, names
+
+
+def _split_root_edge(e: str):
+    v, _, i = e.rpartition("<")
+    return v, i
+
+
+def _split_walk_edge(e: str):
+    head, _, i = e.rpartition(":")
+    return head.partition(">")[2], i
+
+
+def _first_level(vertices, multiplicities: Mapping) -> EdgeIndex:
+    """Level 1 of a stationary diagram, read off its multiplicities."""
+    return walk_index(vertices, *_root_edges(multiplicities), _split_root_edge)
+
+
+def _walk_level(cover: Cover) -> EdgeIndex:
+    """The deeper levels of a diagram read off a self-cover's walks.
+
+    An id splits at its last ``:`` and then at its first ``>``, which is
+    unique while no covering edge has ``>`` in its name; otherwise every
+    id is named at once.
+    """
+    vertices = cover.domain.edges
+    split = None if any(">" in w for w in vertices) else _split_walk_edge
+    return walk_index(vertices, *_walk_edges(cover.emap), split)
+
+
+class _MonoField:
+    """The ``mono`` field: as given, or built from ``cover`` on first read."""
+
+    def __get__(self, d, owner=None):
+        if d is None:
+            return None
+        mono = vars(d)["mono"]
+        if mono is None and d.cover is not None:
+            mono = stationary.indexed_mono(d.cover.domain.edges, d._index[1])
+            vars(d)["mono"] = mono
+        return mono
+
+    def __set__(self, d, mono):
+        vars(d)["mono"] = mono
 
 
 @dataclass(frozen=True)
@@ -56,15 +124,18 @@ class BratteliDiagram:
     level-1 multiplicities) or ``finite_prefix`` (explicit levels).  For
     finite prefixes ``levels[n]`` lists the level-n vertices and
     ``edge_levels[n - 1]`` maps the level-n edge ids to
-    ``(src, rng, rank)`` triples.  The multiplicities and every edge
-    table are read-only.
+    ``(src, rng, rank)`` triples.  A stationary diagram may instead
+    carry the self-cover ``cover`` whose expansion walks give its
+    in-edges; its ``mono`` is then built from them when first read.  The
+    multiplicities and every edge table are read-only.
     """
 
     kind: str
-    mono: MonoGraph | None = None
+    mono: MonoGraph | None = _MonoField()
     multiplicities: Mapping | None = field(default=None, hash=False)
     levels: tuple[tuple[str, ...], ...] = ()
     edge_levels: tuple[Mapping, ...] = field(default=(), hash=False)
+    cover: Cover | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         graphs.read_only_fields(self, "multiplicities")
@@ -81,15 +152,15 @@ class BratteliDiagram:
         if n < 0 or (limit is not None and n > limit):
             raise DepthOutOfRange(f"level {n} not materializable")
 
-    def _table(self, n: int) -> dict:
+    def _vertices(self) -> frozenset:
+        """The vertices of every level >= 1 of a stationary diagram."""
+        return self.mono.vertices if self.cover is None else self.cover.domain.edges
+
+    def _table(self, n: int) -> Mapping:
         """The level-n edge table read off the fields, without the index."""
         if self.kind == "stationary":
             if n == 1:
-                return {
-                    f"{v}<{i}": (ROOT, v, i)
-                    for v in sorted(self.mono.vertices)
-                    for i in range(1, self.multiplicities[v] + 1)
-                }
+                return _first_level(self._vertices(), self.multiplicities).edges
             m = self.mono
             return {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
         return self.edge_levels[n - 1]
@@ -98,7 +169,10 @@ class BratteliDiagram:
     def _index(self) -> tuple[EdgeIndex, ...]:
         """One entry per edge level; the last one serves all deeper levels."""
         if self.kind == "stationary":
-            return (index_edges(self._table(1)), self.mono._index)
+            first = _first_level(self._vertices(), self.multiplicities)
+            if self.cover is not None:
+                return (first, _walk_level(self.cover))
+            return (first, self.mono._index)
         return tuple(index_edges(table) for table in self.edge_levels)
 
     @cached_property
@@ -132,7 +206,7 @@ class BratteliDiagram:
         if n == 0:
             return [ROOT]
         if self.kind == "stationary":
-            return sorted(self.mono.vertices)
+            return sorted(self._vertices())
         return sorted(self.levels[n])
 
     def level_edges(self, n: int) -> Mapping:
@@ -334,17 +408,30 @@ def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
 
     Bumps the shallowest edge that has a sibling on that side and resets
     the levels below it to the extreme path on the other side; returns
-    MAXIMAL or MINIMAL when no edge can move.
+    MAXIMAL or MINIMAL when no edge can move.  The junctions it reads are
+    checked: every one up to the bumped edge and the one just above it,
+    all of them when no edge moves.  Junctions higher up are the caller's
+    responsibility, so a step costs the depth of its carry.
     """
-    d._check_depth(len(p))
+    n = len(p)
+    d._check_depth(n)
     index = d._index
+    here = ROOT
     try:
         for k, e in enumerate(p, start=1):
             level = index[k - 1] if k <= len(index) else index[-1]
             edges = level.edges
-            siblings = level.ranked[edges[e][1]]
+            s, here_next, _ = edges[e]
+            if s != here:
+                raise _not_a_path(d, p)
+            here = here_next
+            siblings = level.ranked[here]
             i = level.position[e] + delta
             if 0 <= i < len(siblings):
+                if k < n:
+                    above = index[k] if k < len(index) else index[-1]
+                    if above.edges[p[k]][0] != here:
+                        raise _not_a_path(d, p)
                 f = siblings[i]
                 below = _extreme_path(d, edges[f][0], k - 1, last=delta < 0)
                 return below + (f,) + p[k:]
@@ -450,9 +537,18 @@ def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
 
 
 def vershik_orbit(d: BratteliDiagram, p: tuple[str, ...], steps: int) -> list:
-    """Iterated successors, stopping early at MAXIMAL."""
+    """Iterated successors, stopping early at MAXIMAL.
+
+    The junctions of ``p`` are checked once; each step then keeps a path.
+    """
     if steps < 0:
         raise InvalidParameter(f"the number of steps must be at least 0, got {steps}")
+    here = ROOT
+    for k, e in enumerate(p, start=1):
+        s, r, _ = d._level(k).edges.get(e, (None, None, None))
+        if s != here:
+            raise _not_a_path(d, p)
+        here = r
     orbit = [p]
     for _ in range(steps):
         nxt = vershik_successor(d, orbit[-1])
@@ -752,18 +848,22 @@ def weighted_to_bv(p) -> BratteliDiagram:
 
     Level-n vertices are the level-n edges of the covering; a vertex
     gets one in-edge per position of its expansion walk, ranked by
-    position, so tower heights equal edge lengths.  A finite prefix whose
+    position, so tower heights equal edge lengths.  The i-th in-edge of
+    ``w`` is named ``q>w:i`` after its source ``q``, and at level 1
+    ``w<i``.  A stationary presentation gives a diagram that reads its
+    in-edges off the expansion walks and names a vertex's edges when the
+    vertex is first read, so a walk pays for what it touches.  Two
+    in-edges with one name raise NameCollision, and a finite prefix whose
     last cover repeats has no diagram form and raises UnsupportedKind.
     """
     if p.kind == "stationary":
-        g = p.self_cover.domain
-        table = {}
-        for w in sorted(g.edges):
-            walk = p.self_cover.emap[w]
-            for i, q in enumerate(walk, start=1):
-                table[f"{q}>{w}:{i}"] = (q, w, i)
-        mono = stationary.mono_graph(g.edges, table)
-        return stationary_diagram(mono, p.multiplicities)
+        d = BratteliDiagram(
+            kind="stationary", multiplicities=p.multiplicities, cover=p.self_cover
+        )
+        # an index whose ids a '>' in a name makes ambiguous is built whole
+        # here, so that a name collision raises now
+        d._index
+        return d
     top = p.depth()
     if top is None:
         raise UnsupportedKind(
@@ -774,17 +874,11 @@ def weighted_to_bv(p) -> BratteliDiagram:
     for n in range(1, top + 1):
         g = coverings.level_graph(p, n)
         levels.append(tuple(sorted(g.edges)))
-        table = {}
-        cov = coverings.cover_at(p, n)
         if n == 1:
-            for e in sorted(g.edges):
-                for i in range(1, g.length[e] + 1):
-                    table[f"{e}<{i}"] = (ROOT, e, i)
+            grammar = _root_edges(g.length)
         else:
-            for w in sorted(g.edges):
-                for i, q in enumerate(cov.emap[w], start=1):
-                    table[f"{q}>{w}:{i}"] = (q, w, i)
-        edge_levels.append(table)
+            grammar = _walk_edges(coverings.cover_at(p, n).emap)
+        edge_levels.append(walk_tables(g.edges, *grammar)[0])
     return BratteliDiagram(
         kind="finite_prefix", levels=tuple(levels), edge_levels=tuple(edge_levels)
     )

@@ -25,6 +25,10 @@ class UnknownName(ZdynError):
     """A vertex or edge id that the diagram does not have at that level."""
 
 
+class NameCollision(ZdynError):
+    """Two edges of one diagram level would get the same id."""
+
+
 class InvalidParameter(ZdynError):
     """A numeric argument outside the range an operation accepts."""
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import DomainMismatch, HomomorphismViolation, CoverViolation
+from .errors import CoverViolation, DomainMismatch, HomomorphismViolation, NameCollision
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +51,8 @@ class EdgeIndex:
     vertex to its in-edges in rank order and ``position`` an edge to its
     place among them.  ``out`` maps a vertex to its out-edges in id
     order; it is built from ``edges`` when first read, since paths and
-    Vershik steps only go down the in-edges.
+    Vershik steps only go down the in-edges.  The maps of an index from
+    :func:`walk_index` fill themselves as they are read.
     """
 
     edges: Mapping
@@ -82,6 +83,195 @@ def index_edges(table) -> EdgeIndex:
             position[e] = i
     return EdgeIndex(
         edges=MappingProxyType(table),
+        ranked=MappingProxyType(ranked),
+        position=MappingProxyType(position),
+    )
+
+
+class _ReadThrough(dict):
+    """A table that enters a missing key from ``find`` on first read.
+
+    A read of the whole table (its length, iteration, views, copies and
+    comparisons) first replaces the entries with ``whole()``, in that
+    order; after that a missing key is absent.  A key read stays a plain
+    dict lookup once entered.  ``find(table, key)`` gets the table with
+    the key, so it can fill it whole without keeping a reference to it,
+    and raises ``KeyError`` for a key the table lacks.
+    """
+
+    __slots__ = ("_find", "_whole")
+
+    def __init__(self, find, whole):
+        self._find = find
+        self._whole = whole
+
+    def __missing__(self, key):
+        if self._whole is None:
+            raise KeyError(key)
+        value = self[key] = self._find(self, key)
+        return value
+
+    def _fill(self) -> dict:
+        if self._whole is not None:
+            table = self._whole()
+            self._find = self._whole = None
+            dict.clear(self)
+            dict.update(self, table)
+        return self
+
+    def get(self, key, default=None):
+        try:
+            return self[key]
+        except KeyError:
+            return default
+
+    def __contains__(self, key):
+        try:
+            self[key]
+        except KeyError:
+            return False
+        return True
+
+    def __len__(self):
+        return dict.__len__(self._fill())
+
+    def __iter__(self):
+        return dict.__iter__(self._fill())
+
+    def __reversed__(self):
+        return dict.__reversed__(self._fill())
+
+    def keys(self):
+        return dict.keys(self._fill())
+
+    def values(self):
+        return dict.values(self._fill())
+
+    def items(self):
+        return dict.items(self._fill())
+
+    def copy(self):
+        return dict.copy(self._fill())
+
+    def __or__(self, other):
+        return dict.copy(self._fill()) | other
+
+    def __ror__(self, other):
+        return other | dict.copy(self._fill())
+
+    def __eq__(self, other):
+        if isinstance(other, _ReadThrough):
+            other._fill()
+        return dict.__eq__(self._fill(), other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    def __repr__(self):
+        return dict.__repr__(self._fill())
+
+
+def walk_tables(vertices, sources, names) -> tuple[dict, dict, dict]:
+    """The edge table, ranked in-edges and positions given by walks.
+
+    The i-th in-edge of ``w`` comes from ``sources(w)[i - 1]`` and is
+    named ``names(w)[i - 1]``.  One pass over the vertices in sorted
+    order builds ``id -> (src, rng, rank)``, ``w -> ids`` in rank order
+    and ``id -> i - 1``.  Two in-edges with one name raise
+    :class:`NameCollision`.
+    """
+    edges, ranked, position = {}, {}, {}
+    size = 0
+    for w in sorted(vertices):
+        ids = names(w)
+        if ids:
+            ranked[w] = ids
+            size += len(ids)
+            for i, (q, e) in enumerate(zip(sources(w), ids)):
+                edges[e] = (q, w, i + 1)
+                position[e] = i
+    if len(edges) < size:
+        for w in sorted(vertices):
+            for i, (q, e) in enumerate(zip(sources(w), names(w)), start=1):
+                if edges[e] != (q, w, i):
+                    raise NameCollision(
+                        f"edge id {e!r} names both {(q, w, i)} and {edges[e]}"
+                    )
+    return edges, ranked, position
+
+
+# A level of at most this many vertices is indexed whole at once: a walk
+# reads most of so small a level anyway, and one pass over it costs less
+# than entering it vertex by vertex.
+_SMALL_LEVEL = 64
+
+
+def walk_index(vertices, sources, names, split=None) -> EdgeIndex:
+    """The index of :func:`walk_tables`, filled one vertex at a time.
+
+    The first read of ``ranked[w]`` enters the in-edges of ``w`` in
+    ``edges`` and ``position`` too.  An id read before its vertex is
+    resolved by ``split``, which cuts it into the strings ``(w, i)``; it
+    maps only if it is the i-th name of ``w``.  Each vertex is named
+    once, whichever map reads it first.  A whole read builds all three
+    tables in one pass, and the other two maps then fill whole at their
+    first miss.  Besides the walks, ``ranked`` refers to ``position``
+    and ``edges`` and ``position`` to ``edges``, never back, so an index
+    is freed without a garbage-collector pass.
+    Without ``split``, or for a small level, the index is built whole at
+    once, which also detects a name collision.
+    """
+    if split is None or len(vertices) <= _SMALL_LEVEL:
+        return EdgeIndex(*map(MappingProxyType, walk_tables(vertices, sources, names)))
+    named: dict = {}
+    built: list = []
+
+    def ids_of(w):
+        ids = named.get(w)
+        if ids is None:
+            ids = named[w] = names(w)
+        return ids
+
+    def whole(part):
+        if not built:
+            built.extend(walk_tables(vertices, sources, ids_of))
+        table, built[part] = built[part], None
+        return table
+
+    def find_edge(table, e):
+        if built:
+            return table._fill()[e]
+        try:
+            w, i = split(e)
+            i = int(i)
+        except (AttributeError, TypeError, ValueError):
+            raise KeyError(e) from None
+        if w in vertices:
+            ids = ids_of(w)
+            if 0 < i <= len(ids) and ids[i - 1] == e:
+                return sources(w)[i - 1], w, i
+        raise KeyError(e)
+
+    def find_position(table, e):
+        return table._fill()[e] if built else edges[e][2] - 1
+
+    def find_ranked(table, w):
+        if built:
+            return table._fill()[w]
+        ids = ids_of(w) if w in vertices else ()
+        if not ids:
+            raise KeyError(w)
+        for i, (q, e) in enumerate(zip(sources(w), ids)):
+            dict.__setitem__(edges, e, (q, w, i + 1))
+            dict.__setitem__(position, e, i)
+        return ids
+
+    edges = _ReadThrough(find_edge, lambda: whole(0))
+    position = _ReadThrough(find_position, lambda: whole(2))
+    ranked = _ReadThrough(find_ranked, lambda: whole(1))
+    return EdgeIndex(
+        edges=MappingProxyType(edges),
         ranked=MappingProxyType(ranked),
         position=MappingProxyType(position),
     )

@@ -35,7 +35,8 @@ class MonoGraph:
     """A finite ordered graph with ranked in-edges at every vertex.
 
     The record keeps ``src``, ``rng`` and ``rank`` read-only; adjacency
-    reads go through one :class:`EdgeIndex`, built on first use.
+    reads go through one :class:`EdgeIndex`, built on first use or, by
+    :func:`indexed_mono`, handed over with the record.
     """
 
     vertices: frozenset[str]
@@ -110,6 +111,13 @@ def mono_graph(vertices, edge_table) -> MonoGraph:
         rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
         rank=MappingProxyType({e: t[2] for e, t in edge_table.items()}),
     )
+
+
+def indexed_mono(vertices, index: EdgeIndex) -> MonoGraph:
+    """The mono-graph of an edge index, which keeps that index as its own."""
+    m = mono_graph(vertices, index.edges)
+    vars(m)["_index"] = index  # the slot of the cached property
+    return m
 
 
 def validate_mono(m: MonoGraph, surjective: bool = True) -> list[str]:

@@ -19,6 +19,7 @@ from .errors import (
     DepthOutOfRange,
     EmptyGrowingSet,
     IllegalSeed,
+    UnknownName,
     UnsupportedKind,
 )
 from .graphs import Cover
@@ -169,7 +170,7 @@ def n_symbol(p, e: str, n: int) -> NSymbol:
         raise DepthOutOfRange("n-symbols live at level 1 and above")
     g = coverings.level_graph(p, n)
     if e not in g.edges:
-        raise KeyError(e)
+        raise UnknownName(f"no edge {e!r} at level {n}")
     rows = [(e,)]
     for m in range(n, 0, -1):
         cov = coverings.cover_at(p, m)

@@ -4,17 +4,21 @@ The oracles here read ``mono.src/rng/rank`` and ``edge_levels`` directly
 and never touch the index: in-edges by scanning and sorting a level,
 out-edges by scanning and sorting the sources, tower heights by
 recursion or by filling whole levels, and path fibers by recursive
-enumeration.
+enumeration.  The index read off the expansion walks is checked against
+the eager builder it replaced, which formats every id up front.
 """
 
+import contextlib
 import dataclasses
+import gc
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdyn import bratteli, cli, coverings, graphs, stationary
 from zdyn.bratteli import MAXIMAL, MINIMAL, ROOT
-from zdyn.errors import UnknownName, ZdynError
+from zdyn.errors import NameCollision, UnknownName, ZdynError
 
 from helpers import example2_cover, example2_unit, skew_fixed_edge_cover
 from test_cli import DATA
@@ -442,3 +446,289 @@ def test_directionality_on_multi_vertex_fixtures():
         assert (flags.plus_directional, flags.minus_directional) == (
             pairwise_directionality(c)
         )
+
+
+# ---------------------------------------------------------------------------
+# the index read off the expansion walks
+
+
+def eager_tables(p):
+    """The edge tables of ``weighted_to_bv(p)``, every id formatted at once.
+
+    This is the builder the walk-read index replaced: level 1 (for a
+    stationary ``p``) and then each deeper level, in sorted vertex order.
+    """
+    if p.kind == "stationary":
+        g, walks = p.self_cover.domain, p.self_cover.emap
+        first = {
+            f"{v}<{i}": (ROOT, v, i)
+            for v in sorted(g.edges)
+            for i in range(1, p.multiplicities[v] + 1)
+        }
+        deeper = {}
+        for w in sorted(g.edges):
+            for i, q in enumerate(walks[w], start=1):
+                deeper[f"{q}>{w}:{i}"] = (q, w, i)
+        return [first, deeper]
+    tables = []
+    for n in range(1, p.depth() + 1):
+        g = coverings.level_graph(p, n)
+        table = {}
+        for w in sorted(g.edges):
+            if n == 1:
+                for i in range(1, g.length[w] + 1):
+                    table[f"{w}<{i}"] = (ROOT, w, i)
+            else:
+                for i, q in enumerate(coverings.cover_at(p, n).emap[w], start=1):
+                    table[f"{q}>{w}:{i}"] = (q, w, i)
+        tables.append(table)
+    return tables
+
+
+def stray_ids(table):
+    """Strings close to the ids of ``table`` that name no edge of it."""
+    out = {"nope", "", "<", ">", ":", "<1", ">:1", ROOT}
+    for e, (q, w, i) in list(table.items())[:5]:
+        sep = ":" if ":" in e else "<"
+        head = e[: e.rindex(sep) + 1]
+        out.update(
+            {
+                e + "0",
+                head + "0",
+                head + f"0{i}",
+                head + f"+{i}",
+                head + f" {i}",
+                head + str(i + 100),
+                " " + e,
+                f"{w}>{q}:{i}" if sep == ":" else f"{w}<{i}<{i}",
+                f"{q}>{q}>{w}:{i}",
+                w,
+            }
+        )
+    return sorted(out - set(table))
+
+
+def filled(view):
+    """The number of entries behind a read-only view, without filling it."""
+    (table,) = gc.get_referents(view)
+    return dict.__len__(table)
+
+
+@contextlib.contextmanager
+def read_lazily(lazy=True):
+    """Index levels of every size vertex by vertex while the block runs."""
+    small = graphs._SMALL_LEVEL
+    graphs._SMALL_LEVEL = -1 if lazy else small
+    try:
+        yield
+    finally:
+        graphs._SMALL_LEVEL = small
+
+
+def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
+    """Single reads in a seeded order, then whole reads in another."""
+    with read_lazily(lazy):
+        d = bratteli.weighted_to_bv(p)
+    tables = eager_tables(p)
+    oracles = [graphs.index_edges(table) for table in tables]
+    if p.kind == "stationary":
+        separator = any(">" in w for w in p.self_cover.domain.edges)
+        assert (filled(d._index[0].ranked) == 0) == lazy
+        assert (filled(d._index[1].ranked) == 0) == (lazy and not separator)
+    levels = list(zip(d._index, oracles, tables))
+    singles = []
+    for k, (_, want, table) in enumerate(levels):
+        singles += [("ranked", k, v) for v in want.ranked]
+        singles += [(kind, k, e) for e in table for kind in ("edges", "position")]
+        singles += [(kind, k, x) for x in stray_ids(table) for kind in ("get", "in", "[]")]
+    rng.shuffle(singles)
+    for kind, k, x in singles[: rng.randint(0, len(singles))]:
+        index, want, table = levels[k]
+        if kind == "ranked":
+            assert index.ranked[x] == want.ranked[x]
+        elif kind == "edges":
+            assert index.edges[x] == table[x]
+        elif kind == "position":
+            assert index.position[x] == want.position[x]
+        elif kind == "get":
+            assert index.edges.get(x) is None
+            assert index.ranked.get(x, ()) == want.ranked.get(x, ())
+        elif kind == "in":
+            assert x not in index.edges and x not in index.position
+        else:
+            with pytest.raises(KeyError):
+                index.edges[x]
+    vertices = sorted(p.self_cover.domain.edges) if p.kind == "stationary" else None
+
+    def whole_reads(index, want, table):
+        yield lambda: len(index.edges) == len(table) and len(index.ranked) == len(want.ranked)
+        yield lambda: list(index.edges) == list(table)
+        yield lambda: dict(index.edges.items()) == table and index.edges == table
+        yield lambda: dict(index.ranked) == dict(want.ranked)
+        yield lambda: dict(index.position) == dict(want.position)
+        yield lambda: index.out == want.out
+        yield lambda: all(index.edges.get(e) == t and e in index.edges for e, t in table.items())
+        yield lambda: all(x not in index.edges for x in stray_ids(table))
+
+    checks = [check for level in levels for check in whole_reads(*level)]
+    depth = d.depth() or 3
+    checks += [
+        lambda n=n: dict(d.level_edges(n)) == tables[min(n, len(tables)) - 1]
+        for n in range(1, depth + 1)
+    ]
+    checks.append(lambda: dict(d._table(1)) == tables[0])
+    if vertices is not None:
+        eager = bratteli.stationary_diagram(
+            stationary.mono_graph(vertices, tables[1]), p.multiplicities
+        )
+        checks += [
+            lambda: d.mono == eager.mono and d.mono._index is d._index[1],
+            lambda: d == eager and hash(d) == hash(eager),
+            lambda: d.level_vertices(2) == vertices,
+        ]
+    else:
+        checks.append(lambda: [dict(t) for t in d.edge_levels] == tables)
+    rng.shuffle(checks)
+    for check in checks:
+        assert check()
+    # single reads after the whole ones
+    for index, want, table in levels:
+        for e in rng.sample(sorted(table), min(5, len(table))):
+            assert index.edges[e] == table[e]
+            assert index.position[e] == want.position[e]
+            assert index.ranked[table[e][1]] == want.ranked[table[e][1]]
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("name", COVERING_FIXTURES)
+def test_walk_index_matches_the_eager_tables_on_the_fixtures(name, seed, lazy):
+    p = cli.read_document(DATA / name)
+    assert_walk_index_matches_the_eager_tables(p, random.Random(seed), lazy)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_presentations(), st.randoms(use_true_random=False), st.booleans())
+def test_walk_index_matches_the_eager_tables_on_loop_presentations(p, rng, lazy):
+    assert_walk_index_matches_the_eager_tables(p, rng, lazy)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_finite_prefix_tables_match_the_eager_builder(seed):
+    p = coverings.telescope(example2_unit(), [1, 3])
+    q = coverings.finite_prefix_presentation(p.graphs, p.covers, tail=coverings.TRUNCATED)
+    assert_walk_index_matches_the_eager_tables(q, random.Random(seed), False)
+
+
+def test_only_a_large_level_is_read_vertex_by_vertex():
+    small = graphs._SMALL_LEVEL
+    for edges, lazy in ((small, False), (small + 1, True)):
+        d = bratteli.weighted_to_bv(loop_covering(edges))
+        assert all((filled(index.ranked) == 0) == lazy for index in d._index)
+
+
+def test_a_walk_fills_only_the_vertices_it_reads():
+    n = 9
+    d = bratteli.weighted_to_bv(loop_covering(512))
+    q = bratteli.minimal_path(d, "e05", n)
+    for _ in range(12):
+        q = bratteli.vershik_successor(d, q)
+    assert bratteli.path_index(d, q) == 12
+    for _ in range(12):
+        q = bratteli.vershik_predecessor(d, q)
+    assert bratteli.path_index(d, q) == 0
+    assert q == bratteli.minimal_path(d, "e05", n)
+    assert vars(d)["mono"] is None
+    for index in d._index:
+        assert 1 <= filled(index.ranked) <= 2 * n + 2
+        assert filled(index.edges) <= 3 * (2 * n + 2)
+
+
+def test_names_with_a_separator_are_all_formatted_at_once():
+    g = graphs.flexible({"v"}, {e: ("v", "v") for e in ("a", "a>b", "c")})
+    emap = {"a": ("a", "c"), "a>b": ("a", "a>b"), "c": ("a", "c", "a>b")}
+    cover = graphs.Cover(domain=g, codomain=g, vmap={"v": "v"}, emap=emap)
+    p = coverings.stationary_presentation(cover, {"a": 1, "a>b": 2, "c": 1})
+    with read_lazily():
+        d = bratteli.weighted_to_bv(p)
+    assert filled(d._index[1].edges) == 7 and filled(d._index[0].edges) == 0
+    assert d.level_edges(2)["a>b>a>b:2"] == ("a>b", "a>b", 2)
+    assert_walk_index_matches_the_eager_tables(p, random.Random(0), True)
+
+
+def colliding_cover():
+    """Walks whose ids ``a>b>c:2`` name both (a, b>c, 2) and (a>b, c, 2)."""
+    g = graphs.flexible({"v"}, {e: ("v", "v") for e in ("a", "a>b", "b>c", "c")})
+    emap = {"a": ("a", "b>c"), "a>b": ("a", "c"), "b>c": ("a", "a"), "c": ("a", "a>b")}
+    return graphs.Cover(domain=g, codomain=g, vmap={"v": "v"}, emap=emap)
+
+
+def test_colliding_ids_raise_instead_of_dropping_an_edge():
+    mults = {e: 1 for e in ("a", "a>b", "b>c", "c")}
+    p = coverings.stationary_presentation(colliding_cover(), mults)
+    assert not coverings.validate_presentation(p)
+    q = coverings.finite_prefix_presentation(
+        [coverings.level_graph(p, 1), coverings.level_graph(p, 2)],
+        [coverings.cover_at(p, 2)],
+    )
+    assert not coverings.validate_presentation(q)
+    for x in (p, q):
+        with pytest.raises(NameCollision) as err:
+            bratteli.weighted_to_bv(x)
+        message = str(err.value)
+        assert "'a>b>c:2'" in message
+        assert "('a', 'b>c', 2)" in message and "('a>b', 'c', 2)" in message
+    assert issubclass(NameCollision, ZdynError)
+
+
+def test_convert_rejects_colliding_ids(tmp_path, capsys):
+    mults = {e: 1 for e in ("a", "a>b", "b>c", "c")}
+    p = coverings.stationary_presentation(colliding_cover(), mults)
+    doc = tmp_path / "colliding.json"
+    doc.write_text(cli.dump_document(p))
+    assert cli.main(["convert", "to-bv", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "'a>b>c:2'" in err
+
+
+# ---------------------------------------------------------------------------
+# Vershik steps on tuples that are not paths
+
+
+def test_a_step_rejects_a_tuple_that_is_not_a_path():
+    d = bratteli.weighted_to_bv(cli.read_document(DATA / "example2_covering.json"))
+    broken = ("e_a<1", "e_e>e_d:2")
+    assert d.level_edges(2)["e_e>e_d:2"][0] != d.level_edges(1)["e_a<1"][1]
+    for step in (bratteli.vershik_successor, bratteli.vershik_predecessor):
+        with pytest.raises(UnknownName, match="do not form a path"):
+            step(d, broken)
+    with pytest.raises(UnknownName, match="do not form a path"):
+        bratteli.path_index(d, broken)
+
+
+def test_a_step_checks_the_junction_above_the_bumped_edge():
+    d = bratteli.weighted_to_bv(example2_unit())
+    q = bratteli.minimal_path(d, "e_c", 3)
+    # the level-2 edge has a sibling, so it bumps; the edge above starts elsewhere
+    here = d.level_edges(2)[q[1]][1]
+    assert len(d.in_edges(1, d.level_edges(1)[q[0]][1])) == 1
+    assert len(d.in_edges(2, here)) > 1
+    stranger = min(e for e, (s, _, _) in d.level_edges(3).items() if s != here)
+    broken = q[:2] + (stranger,)
+    with pytest.raises(UnknownName, match="do not form a path"):
+        bratteli.vershik_successor(d, broken)
+    assert bratteli.vershik_successor(d, q) != MAXIMAL
+
+
+def test_an_orbit_checks_its_start_once():
+    d = bratteli.weighted_to_bv(example2_unit())
+    q = bratteli.minimal_path(d, "e_b", 3)
+    top = bratteli.maximal_path(d, "e_f", 3)
+    broken = q[:2] + top[2:]
+    for steps in (0, 1, 5):
+        with pytest.raises(UnknownName, match="do not form a path"):
+            bratteli.vershik_orbit(d, broken, steps)
+    with pytest.raises(UnknownName, match="'nope'"):
+        bratteli.vershik_orbit(d, q[:2] + ("nope",), 3)
+    assert bratteli.vershik_orbit(d, q, 2)[0] == q

@@ -1,6 +1,8 @@
 """Randomized invariants over generated covers, diagrams, and windows."""
 
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,6 +244,39 @@ def test_successor_orbit_is_the_path_enumeration(mono, depth, data):
         assert path == want
         path = bratteli.vershik_successor(d, path)
     assert path == MAXIMAL
+
+
+def many_loops(k):
+    """One vertex, loops ``e_i -> e_0 e_i e_(i+1)`` (indices mod ``k``)."""
+    name = [f"e{i:03d}" for i in range(k)]
+    g = flexible({"v"}, {e: ("v", "v") for e in name})
+    emap = {name[i]: (name[0], name[i], name[(i + 1) % k]) for i in range(k)}
+    cover = Cover(domain=g, codomain=g, vmap={"v": "v"}, emap=emap)
+    return coverings.stationary_presentation(cover, {e: 1 for e in name})
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_a_diagram_is_freed_without_the_garbage_collector(whole):
+    # more loops than a level indexed whole at once, so it fills as read
+    p = many_loops(graphs._SMALL_LEVEL + 1)
+    gc.collect()
+    gc.disable()
+    try:
+        d = bratteli.weighted_to_bv(p)
+        assert all(type(gc.get_referents(index.ranked)[0]) is not dict for index in d._index)
+        q = bratteli.minimal_path(d, "e005", 4)
+        assert bratteli.path_index(d, q) == 0
+        assert bratteli.vershik_successor(d, q) != MAXIMAL
+        if whole:
+            assert d.mono.vertices == p.self_cover.domain.edges
+            assert d._index[1].out and len(d.level_edges(1)) == len(p.multiplicities)
+            assert dict(d._index[1].ranked) and dict(d._index[0].position)
+        ref = weakref.ref(d)
+        del d
+        assert ref() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=40, deadline=None)

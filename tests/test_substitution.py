@@ -3,7 +3,7 @@
 import pytest
 
 from zdyn import bratteli, coverings, substitution as subs
-from zdyn.errors import EmptyGrowingSet, IllegalSeed, UnsupportedKind
+from zdyn.errors import EmptyGrowingSet, IllegalSeed, UnknownName, UnsupportedKind, ZdynError
 from zdyn.graphs import Cover, flexible, identity_cover
 
 from helpers import (
@@ -120,6 +120,12 @@ def test_n_symbol_width_equals_level_length():
             assert sym.width() == g.length[e]
             widths = [len(row) for row in sym.rows]
             assert widths == sorted(widths, reverse=True)
+
+
+def test_n_symbol_of_an_unknown_edge_names_it():
+    with pytest.raises(UnknownName, match="no edge 'nope' at level 2"):
+        subs.n_symbol(example2_unit(), "nope", 2)
+    assert issubclass(UnknownName, ZdynError)
 
 
 # ---------------------------------------------------------------------------
