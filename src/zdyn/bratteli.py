@@ -19,10 +19,10 @@ expansion walks of its self-cover: each vertex is named and entered on
 first read, and its mono-graph is built only when asked for.  Tower
 heights are kept on the diagram as well, filled over the backward cone
 of the vertices asked for: the vertex and every vertex beneath it, and
-nothing else.  So a Vershik step costs the depth of its carry and
-``path_index`` the size of one cone, whatever the number of edges, and
-no routine rescans a level.  A vertex or edge the diagram lacks raises
-``UnknownName``.
+nothing else.  So a Vershik step costs the depth of its carry, and
+``path_index`` and its inverse ``path_at`` the size of one cone, whatever
+the number of edges, and no routine rescans a level.  A vertex or edge
+the diagram lacks raises ``UnknownName``.
 """
 
 from __future__ import annotations
@@ -303,7 +303,7 @@ def _tower_heights(d: BratteliDiagram, n: int, vertices) -> list[dict]:
 
 def enumerate_paths(d: BratteliDiagram, v: str, n: int) -> list[tuple[str, ...]]:
     """All paths from the root to ``v`` at level ``n``, in order."""
-    d._check_depth(n)
+    _tower_heights(d, n, (v,))
     if n == 0:
         return [()]
     wanted = [{v}]
@@ -393,6 +393,37 @@ def path_index(d: BratteliDiagram, p: tuple[str, ...]) -> int:
     except KeyError:
         raise _not_a_path(d, p) from None
     return floor
+
+
+def path_at(d: BratteliDiagram, v: str, n: int, i: int) -> tuple[str, ...]:
+    """The path on floor ``i`` of the tower of ``v`` at level ``n``.
+
+    The inverse of :func:`path_index`.  From level ``n`` down, the floor
+    passes the towers under the in-edges ranked below the one that holds
+    it, subtracting their heights, and the descent goes on from that
+    edge's source: O(n * in-degree) steps over the backward cone of
+    ``v``, which is filled once.
+    """
+    heights = _tower_heights(d, n, (v,))
+    if not 0 <= i < heights[n][v]:
+        raise InvalidParameter(
+            f"floor {i} is outside the tower of {v!r} at level {n}"
+            f" (height {heights[n][v]})"
+        )
+    index = d._index
+    path = [""] * n
+    here = v
+    for k in range(n, 0, -1):
+        level = index[k - 1] if k <= len(index) else index[-1]
+        edges, below = level.edges, heights[k - 1]
+        for e in level.ranked[here]:
+            h = below[edges[e][0]]
+            if i < h:
+                break
+            i -= h
+        path[k - 1] = e
+        here = edges[e][0]
+    return tuple(path)
 
 
 def _not_a_path(d: BratteliDiagram, p: tuple[str, ...]) -> UnknownName:
@@ -949,7 +980,7 @@ def bv_to_weighted(d: BratteliDiagram, probe_levels: int = 3):
         vmap[cluster_name(c)] = cluster_name(part.cluster_of(host))
     cover = graphs.Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
     problems = graphs.cover_violations(cover)
-    if problems or not graphs.is_weighted_cover(cover):
+    if problems or not graphs.cover_flags(cover).weighted:
         raise CoverViolation(
             "recovered self-cover is not a flexible cover: " + "; ".join(problems)
         )

@@ -6,13 +6,14 @@ levels and a stationary presentation generated by a flexible self-cover
 together with level-1 multiplicities, from which weighted levels are
 expanded on demand by length propagation.
 
-Finite approximations of the inverse limit (points, towers, marker sets)
-are evaluated as sets of depth-D path prefixes of the associated ordered
-Bratteli diagram; the shift map becomes the lexicographic successor.  The
-marker checks name each depth-D cylinder by its tower coordinates
-(vertex, floor) instead, so that a shift moves one floor.  Derived values
-(the diagram, path sets, basic expansions) are memoised on the
-presentation they come from.
+Finite approximations of the inverse limit (points, tower floors, clopen
+sets) are evaluated as sets of depth-D path prefixes of the associated
+ordered Bratteli diagram; the shift map becomes the lexicographic
+successor.  The marker checks work in tower coordinates instead: each
+depth-D cylinder is a (vertex, floor) pair, a shift moves it one floor,
+and a path tuple is read by descent only for a witness the check
+reports.  Derived values (the diagram, path sets, basic expansions) are
+memoised on the presentation they come from.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
     problems = []
     if p.kind == "stationary":
         problems.extend(graphs.cover_violations(p.self_cover))
-        if not problems and not graphs.is_weighted_cover(p.self_cover):
+        if not problems and not graphs.cover_flags(p.self_cover).weighted:
             problems.append("self-cover is not +directional and edge-surjective")
         for e in p.self_cover.domain.sorted_edges():
             if p.multiplicities.get(e, 0) < 1:
@@ -148,7 +149,7 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
         cov = cover_at(p, n)
         bad = graphs.cover_violations(cov)
         problems.extend(f"cover {n}: {msg}" for msg in bad)
-        if not bad and not graphs.is_weighted_cover(cov):
+        if not bad and not graphs.cover_flags(cov).weighted:
             problems.append(f"cover {n} is not a weighted cover")
     return problems
 
@@ -845,9 +846,9 @@ class _Cylinders:
     its paths run through and its floor in that tower, the position of its
     prefix in path order.  A shift moves a cylinder one floor up (or down)
     and branches only past the end of a tower, onto the far ends of the
-    towers that :func:`bratteli.boundary_targets` names.  ``order`` lists
-    the cylinders in :func:`all_paths` order and ``path`` maps each to its
-    prefix.
+    towers that :func:`bratteli.boundary_targets` names.  :meth:`path`
+    reads the prefix of a cylinder by descent through the tower heights,
+    so no path tuple is built unless a witness asks for it.
 
     The level-``n`` cells are found in tower coordinates too.  Each
     level-``n`` tower is one block of ``floors[e]`` floors; each deeper
@@ -862,11 +863,10 @@ class _Cylinders:
         from . import bratteli
 
         d = self.diagram = _diagram(p)
+        self.horizon = horizon
         tops = d.level_vertices(horizon)
         heights = bratteli._tower_heights(d, horizon, tops)[horizon]
         self.heights = {v: heights[v] for v in tops}
-        self.order = [(v, f) for v, h in self.heights.items() for f in range(h)]
-        self.path = dict(zip(self.order, all_paths(p, horizon)))
         # the level-n vertices of the diagram are the level-n edges, except
         # that at level 0 the root stands for the singleton graph's loop e0
         bases = d.level_vertices(n)
@@ -889,6 +889,13 @@ class _Cylinders:
             )
             for e, start in zip(stack[v], starts):
                 self.blocks.setdefault(e, []).append((v, start))
+
+    def path(self, cylinder: tuple) -> tuple:
+        """The depth-``horizon`` path prefix of ``cylinder``."""
+        from . import bratteli
+
+        v, f = cylinder
+        return bratteli.path_at(self.diagram, v, self.horizon, f)
 
     def members(self, cell: tuple) -> list:
         """The cylinders of the level-``n`` (edge, floor) ``cell``, in order."""
@@ -981,24 +988,42 @@ def krieger_markers(
     The work runs on tower coordinates: each depth-``horizon`` cylinder
     is a (vertex, floor) pair of the diagram, and a shift moves it one
     floor, branching only past the end of a tower.  Path tuples appear
-    only in the result.  When the horizon cannot sort the points of a
-    residual floor (a chain crosses two tower ends, or the points of one
-    cylinder land on both sides), :class:`UnsettledResidual` names the
-    level-n edge and floor.
+    only in the result, read off the memoised :func:`all_paths`.  When
+    the horizon cannot sort the points of a residual floor (a chain
+    crosses two tower ends, or the points of one cylinder land on both
+    sides), :class:`UnsettledResidual` names the level-n edge and floor,
+    with the reason of the unsettled candidate whose path is least.
     """
     markers, cyl, E, F = _krieger_markers(p, n, L, horizon)
+    # all_paths lists the cylinders tower by tower, floor by floor
+    paths = all_paths(p, horizon)
+    start = dict(
+        zip(cyl.heights, itertools.accumulate(cyl.heights.values(), initial=0))
+    )
+
+    def to_paths(cylinders):
+        return [paths[start[v] + f] for v, f in cylinders]
+
+    atoms = []
+    for atom in markers.atoms:
+        if atom["kind"] == "residual":
+            atom = dict(atom)
+            atom["paths"] = tuple(sorted(to_paths(atom.pop("cylinders"))))
+        atoms.append(atom)
     return replace(
         markers,
-        F=frozenset(cyl.path[c] for c in F),
-        E=frozenset(cyl.path[c] for c in E),
+        F=frozenset(to_paths(F)),
+        E=frozenset(to_paths(E)),
+        atoms=tuple(atoms),
     )
 
 
 def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
     """:func:`krieger_markers` in tower coordinates.
 
-    Returns the marker set with its path sets ``F`` and ``E`` left empty,
-    the cylinders, and ``E`` and ``F`` as sets of cylinders.
+    Returns the marker set with its path sets ``F`` and ``E`` left empty
+    and its residual atoms listing ``cylinders`` instead of ``paths``, the
+    cylinders, and ``E`` and ``F`` as sets of cylinders.
     """
     if L < 1:
         raise InvalidParameter(f"the window L must be at least 1, got {L}")
@@ -1028,10 +1053,16 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
         if Lp * k[e] == g.length[e] - Lp:
             continue
         residual_floor = Lp * (k[e] + 1)
-        candidates = sorted(cyl.members((e, residual_floor)), key=cyl.path.get)
-        try:
-            kept = [c for c in candidates if not _lands_in(cyl, c, L, E)]
-        except HorizonExceeded as exc:
+        kept, unsettled = [], []
+        for c in cyl.members((e, residual_floor)):
+            try:
+                if not _lands_in(cyl, c, L, E):
+                    kept.append(c)
+            except HorizonExceeded as exc:
+                unsettled.append((cyl.path(c), exc))
+        if unsettled:
+            # the reason is that of the unsettled candidate with the least path
+            exc = min(unsettled, key=lambda u: u[0])[1]
             raise UnsettledResidual(e, residual_floor, str(exc)) from exc
         if kept:
             F.update(kept)
@@ -1041,7 +1072,7 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
                     "level": horizon,
                     "edge": e,
                     "floor": residual_floor,
-                    "paths": tuple(cyl.path[c] for c in kept),
+                    "cylinders": tuple(kept),
                 }
             )
     F = frozenset(F)
@@ -1113,7 +1144,10 @@ def krieger_coverage(
     those floors once.  Only the floors within L of a tower end are
     probed by forward and backward chains that grow one shift per step,
     and a chain that crosses two tower ends counts as an unresolved probe
-    and leaves the cylinder to the tower test.
+    and leaves the cylinder to the tower test.  Only a violation reads
+    its path, by descent through the tower heights, and the periodic
+    orbits are enumerated only when an uncovered cylinder lies in a
+    tower of height at most L.
 
     The verdict is UNKNOWN when the marker set itself cannot be built at
     this horizon; the witness is ``(edge, floor, reason)`` for the
@@ -1133,11 +1167,7 @@ def krieger_coverage(
                 "reason": "a residual marker floor is not settled at this horizon",
             },
         )
-    certified = {
-        orbit.support[0]: orbit.period
-        for orbit in periodic_orbits(p, n, max_period=L)
-        if orbit.certainty == "CERTIFIED"
-    }
+    certified = None
     # near[v][f + L] is 1 when a floor of F in the tower of v lies within
     # L of floor f
     near = {v: bytearray(h + 2 * L) for v, h in cyl.heights.items()}
@@ -1159,13 +1189,21 @@ def krieger_coverage(
                     continue
             e = cyl.cell((v, f))[0]
             outside_towers.add(e)
-            q = cyl.path[v, f]
             if e not in markers.P:
-                violations.append({"path": q, "tower": e, "reason": "tall tower"})
-            elif e not in certified:
-                violations.append(
-                    {"path": q, "tower": e, "reason": "no certified periodic orbit"}
-                )
+                reason = "tall tower"
+            else:
+                if certified is None:
+                    certified = {
+                        orbit.support[0]
+                        for orbit in periodic_orbits(p, n, max_period=L)
+                        if orbit.certainty == "CERTIFIED"
+                    }
+                if e in certified:
+                    continue
+                reason = "no certified periodic orbit"
+            violations.append(
+                {"path": cyl.path((v, f)), "tower": e, "reason": reason}
+            )
     return Report(
         tag="krieger",
         verdict=HOLDS if not violations else FAILS,

@@ -440,6 +440,11 @@ class CoverFlags:
     minus_directional: bool
     bidirectional: bool
 
+    @property
+    def weighted(self) -> bool:
+        """A weighted cover is +directional and edge-surjective."""
+        return self.plus_directional and self.edge_surjective
+
 
 def cover_violations(c: Cover) -> list[str]:
     """Check the homomorphism invariants of a cover."""
@@ -472,6 +477,11 @@ def check_cover(c: Cover) -> CoverFlags:
     problems = cover_violations(c)
     if problems:
         raise HomomorphismViolation("; ".join(problems))
+    return cover_flags(c)
+
+
+def cover_flags(c: Cover) -> CoverFlags:
+    """The flags of :func:`check_cover` for a cover without violations."""
     dom, cod = c.domain, c.codomain
     covered = set()
     for e in dom.edges:
@@ -497,8 +507,7 @@ def check_cover(c: Cover) -> CoverFlags:
 
 def is_weighted_cover(c: Cover) -> bool:
     """A weighted cover is +directional and edge-surjective."""
-    flags = check_cover(c)
-    return flags.plus_directional and flags.edge_surjective
+    return check_cover(c).weighted
 
 
 def identity_cover(g: Graph) -> Cover:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from zdyn import cli, coverings, graphs
+from zdyn import bratteli, cli, coverings, graphs
 from zdyn.errors import DepthOutOfRange, HomomorphismViolation, InvalidSequence
 from zdyn.reports import FAILS, HOLDS, UNKNOWN
 
@@ -34,6 +34,55 @@ def test_all_fixture_presentations_validate():
         skew_presentation(),
     ):
         assert coverings.validate_presentation(p) == []
+
+
+def two_loops(lengths):
+    e0, e1 = lengths
+    return graphs.weighted({"v"}, {"e0": ("v", "v", e0), "e1": ("v", "v", e1)})
+
+
+def test_a_cover_that_is_not_weighted_is_named():
+    loops = graphs.flexible({"v"}, {"e0": ("v", "v"), "e1": ("v", "v")})
+    swap = graphs.Cover(
+        domain=loops,
+        codomain=loops,
+        vmap={"v": "v"},
+        emap={"e0": ("e0", "e1"), "e1": ("e1",)},
+    )
+    p = coverings.stationary_presentation(swap, {"e0": 1, "e1": 1})
+    assert coverings.validate_presentation(p) == [
+        "self-cover is not +directional and edge-surjective"
+    ]
+    g, top = two_loops((1, 1)), two_loops((2, 2))
+    c = graphs.Cover(
+        domain=top,
+        codomain=g,
+        vmap={"v": "v"},
+        emap={"e0": ("e0", "e1"), "e1": ("e1", "e0")},
+    )
+    q = coverings.finite_prefix_presentation([g, top], [c])
+    assert coverings.validate_presentation(q) == ["cover 2 is not a weighted cover"]
+
+
+def test_validation_runs_one_violation_pass_per_cover(monkeypatch):
+    passes = []
+    violations = graphs.cover_violations
+
+    def counted(c):
+        passes.append(c)
+        return violations(c)
+
+    monkeypatch.setattr(graphs, "cover_violations", counted)
+    assert coverings.validate_presentation(example2_unit()) == []
+    assert len(passes) == 1
+    q = coverings.telescope(example2_unit(), [1, 3])
+    del passes[:]
+    assert coverings.validate_presentation(q) == []
+    assert len(passes) == len(q.graphs)
+    d = bratteli.weighted_to_bv(example2_unit())
+    del passes[:]
+    bratteli.bv_to_weighted(d)
+    assert len(passes) == 1
 
 
 def test_stationary_presentation_needs_a_self_cover():

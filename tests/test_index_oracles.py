@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from zdyn import bratteli, cli, coverings, graphs, stationary
 from zdyn.bratteli import MAXIMAL, MINIMAL, ROOT
-from zdyn.errors import NameCollision, UnknownName, ZdynError
+from zdyn.errors import InvalidParameter, NameCollision, UnknownName, ZdynError
 
 from helpers import example2_cover, example2_unit, skew_fixed_edge_cover
 from test_cli import DATA
@@ -368,6 +368,83 @@ def test_path_index_fills_only_the_backward_cone():
 
 
 # ---------------------------------------------------------------------------
+# floors read back as paths by descent
+
+
+def assert_path_at_inverts_the_fibers(d, depth):
+    for n in range(depth + 1):
+        for v in d.level_vertices(n):
+            for i, q in enumerate(bratteli.enumerate_paths(d, v, n)):
+                assert bratteli.path_at(d, v, n, i) == q
+
+
+@pytest.mark.parametrize("name", DIAGRAM_FIXTURES)
+def test_path_at_matches_the_fibers_on_the_fixtures(name):
+    d = fixture_diagram(name)
+    assert_path_at_inverts_the_fibers(d, d.depth() or 4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(loop_presentations(), st.integers(1, 4))
+def test_path_at_matches_the_fibers_on_loop_presentations(p, depth):
+    assert_path_at_inverts_the_fibers(bratteli.weighted_to_bv(p), depth)
+
+
+def spread_floors(height, rng):
+    """Both ends, both sides of the middle and a few random floors."""
+    floors = {0, 1, height // 3, height // 2, height - 2, height - 1}
+    floors.update(rng.randrange(height) for _ in range(4))
+    return sorted(f for f in floors if 0 <= f < height)
+
+
+def test_path_at_inverts_path_index_on_deep_fibonacci_towers():
+    d = fixture_diagram("fib_covering.json")
+    rng = random.Random(160)
+    for v in d.level_vertices(160):
+        height = bratteli.path_count(d, v, 160)
+        assert height > 2**100
+        for i in spread_floors(height, rng):
+            q = bratteli.path_at(d, v, 160, i)
+            assert len(q) == 160 and bratteli.path_index(d, q) == i
+        top = bratteli.path_at(d, v, 160, height - 1)
+        assert top == bratteli.maximal_path(d, v, 160)
+        assert bratteli.path_at(d, v, 160, 0) == bratteli.minimal_path(d, v, 160)
+
+
+def test_path_at_on_512_loops_fills_only_the_backward_cone():
+    n = 9
+    d = bratteli.weighted_to_bv(loop_covering(512))
+    rng = random.Random(512)
+    for v in ("e00", "e05", "e511"):
+        height = bratteli.path_count(d, v, n)
+        for i in spread_floors(height, rng):
+            assert bratteli.path_index(d, bratteli.path_at(d, v, n, i)) == i
+    # e_i at level k has in-neighbours e_0, e_i and e_(i+1) at level k - 1
+    for k in range(1, n + 1):
+        assert len(d._heights[k]) <= 3 * (2 * (n - k) + 2), k
+    assert vars(d)["mono"] is None
+
+
+@pytest.mark.parametrize("name", DIAGRAM_FIXTURES)
+def test_path_at_rejects_a_floor_outside_the_tower(name):
+    d = fixture_diagram(name)
+    v = d.level_vertices(2)[0]
+    height = bratteli.path_count(d, v, 2)
+    for i in (-1, height, height + 7):
+        with pytest.raises(InvalidParameter, match=f"floor {i} "):
+            bratteli.path_at(d, v, 2, i)
+    with pytest.raises(InvalidParameter):
+        bratteli.path_at(d, ROOT, 0, 1)
+    assert bratteli.path_at(d, ROOT, 0, 0) == ()
+    # a level-2 vertex is not a vertex of level 0, and the root not of level 1
+    with pytest.raises(UnknownName):
+        bratteli.path_at(d, v, 0, 0)
+    with pytest.raises(UnknownName, match=repr(ROOT)):
+        bratteli.path_at(d, ROOT, 1, 0)
+    assert issubclass(InvalidParameter, ZdynError)
+
+
+# ---------------------------------------------------------------------------
 # out-edges built on first read
 
 
@@ -407,6 +484,10 @@ def test_names_outside_the_diagram_raise_unknown_name(name):
         lambda: bratteli.vershik_predecessor(d, ("nope", "x")),
         lambda: bratteli.minimal_path(d, "nope", n),
         lambda: bratteli.maximal_path(d, "nope", n),
+        lambda: bratteli.enumerate_paths(d, "nope", n),
+        lambda: bratteli.enumerate_paths(d, "nope", 0),
+        lambda: bratteli.path_at(d, "nope", n, 0),
+        lambda: bratteli.path_at(d, "nope", 0, 0),
     ]
     for call in calls:
         with pytest.raises(UnknownName, match="'nope'"):

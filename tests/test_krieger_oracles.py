@@ -6,12 +6,18 @@ through ``_step_set`` and walk every probe chain again from its start.
 The library names each cylinder by its (vertex, floor) tower coordinates
 instead; both must give the same markers, reports and errors.  A second
 oracle keeps the per-cylinder chain loop in tower coordinates, which the
-library now runs only near the tower ends.
+library now runs only near the tower ends.  A third keeps the cylinders
+with every prefix built up front, as ``order`` and a ``path`` dict read
+off :func:`coverings.all_paths`, and the marker and coverage checks that
+sorted and named cylinders by those prefixes; the library reads a prefix
+by descent, only for a witness it reports.
 """
 
+import bisect
 import gc
 import itertools
 import weakref
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -169,22 +175,208 @@ def oracle_coverage(p, n, L, horizon):
     )
 
 
+class PathCylinders:
+    """The depth-``horizon`` cylinders with every prefix built up front.
+
+    ``order`` lists the cylinders in :func:`coverings.all_paths` order
+    and ``path`` maps each to its prefix; cells, members and steps are
+    found in tower coordinates as in the library.
+    """
+
+    def __init__(self, p, n, horizon):
+        d = self.diagram = coverings._diagram(p)
+        tops = d.level_vertices(horizon)
+        heights = bratteli._tower_heights(d, horizon, tops)[horizon]
+        self.heights = {v: heights[v] for v in tops}
+        self.order = [(v, f) for v, h in self.heights.items() for f in range(h)]
+        self.path = dict(zip(self.order, coverings.all_paths(p, horizon)))
+        bases = d.level_vertices(n)
+        heights = bratteli._tower_heights(d, n, bases)[n]
+        self.floors = {e if n else "e0": heights[e] for e in bases}
+        stack = {e: [e if n else "e0"] for e in bases}
+        for k in range(n + 1, horizon + 1):
+            level = d._level(k)
+            edges = level.edges
+            stack = {
+                v: list(itertools.chain(*(stack[edges[e][0]] for e in ranked)))
+                for v, ranked in level.ranked.items()
+            }
+        self.stack = stack
+        self.starts = {}
+        self.blocks = {}
+        for v in self.heights:
+            starts = self.starts[v] = list(
+                itertools.accumulate((self.floors[e] for e in stack[v][:-1]), initial=0)
+            )
+            for e, start in zip(stack[v], starts):
+                self.blocks.setdefault(e, []).append((v, start))
+
+    def members(self, cell):
+        e, i = cell
+        if not 0 <= i < self.floors.get(e, 0):
+            return []
+        return [(v, start + i) for v, start in self.blocks.get(e, ())]
+
+    def cell(self, cylinder):
+        v, f = cylinder
+        starts = self.starts[v]
+        j = bisect.bisect_right(starts, f) - 1
+        return self.stack[v][j], f - starts[j]
+
+    def step(self, cylinders, forward):
+        heights = self.heights
+        delta = 1 if forward else -1
+        out = set()
+        exceptional = False
+        for v, f in cylinders:
+            if 0 <= f + delta < heights[v]:
+                out.add((v, f + delta))
+                continue
+            exceptional = True
+            for u in bratteli.boundary_targets(self.diagram, v, delta):
+                out.add((u, 0 if forward else heights[u] - 1))
+        return frozenset(out), exceptional
+
+
+def oracle_tower_markers(p, n, L, horizon):
+    """The marker construction on :class:`PathCylinders`.
+
+    Residual candidates are tested in path order and the first that the
+    horizon cannot settle is named.  Returns the marker set with empty
+    ``F`` and ``E``, the cylinders, and ``E`` and ``F`` as cylinder sets.
+    """
+    if L < 1:
+        raise InvalidParameter(f"the window L must be at least 1, got {L}")
+    if horizon < n + 1:
+        raise HorizonExceeded("horizon must reach past the level")
+    g = coverings.level_graph(p, n)
+    Lp = L + 1
+    J = sorted(e for e in g.edges if g.length[e] >= Lp)
+    P = sorted(e for e in g.edges if g.length[e] <= L)
+    k = {e: (g.length[e] - Lp) // Lp for e in J}
+    cyl = PathCylinders(p, n, horizon)
+    atoms = []
+    E = set()
+    for e in J:
+        floors = [Lp * i for i in range(k[e] + 1)]
+        for i in floors:
+            E.update(cyl.members((e, i)))
+        atoms.extend({"kind": "E", "level": n, "edge": e, "floor": i} for i in floors)
+    F = set(E)
+    for e in J:
+        if Lp * k[e] == g.length[e] - Lp:
+            continue
+        residual_floor = Lp * (k[e] + 1)
+        candidates = sorted(cyl.members((e, residual_floor)), key=cyl.path.get)
+        try:
+            kept = [c for c in candidates if not coverings._lands_in(cyl, c, L, E)]
+        except HorizonExceeded as exc:
+            raise UnsettledResidual(e, residual_floor, str(exc)) from exc
+        if kept:
+            F.update(kept)
+            atoms.append(
+                {
+                    "kind": "residual",
+                    "level": horizon,
+                    "edge": e,
+                    "floor": residual_floor,
+                    "paths": tuple(cyl.path[c] for c in kept),
+                }
+            )
+    F = frozenset(F)
+    iterates = [F]
+    for _ in range(L):
+        iterates.append(cyl.step(iterates[-1], forward=True)[0])
+    for a, b in itertools.combinations(iterates, 2):
+        if a & b:
+            raise AssertionError("marker iterates are not disjoint")
+    markers = coverings.MarkerSet(
+        level=n, L=L, horizon=horizon, J=tuple(J), P=tuple(P), k=k,
+        atoms=tuple(atoms),
+    )
+    return markers, cyl, frozenset(E), F
+
+
+def oracle_tower_krieger_markers(p, n, L, horizon):
+    markers, cyl, E, F = oracle_tower_markers(p, n, L, horizon)
+    return replace(
+        markers,
+        F=frozenset(cyl.path[c] for c in F),
+        E=frozenset(cyl.path[c] for c in E),
+    )
+
+
+def unknown_report(n, L, horizon, exc):
+    return Report(
+        tag="krieger",
+        verdict=UNKNOWN,
+        witnesses=((exc.edge, exc.floor, str(exc)),),
+        details={
+            "level": n,
+            "L": L,
+            "horizon": horizon,
+            "reason": "a residual marker floor is not settled at this horizon",
+        },
+    )
+
+
+def oracle_tower_coverage(p, n, L, horizon):
+    """Coverage by floor distance on :class:`PathCylinders`."""
+    try:
+        markers, cyl, _, F = oracle_tower_markers(p, n, L, horizon)
+    except UnsettledResidual as exc:
+        return unknown_report(n, L, horizon, exc)
+    certified = {
+        orbit.support[0]: orbit.period
+        for orbit in coverings.periodic_orbits(p, n, max_period=L)
+        if orbit.certainty == "CERTIFIED"
+    }
+    near = {v: bytearray(h + 2 * L) for v, h in cyl.heights.items()}
+    window = b"\x01" * (2 * L + 1)
+    for v, f in F:
+        near[v][f : f + 2 * L + 1] = window
+    violations = []
+    outside_towers = set()
+    unresolved = 0
+    for v, h in cyl.heights.items():
+        bottom, top = range(min(L, h)), range(max(L, h - L), h)
+        uncovered = (i - L for i in coverings._zeros(near[v], 2 * L, h))
+        for f in itertools.chain(bottom, uncovered, top):
+            if not L <= f < h - L:
+                inside, probes = coverings._probe(cyl, (v, f), L, F)
+                unresolved += probes
+                if inside:
+                    continue
+            e = cyl.cell((v, f))[0]
+            outside_towers.add(e)
+            q = cyl.path[v, f]
+            if e not in markers.P:
+                violations.append({"path": q, "tower": e, "reason": "tall tower"})
+            elif e not in certified:
+                violations.append(
+                    {"path": q, "tower": e, "reason": "no certified periodic orbit"}
+                )
+    return Report(
+        tag="krieger",
+        verdict=HOLDS if not violations else FAILS,
+        witnesses=tuple((v["tower"], v["reason"]) for v in violations),
+        details={
+            "level": n,
+            "L": L,
+            "horizon": horizon,
+            "outside_towers": sorted(outside_towers),
+            "unresolved_probes": unresolved,
+            "violations": violations,
+        },
+    )
+
+
 def oracle_chain_coverage(p, n, L, horizon):
     """Coverage with a forward and a backward chain from every cylinder."""
     try:
-        markers, cyl, _, F = coverings._krieger_markers(p, n, L, horizon)
+        markers, cyl, _, F = oracle_tower_markers(p, n, L, horizon)
     except UnsettledResidual as exc:
-        return Report(
-            tag="krieger",
-            verdict=UNKNOWN,
-            witnesses=((exc.edge, exc.floor, str(exc)),),
-            details={
-                "level": n,
-                "L": L,
-                "horizon": horizon,
-                "reason": "a residual marker floor is not settled at this horizon",
-            },
-        )
+        return unknown_report(n, L, horizon, exc)
     certified = {
         orbit.support[0]: orbit.period
         for orbit in coverings.periodic_orbits(p, n, max_period=L)
@@ -241,6 +433,8 @@ def outcome(fn, *args):
     """The value of a call, or the class and message of what it raised."""
     try:
         return ("value", fn(*args))
+    except UnsettledResidual as exc:
+        return ("raised", type(exc), str(exc), exc.edge, exc.floor)
     except (ZdynError, AssertionError, KeyError) as exc:
         return ("raised", type(exc), str(exc))
 
@@ -252,10 +446,13 @@ def outcome(fn, *args):
 def assert_cells_match(p, n, horizon):
     """Cells and their members in tower coordinates against path prefixes."""
     cyl = coverings._Cylinders(p, n, horizon)
+    ref = PathCylinders(p, n, horizon)
+    assert cyl.heights == ref.heights
     d = coverings._diagram(p)
     members = {}
-    for c in cyl.order:
-        q = cyl.path[c]
+    for c in ref.order:
+        q = ref.path[c]
+        assert cyl.path(c) == q
         prefix = q[:n]
         want = (bratteli.path_rng(d, prefix), bratteli.path_index(d, prefix))
         if not n:
@@ -269,12 +466,13 @@ def assert_cells_match(p, n, horizon):
 
 def assert_step_matches(p, n, horizon):
     cyl = coverings._Cylinders(p, n, horizon)
+    ref = PathCylinders(p, n, horizon)
     assert_cells_match(p, n, horizon)
     cells = [(e, i) for e, h in cyl.floors.items() for i in range(h)]
     members = [cyl.members(cell) for cell in cells]
-    sets = [[c] for c in cyl.order] + members + [cyl.order]
+    sets = [[c] for c in ref.order] + members + [ref.order]
     for cylinders in sets:
-        paths = frozenset(cyl.path[c] for c in cylinders)
+        paths = frozenset(ref.path[c] for c in cylinders)
         for forward in (True, False):
             got = outcome(cyl.step, cylinders, forward)
             want = outcome(coverings._step_set, p, paths, forward)
@@ -282,7 +480,7 @@ def assert_step_matches(p, n, horizon):
                 assert got == want
                 continue
             moved, exceptional = got[1]
-            assert (frozenset(cyl.path[c] for c in moved), exceptional) == want[1]
+            assert (frozenset(ref.path[c] for c in moved), exceptional) == want[1]
 
 
 def assert_krieger_matches(p, n, L, horizon):
@@ -354,6 +552,103 @@ def test_floor_distance_matches_the_chain_loop_on_the_skew_case():
         if horizon > n:
             assert_chain_oracle_matches(skew_presentation(), n, L, horizon)
     assert coverings.krieger_coverage(skew_presentation(), 3, 2, 7).verdict == UNKNOWN
+
+
+def assert_tower_oracle_matches(p, n, L, horizon):
+    """Reports, markers and marker cylinders against :class:`PathCylinders`."""
+    report = outcome(coverings.krieger_coverage, p, n, L, horizon)
+    assert report == outcome(oracle_tower_coverage, p, n, L, horizon)
+    got = outcome(coverings.krieger_markers, p, n, L, horizon)
+    assert got == outcome(oracle_tower_krieger_markers, p, n, L, horizon)
+    if got[0] == "value":
+        _, _, E, F = coverings._krieger_markers(p, n, L, horizon)
+        assert (E, F) == oracle_tower_markers(p, n, L, horizon)[2:]
+    return report
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_witness_paths_match_the_path_dict_on_fixtures(name):
+    for n in (1, 2, 3):
+        for L, horizon in itertools.product((1, 2, 3), range(n + 1, 9)):
+            assert_tower_oracle_matches(cli.read_document(DATA / name), n, L, horizon)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    loop_presentations(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5)
+)
+def test_witness_paths_match_the_path_dict_on_loop_presentations(p, n, L, extra):
+    assert_tower_oracle_matches(p, n, L, min(n + extra, 8))
+
+
+def test_witness_paths_match_the_path_dict_on_the_skew_case():
+    verdicts = set()
+    for n, L, horizon in itertools.product((0, 1, 2, 3), (1, 2, 3), range(4, 9)):
+        report = assert_tower_oracle_matches(skew_presentation(), n, L, horizon)
+        verdicts.add(report[1].verdict)
+    assert verdicts == {HOLDS, FAILS, UNKNOWN}
+
+
+def test_the_unsettled_candidate_with_the_least_path_is_named(monkeypatch):
+    # every residual candidate but the first in tower order is unsettled,
+    # each for a reason naming it
+    def unsettled(cyl, start, L, target):
+        if start == cyl.members(cyl.cell(start))[0]:
+            return True
+        raise HorizonExceeded(f"candidate {start}")
+
+    monkeypatch.setattr(coverings, "_lands_in", unsettled)
+    reordered = 0
+    for name in FIXTURES:
+        for n, L in itertools.product((1, 2, 3), (1, 2, 3)):
+            report = assert_tower_oracle_matches(
+                cli.read_document(DATA / name), n, L, 8
+            )[1]
+            if report.verdict != UNKNOWN:
+                continue
+            cyl = coverings._Cylinders(cli.read_document(DATA / name), n, 8)
+            edge, floor, reason = report.witnesses[0]
+            first = cyl.members((edge, floor))[1]
+            reordered += reason != f"candidate {first}"
+    # the least path is not always the first unsettled candidate in tower order
+    assert reordered > 0
+
+
+def spy(monkeypatch, module, name):
+    """Record the arguments of every call to ``module.name``."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def test_coverage_reads_paths_only_for_its_witnesses(monkeypatch):
+    listed = spy(monkeypatch, coverings, "all_paths")
+    enumerated = spy(monkeypatch, bratteli, "enumerate_paths")
+    descents = spy(monkeypatch, bratteli, "path_at")
+    orbits = spy(monkeypatch, coverings, "periodic_orbits")
+    short = 0
+    for name in FIXTURES[:3]:
+        for L in (1, 2):
+            report = coverings.krieger_coverage(cli.read_document(DATA / name), 3, L, 8)
+            assert report.verdict == HOLDS
+            short += bool(report.details["outside_towers"])
+    assert (listed, enumerated, descents) == ([], [], [])
+    # only a run with uncovered cylinders, all in short towers, asks for
+    # the periodic orbits
+    assert 0 < short == len(orbits) < 6
+    # every violation reads its own path
+    del orbits[:]
+    report = coverings.krieger_coverage(example2_unit(), 0, 1, 3)
+    assert report.verdict == FAILS
+    assert (listed, enumerated) == ([], [])
+    assert len(descents) == len(report.details["violations"]) > 0
+    assert len(orbits) == 1
 
 
 def count_chains(monkeypatch):
