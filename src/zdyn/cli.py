@@ -45,27 +45,35 @@ def _need(data: dict, key: str, context: str):
 
 # ---------------------------------------------------------------------------
 # names and shapes: every name a string, every map an object, every walk a
-# list of names, checked before any value is hashed, ordered or unpacked
+# list of names, checked before any value is hashed, ordered or unpacked; the
+# place of a value, ``what``, is a string or a tuple of its parts, joined only
+# for an error message
 
 
-def _name(value, what: str) -> str:
+def _place(what) -> str:
+    return what if isinstance(what, str) else " ".join(map(str, what))
+
+
+def _name(value, what) -> str:
     if not isinstance(value, str):
-        raise DocumentSemanticError(f"{what}: {value!r} is not a name")
+        raise DocumentSemanticError(f"{_place(what)}: {value!r} is not a name")
     return value
 
 
-def _names(value, what: str) -> tuple:
+def _names(value, what) -> tuple:
     """A JSON array of names."""
     if not isinstance(value, (list, tuple)):
-        raise DocumentSemanticError(f"{what}: {value!r} is not a list of names")
+        raise DocumentSemanticError(
+            f"{_place(what)}: {value!r} is not a list of names"
+        )
     for x in value:
         _name(x, what)
     return tuple(value)
 
 
-def _integer(value, what: str) -> int:
+def _integer(value, what) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DocumentSemanticError(f"{what}: {value!r} is not an integer")
+        raise DocumentSemanticError(f"{_place(what)}: {value!r} is not an integer")
     return value
 
 
@@ -74,10 +82,8 @@ def _named(data, key: str, context: str, item) -> dict:
     table = _need(data, key, context)
     if not isinstance(table, dict):
         raise DocumentSemanticError(f"{context} {key}: not a JSON object")
-    return {
-        _name(k, f"{context} {key}"): item(v, f"{context} {key} {k}")
-        for k, v in table.items()
-    }
+    where = f"{context} {key}"
+    return {_name(k, where): item(v, (context, key, k)) for k, v in table.items()}
 
 
 def _object(data, context: str) -> dict:
@@ -109,10 +115,12 @@ def _entry(kind: str, edge, entry) -> tuple:
         raise DocumentSemanticError(
             f"{kind} edge {edge}: expected [{', '.join(names)}], got {entry!r}"
         )
-    what = f"{kind} edge {edge}"
-    t = (_name(entry[0], what), _name(entry[1], what), *entry[2:])
+    where = (kind, "edge", edge)
+    t = (_name(entry[0], where), _name(entry[1], where), *entry[2:])
     if len(t) == 3 and (isinstance(t[2], bool) or not isinstance(t[2], int)):
-        raise DocumentSemanticError(f"{what}: {names[2]} {t[2]!r} is not an integer")
+        raise DocumentSemanticError(
+            f"{kind} edge {edge}: {names[2]} {t[2]!r} is not an integer"
+        )
     return t
 
 
@@ -120,7 +128,8 @@ def _edge_table(table, kind: str) -> dict:
     """A JSON object of ``kind`` edge entries keyed by edge name."""
     if not isinstance(table, dict):
         raise DocumentSemanticError(f"{kind} edges: not a JSON object")
-    return {_name(e, f"{kind} edges"): _entry(kind, e, t) for e, t in table.items()}
+    where = f"{kind} edges"
+    return {_name(e, where): _entry(kind, e, t) for e, t in table.items()}
 
 
 def _load_basic_graph(data) -> BasicGraph:

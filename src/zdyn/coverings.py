@@ -10,10 +10,12 @@ Finite approximations of the inverse limit (points, tower floors, clopen
 sets) are evaluated as sets of depth-D path prefixes of the associated
 ordered Bratteli diagram; the shift map becomes the lexicographic
 successor.  The marker checks work in tower coordinates instead: each
-depth-D cylinder is a (vertex, floor) pair, a shift moves it one floor,
-and a path tuple is read by descent only for a witness the check
-reports.  Derived values (the diagram, path sets, basic expansions) are
-memoised on the presentation they come from.
+depth-D cylinder is a (vertex, floor) pair, each tower carries a byte per
+floor for the marker floors, made a level-n block at a time, and a path
+tuple is read by descent only for a witness the check reports.  Derived
+values (the diagram, path sets, basic expansions, and the tower blocks
+and orbit tables that serve every marker window) are memoised on the
+presentation they come from.
 """
 
 from __future__ import annotations
@@ -617,8 +619,23 @@ class PeriodicOrbit:
     support: tuple[str, ...]
 
 
-def _basic_as_flexible(bg: graphs.BasicGraph) -> Graph:
-    return graphs.flexible(bg.vertices, {f"{u}>{w}": (u, w) for (u, w) in bg.edges})
+@_kept_on_presentation
+def _orbit_tables(p: CoveringPresentation, n: int):
+    """What :func:`periodic_orbits` reads whatever its period bound.
+
+    The depth-n basic relation as a flexible graph, the edges whose
+    chains take each of its steps, and the edges infinitely constantly
+    covered by circuits.
+    """
+    exp = level_expansion(p, n)
+    step_support: dict[tuple[str, str], set] = {}
+    for e, chain in exp.chains.items():
+        for a, b in zip(chain, chain[1:]):
+            step_support.setdefault((a, b), set()).add(e)
+    good = _circuit_chain_edges(p.self_cover) if p.kind == "stationary" else set()
+    basic = exp.graph
+    flex = graphs.flexible(basic.vertices, {f"{u}>{w}": (u, w) for u, w in basic.edges})
+    return flex, step_support, good
 
 
 def periodic_orbits(
@@ -629,19 +646,13 @@ def periodic_orbits(
     An orbit is CERTIFIED when it traces the chain of a single edge
     that is infinitely constantly covered by circuits, which pins an
     actual periodic point inside that tower; everything else is merely
-    POSSIBLE at this depth.
+    POSSIBLE at this depth.  The tables that do not depend on
+    ``max_period`` are kept on the presentation.
     """
     p._check_depth(n)
-    exp = level_expansion(p, n)
-    flex = _basic_as_flexible(exp.graph)
-    report = graphs.enumerate_circuits(flex, max_period)
-    step_support: dict[tuple[str, str], set] = {}
-    for e, chain in exp.chains.items():
-        for a, b in zip(chain, chain[1:]):
-            step_support.setdefault((a, b), set()).add(e)
-    good = _circuit_chain_edges(p.self_cover) if p.kind == "stationary" else set()
+    flex, step_support, good = _orbit_tables(p, n)
     orbits = []
-    for circuit in report.circuits:
+    for circuit in graphs.enumerate_circuits(flex, max_period).circuits:
         steps = [(flex.src[eid], flex.rng[eid]) for eid in circuit]
         support = sorted(set().union(*(step_support[s] for s in steps)))
         certified = len(support) == 1 and support[0] in good
@@ -847,16 +858,14 @@ class _Cylinders:
     prefix in path order.  A shift moves a cylinder one floor up (or down)
     and branches only past the end of a tower, onto the far ends of the
     towers that :func:`bratteli.boundary_targets` names.  :meth:`path`
-    reads the prefix of a cylinder by descent through the tower heights,
-    so no path tuple is built unless a witness asks for it.
+    reads the prefix of a cylinder by descent through the tower heights.
 
-    The level-``n`` cells are found in tower coordinates too.  Each
-    level-``n`` tower is one block of ``floors[e]`` floors; each deeper
-    tower stacks the blocks of its in-edges' sources in rank order, as
-    path order does, so ``stack[v]`` lists the level-``n`` edges of the
-    blocks of ``v`` bottom to top and ``starts[v]`` their first floors.
-    ``blocks[e]`` lists the ``(v, start)`` places of the blocks of ``e``,
-    from which :meth:`members` reads the cylinders of a cell.
+    Each level-``n`` tower is one block of ``floors[e]`` floors; each
+    deeper tower stacks the blocks of its in-edges' sources in rank order,
+    as path order does, so ``stack[v]`` lists the level-``n`` edges of the
+    blocks of ``v`` bottom to top, and marks made once per block, a byte
+    per floor, are laid end to end into the marks of each tower.  This is
+    the same for every marker window: :func:`_cylinders` keeps it.
     """
 
     def __init__(self, p: CoveringPresentation, n: int, horizon: int):
@@ -864,6 +873,7 @@ class _Cylinders:
 
         d = self.diagram = _diagram(p)
         self.horizon = horizon
+        self._targets = functools.partial(bratteli.boundary_targets, d)
         tops = d.level_vertices(horizon)
         heights = bratteli._tower_heights(d, horizon, tops)[horizon]
         self.heights = {v: heights[v] for v in tops}
@@ -880,15 +890,7 @@ class _Cylinders:
                 v: list(itertools.chain(*(stack[edges[e][0]] for e in ranked)))
                 for v, ranked in level.ranked.items()
             }
-        self.stack = stack
-        self.starts: dict[str, list] = {}
-        self.blocks: dict[str, list] = {}
-        for v in self.heights:
-            starts = self.starts[v] = list(
-                itertools.accumulate((self.floors[e] for e in stack[v][:-1]), initial=0)
-            )
-            for e, start in zip(stack[v], starts):
-                self.blocks.setdefault(e, []).append((v, start))
+        self.stack = {v: stack[v] for v in tops}
 
     def path(self, cylinder: tuple) -> tuple:
         """The depth-``horizon`` path prefix of ``cylinder``."""
@@ -897,19 +899,9 @@ class _Cylinders:
         v, f = cylinder
         return bratteli.path_at(self.diagram, v, self.horizon, f)
 
-    def members(self, cell: tuple) -> list:
-        """The cylinders of the level-``n`` (edge, floor) ``cell``, in order."""
-        e, i = cell
-        if not 0 <= i < self.floors.get(e, 0):
-            return []
-        return [(v, start + i) for v, start in self.blocks.get(e, ())]
-
-    def cell(self, cylinder: tuple) -> tuple:
-        """The level-``n`` (edge, floor) cell holding ``cylinder``."""
-        v, f = cylinder
-        starts = self.starts[v]
-        j = bisect.bisect_right(starts, f) - 1
-        return self.stack[v][j], f - starts[j]
+    def lay(self, marks: dict) -> dict:
+        """Per tower, the ``marks`` of its level-n blocks laid end to end."""
+        return {v: b"".join(map(marks.__getitem__, s)) for v, s in self.stack.items()}
 
     def step(self, cylinders, forward: bool):
         """The cylinders one shift of ``cylinders`` meets.
@@ -925,12 +917,15 @@ class _Cylinders:
             if 0 <= f + delta < heights[v]:
                 out.add((v, f + delta))
                 continue
-            from . import bratteli
-
             exceptional = True
-            for u in bratteli.boundary_targets(self.diagram, v, delta):
+            for u in self._targets(v, delta):
                 out.add((u, 0 if forward else heights[u] - 1))
         return frozenset(out), exceptional
+
+
+@_kept_on_presentation
+def _cylinders(p: CoveringPresentation, n: int, horizon: int) -> _Cylinders:
+    return _Cylinders(p, n, horizon)
 
 
 def _shifts(cyl: _Cylinders, start: tuple, forward: bool):
@@ -950,27 +945,71 @@ def _shifts(cyl: _Cylinders, start: tuple, forward: bool):
         yield current
 
 
-def _lands_in(cyl: _Cylinders, start: tuple, L: int, target) -> bool:
-    """Whether after some i <= L shifts all points over ``start`` are in ``target``.
+def _lands_in(cyl: _Cylinders, start: tuple, L: int, marks: dict) -> bool:
+    """Whether after some i <= L shifts all points over ``start`` are marked.
 
-    ``target`` is a set of cylinders.  Mixed answers across boundary
-    branches raise HorizonExceeded.  A start at least L floors below the
-    top floor of its tower only climbs that tower for L shifts, so the L
-    floors above it decide; a chain runs only from the floors nearer the
-    top.
+    ``start`` lies within L floors of its tower top.  Mixed answers across
+    boundary branches raise HorizonExceeded.
     """
-    if start in target:
-        return True
     v, f = start
-    if f + L < cyl.heights[v]:
-        return any((v, f + i) in target for i in range(1, L + 1))
+    if marks[v][f]:
+        return True
     for current in itertools.islice(_shifts(cyl, start, True), L):
-        inside = current & target
-        if inside and inside != current:
+        inside = sum(marks[u][g] for u, g in current)
+        if inside and inside != len(current):
             raise HorizonExceeded("membership splits a horizon cylinder")
         if inside:
             return True
     return False
+
+
+def _unmarked(marks, lo: int, hi: int):
+    """The maximal runs ``(a, b)`` of floors in ``[lo, hi)`` marked 0."""
+    a = marks.find(0, lo, hi)
+    while a >= 0:
+        b = marks.find(1, a, hi)
+        b = hi if b < 0 else b
+        yield a, b
+        a = marks.find(0, b, hi)
+
+
+def _cylinders_of(marks: dict):
+    """The cylinders ``(v, f)`` marked 1 in the marks of each tower."""
+    for v, m in marks.items():
+        f = m.find(1)
+        while f >= 0:
+            yield v, f
+            f = m.find(1, f + 1)
+
+
+def _check_iterates(cyl: _Cylinders, F: dict, L: int) -> None:
+    """Assert that the iterates F, TF, ..., T^L F are pairwise disjoint.
+
+    Inside a tower two floors of F at most L apart collide, and no others
+    until a shift crosses a tower top.  So only the floors of F within L
+    of a top are stepped, and a cylinder they reach past it must be met
+    after one number of shifts only, counting climbs from F below it.
+    """
+    reached: dict[tuple, set] = {}
+    for v, marks in F.items():
+        m = int.from_bytes(marks, "little")
+        if any(m & m >> 8 * d for d in range(1, L + 1)):
+            raise AssertionError("marker iterates are not disjoint")
+        h = len(marks)
+        f = marks.find(1, max(h - L, 0))
+        if f < 0:
+            continue
+        current = frozenset({(v, f)})
+        for i in range(1, L + 1):
+            current = cyl.step(current, forward=True)[0]
+            if f + i >= h:
+                for c in current:
+                    reached.setdefault(c, set()).add(i)
+    for (u, g), shifts in reached.items():
+        marks = F[u]
+        shifts.update(g - x for x in range(max(g - L, 0), g + 1) if marks[x])
+        if len(shifts) > 1:
+            raise AssertionError("marker iterates are not disjoint")
 
 
 def krieger_markers(
@@ -983,23 +1022,17 @@ def krieger_markers(
     the points of the next candidate floor that dodge the marked floors
     for L steps are added too.  ``F`` comes back as a set of
     depth-``horizon`` path prefixes, with its first L forward iterates
-    checked pairwise disjoint.
-
-    The work runs on tower coordinates: each depth-``horizon`` cylinder
-    is a (vertex, floor) pair of the diagram, and a shift moves it one
-    floor, branching only past the end of a tower.  Path tuples appear
-    only in the result, read off the memoised :func:`all_paths`.  When
-    the horizon cannot sort the points of a residual floor (a chain
-    crosses two tower ends, or the points of one cylinder land on both
-    sides), :class:`UnsettledResidual` names the level-n edge and floor,
-    with the reason of the unsettled candidate whose path is least.
+    checked pairwise disjoint.  The work runs on per-tower floor marks
+    (see :class:`_Cylinders`); path tuples are read off :func:`all_paths`
+    for the result only.  When the horizon cannot sort the points of a
+    residual floor, :class:`UnsettledResidual` names the level-n edge and
+    floor, with the reason of the unsettled candidate whose path is least.
     """
     markers, cyl, E, F = _krieger_markers(p, n, L, horizon)
     # all_paths lists the cylinders tower by tower, floor by floor
     paths = all_paths(p, horizon)
-    start = dict(
-        zip(cyl.heights, itertools.accumulate(cyl.heights.values(), initial=0))
-    )
+    heights = cyl.heights
+    start = dict(zip(heights, itertools.accumulate(heights.values(), initial=0)))
 
     def to_paths(cylinders):
         return [paths[start[v] + f] for v, f in cylinders]
@@ -1010,20 +1043,19 @@ def krieger_markers(
             atom = dict(atom)
             atom["paths"] = tuple(sorted(to_paths(atom.pop("cylinders"))))
         atoms.append(atom)
-    return replace(
-        markers,
-        F=frozenset(to_paths(F)),
-        E=frozenset(to_paths(E)),
-        atoms=tuple(atoms),
-    )
+    F, E = (frozenset(to_paths(_cylinders_of(m))) for m in (F, E))
+    return replace(markers, F=F, E=E, atoms=tuple(atoms))
 
 
 def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
-    """:func:`krieger_markers` in tower coordinates.
+    """:func:`krieger_markers` on per-tower floor marks.
 
-    Returns the marker set with its path sets ``F`` and ``E`` left empty
-    and its residual atoms listing ``cylinders`` instead of ``paths``, the
-    cylinders, and ``E`` and ``F`` as sets of cylinders.
+    Returns the marker set with empty ``F`` and ``E`` and its residual
+    atoms listing ``cylinders`` instead of ``paths``, the cylinders, and
+    the marks of ``E`` and ``F``: per tower, a byte per floor, 1 on a
+    marker floor.  A residual candidate more than L floors below its tower
+    top reads the marks of the L floors above; only one nearer the top
+    runs a chain of shifts.
     """
     if L < 1:
         raise InvalidParameter(f"the window L must be at least 1, got {L}")
@@ -1033,100 +1065,89 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
     Lp = L + 1
     J = sorted(e for e in g.edges if g.length[e] >= Lp)
     P = sorted(e for e in g.edges if g.length[e] <= L)
-    k = {}
+    k = {e: (g.length[e] - Lp) // Lp for e in J}
+    if any(not g.length[e] - 2 * Lp < Lp * k[e] <= g.length[e] - Lp for e in J):
+        raise AssertionError("k(e) window is empty")
+    cyl = _cylinders(p, n, horizon)
+    blank = {e: bytes(h) for e, h in cyl.floors.items()}
+    # a block of a tall edge e marks every (L+1)-th floor up to Lp * k[e]
+    block = dict(blank)
     for e in J:
-        ln = g.length[e]
-        ke = (ln - Lp) // Lp
-        if not ln - 2 * Lp < Lp * ke <= ln - Lp:
-            raise AssertionError("k(e) window is empty")
-        k[e] = ke
-    cyl = _Cylinders(p, n, horizon)
-    atoms = []
-    E = set()
+        block[e] = (b"\x01" + bytes(L)) * (k[e] + 1)
+        block[e] += bytes(g.length[e] - len(block[e]))
+    atoms = [
+        {"kind": "E", "level": n, "edge": e, "floor": i}
+        for e in J
+        for i in range(0, Lp * k[e] + 1, Lp)
+    ]
+    E = cyl.lay(block)
+    F = {v: bytearray(m) for v, m in E.items()}
     for e in J:
-        floors = [Lp * i for i in range(k[e] + 1)]
-        for i in floors:
-            E.update(cyl.members((e, i)))
-        atoms.extend({"kind": "E", "level": n, "edge": e, "floor": i} for i in floors)
-    F = set(E)
-    for e in J:
-        if Lp * k[e] == g.length[e] - Lp:
-            continue
         residual_floor = Lp * (k[e] + 1)
+        if residual_floor == g.length[e]:
+            continue
+        candidates = dict(blank)
+        candidates[e] = bytes(residual_floor) + b"\x01"
+        candidates[e] += bytes(g.length[e] - residual_floor - 1)
         kept, unsettled = [], []
-        for c in cyl.members((e, residual_floor)):
+        for v, f in _cylinders_of(cyl.lay(candidates)):
+            if f + L < cyl.heights[v]:
+                if E[v].find(1, f, f + Lp) < 0:
+                    kept.append((v, f))
+                continue
             try:
-                if not _lands_in(cyl, c, L, E):
-                    kept.append(c)
+                if not _lands_in(cyl, (v, f), L, E):
+                    kept.append((v, f))
             except HorizonExceeded as exc:
-                unsettled.append((cyl.path(c), exc))
+                unsettled.append((cyl.path((v, f)), exc))
         if unsettled:
             # the reason is that of the unsettled candidate with the least path
             exc = min(unsettled, key=lambda u: u[0])[1]
             raise UnsettledResidual(e, residual_floor, str(exc)) from exc
         if kept:
-            F.update(kept)
-            atoms.append(
-                {
-                    "kind": "residual",
-                    "level": horizon,
-                    "edge": e,
-                    "floor": residual_floor,
-                    "cylinders": tuple(kept),
-                }
-            )
-    F = frozenset(F)
-    iterates = [F]
-    for _ in range(L):
-        iterates.append(cyl.step(iterates[-1], forward=True)[0])
-    for a, b in itertools.combinations(iterates, 2):
-        if a & b:
-            raise AssertionError("marker iterates are not disjoint")
-    markers = MarkerSet(
-        level=n,
-        L=L,
-        horizon=horizon,
-        J=tuple(J),
-        P=tuple(P),
-        k=k,
-        atoms=tuple(atoms),
-    )
-    return markers, cyl, frozenset(E), F
+            for v, f in kept:
+                F[v][f] = 1
+            residual = {"kind": "residual", "level": horizon, "edge": e}
+            atoms.append(residual | {"floor": residual_floor, "cylinders": tuple(kept)})
+    _check_iterates(cyl, F, L)
+    markers = MarkerSet(n, L, horizon, tuple(J), tuple(P), k, atoms=tuple(atoms))
+    return markers, cyl, E, F
 
 
-def _probe(cyl: _Cylinders, start: tuple, L: int, F) -> tuple[bool, int]:
+def _chain_events(cyl: _Cylinders, start: tuple, L: int, marks: dict, delta: int):
+    """The rounds at which the chain of shifts by ``delta`` from ``start``
+    first meets a marked floor and crosses a second tower end, or L + 1.
+
+    ``marks`` reads each tower in the direction of the chain: it climbs
+    its tower, crosses onto the first floors of the towers the boundary
+    names, and climbs those together until the shortest ends.
+    """
+    v, f = start
+    c = len(marks[v]) - f  # the round of the crossing
+    x = marks[v].find(1, f + 1, f + min(c, L + 1))
+    if x >= 0 or c > L:
+        return x - f if x >= 0 else L + 1, L + 1
+    targets = cyl._targets(v, delta)
+    span = min((cyl.heights[u] for u in targets), default=L + 1)
+    found = (marks[u].find(1, 0, min(span, L + 1 - c)) for u in targets)
+    return min((c + x for x in found if x >= 0), default=L + 1), c + span
+
+
+def _probe(cyl: _Cylinders, start: tuple, L: int, F: dict, back: dict):
     """Whether some shift of ``start`` by at most L either way meets ``F``.
 
-    The forward and backward chains grow one shift per round, forward
-    first.  Returns the answer and the number of unresolved probes: a
-    chain that crosses two tower ends counts once then and once for every
-    round after it.
+    ``back`` reads the marks of ``F`` top to bottom.  The chains of
+    :func:`_shifts` either way grow one shift per round, forward first; a
+    chain that crosses two tower ends adds an unresolved probe then and in
+    every round after it until one answers.  Returns the answer and count.
     """
-    if start in F:
+    v, f = start
+    if F[v][f]:
         return True, 0
-    unresolved = 0
-    chains = [_shifts(cyl, start, True), _shifts(cyl, start, False)]
-    for _ in range(L):
-        for j, chain in enumerate(chains):
-            if chain is None:
-                unresolved += 1
-                continue
-            try:
-                if not F.isdisjoint(next(chain)):
-                    return True, unresolved
-            except HorizonExceeded:
-                # cannot trace this chain; fall through to the tower test
-                chains[j] = None
-                unresolved += 1
-    return False, unresolved
-
-
-def _zeros(near: bytearray, lo: int, hi: int):
-    """The indices in ``[lo, hi)`` where ``near`` holds 0, in order."""
-    i = near.find(0, lo, hi)
-    while i >= 0:
-        yield i
-        i = near.find(0, i + 1, hi)
+    hit_f, fail_f = _chain_events(cyl, start, L, F, 1)
+    hit_b, fail_b = _chain_events(cyl, (v, len(F[v]) - 1 - f), L, back, -1)
+    rnd, backward = min((hit_f, 0), (hit_b, 1))
+    return rnd <= L, max(0, rnd - fail_f + backward) + max(0, rnd - fail_b)
 
 
 def krieger_coverage(
@@ -1136,87 +1157,66 @@ def krieger_coverage(
 
     Every depth-horizon cylinder outside the +-L shift iterates of the
     marker set must lie in a tower of height at most L that carries a
-    certified periodic orbit of period at most L.  Cylinders are the
-    (vertex, floor) pairs of :func:`krieger_markers`.  A cylinder at
-    floor f of a tower of height h with L <= f < h - L crosses no tower
-    end within L shifts either way, so it is covered exactly when a
-    floor of ``F`` in its own tower lies within L of f; each tower marks
-    those floors once.  Only the floors within L of a tower end are
-    probed by forward and backward chains that grow one shift per step,
-    and a chain that crosses two tower ends counts as an unresolved probe
-    and leaves the cylinder to the tower test.  Only a violation reads
-    its path, by descent through the tower heights, and the periodic
-    orbits are enumerated only when an uncovered cylinder lies in a
-    tower of height at most L.
-
-    The verdict is UNKNOWN when the marker set itself cannot be built at
-    this horizon; the witness is ``(edge, floor, reason)`` for the
-    level-n residual floor that could not be settled.
+    certified periodic orbit of period at most L.  A floor f of a tower of
+    height h with L <= f < h - L crosses no tower end within L shifts, so
+    it is covered exactly when the marks of ``F`` widened by L either way
+    cover it; uncovered floors come in runs, read a level-n block at a
+    time.  The floors within L of a tower end are probed by :func:`_probe`,
+    which counts the unresolved probes.  Only a violation reads its path,
+    and periodic orbits are enumerated only when an uncovered cylinder lies
+    in a tower of height at most L.  The verdict is UNKNOWN, with witness
+    ``(edge, floor, reason)``, when a residual marker floor is unsettled.
     """
+    details = {"level": n, "L": L, "horizon": horizon}
     try:
         markers, cyl, _, F = _krieger_markers(p, n, L, horizon)
     except UnsettledResidual as exc:
-        return Report(
-            tag="krieger",
-            verdict=UNKNOWN,
-            witnesses=((exc.edge, exc.floor, str(exc)),),
-            details={
-                "level": n,
-                "L": L,
-                "horizon": horizon,
-                "reason": "a residual marker floor is not settled at this horizon",
-            },
-        )
-    certified = None
-    # near[v][f + L] is 1 when a floor of F in the tower of v lies within
-    # L of floor f
-    near = {v: bytearray(h + 2 * L) for v, h in cyl.heights.items()}
-    window = b"\x01" * (2 * L + 1)
-    for v, f in F:
-        near[v][f : f + 2 * L + 1] = window
-    violations = []
-    outside_towers = set()
-    unresolved = 0
+        witness = (exc.edge, exc.floor, str(exc))
+        reason = "a residual marker floor is not settled at this horizon"
+        return Report("krieger", UNKNOWN, (witness,), details | {"reason": reason})
+    violations, outside_towers, unresolved, certified = [], set(), 0, None
+    back = {v: m[::-1] for v, m in F.items()}
     for v, h in cyl.heights.items():
-        # the floors within L of an end, and the uncovered ones between
-        bottom, top = range(min(L, h)), range(max(L, h - L), h)
-        uncovered = (i - L for i in _zeros(near[v], 2 * L, h))
-        for f in itertools.chain(bottom, uncovered, top):
-            if not L <= f < h - L:
-                inside, probes = _probe(cyl, (v, f), L, F)
-                unresolved += probes
-                if inside:
-                    continue
-            e = cyl.cell((v, f))[0]
-            outside_towers.add(e)
-            if e not in markers.P:
-                reason = "tall tower"
-            else:
-                if certified is None:
-                    certified = {
-                        orbit.support[0]
-                        for orbit in periodic_orbits(p, n, max_period=L)
-                        if orbit.certainty == "CERTIFIED"
-                    }
-                if e in certified:
-                    continue
-                reason = "no certified periodic orbit"
-            violations.append(
-                {"path": cyl.path((v, f)), "tower": e, "reason": reason}
-            )
-    return Report(
-        tag="krieger",
-        verdict=HOLDS if not violations else FAILS,
-        witnesses=tuple((v["tower"], v["reason"]) for v in violations),
-        details={
-            "level": n,
-            "L": L,
-            "horizon": horizon,
-            "outside_towers": sorted(outside_towers),
-            "unresolved_probes": unresolved,
-            "violations": violations,
-        },
-    )
+        # near[f] is 1 when a floor of F lies within L of floor f
+        near = m = int.from_bytes(F[v], "little")
+        for d in range(1, L + 1):
+            near |= m << 8 * d | m >> 8 * d
+        runs = list(_unmarked(near.to_bytes(h + L, "little"), L, h - L))
+        for f in itertools.chain(range(min(L, h)), range(max(L, h - L), h)):
+            inside, probes = _probe(cyl, (v, f), L, F, back)
+            unresolved += probes
+            if not inside:
+                runs.append((f, f + 1))
+        stack = cyl.stack[v]
+        starts = list(
+            itertools.accumulate(map(cyl.floors.__getitem__, stack), initial=0)
+        )
+        for a, b in sorted(runs):
+            j = bisect.bisect_right(starts, a) - 1
+            while a < b:  # one level-n block at a time
+                e, end = stack[j], min(b, starts[j + 1])
+                outside_towers.add(e)
+                if e not in markers.P:
+                    reason = "tall tower"
+                else:
+                    if certified is None:
+                        certified = {
+                            orbit.support[0]
+                            for orbit in periodic_orbits(p, n, max_period=L)
+                            if orbit.certainty == "CERTIFIED"
+                        }
+                    reason = None if e in certified else "no certified periodic orbit"
+                if reason:
+                    violations.extend(
+                        {"path": cyl.path((v, f)), "tower": e, "reason": reason}
+                        for f in range(a, end)
+                    )
+                a, j = end, j + 1
+    details["outside_towers"] = sorted(outside_towers)
+    details["unresolved_probes"] = unresolved
+    details["violations"] = violations
+    witnesses = tuple((v["tower"], v["reason"]) for v in violations)
+    return Report("krieger", FAILS if violations else HOLDS, witnesses, details)
 
 
 # ---------------------------------------------------------------------------

@@ -690,28 +690,34 @@ def enumerate_circuits(g, max_len: int) -> CircuitReport:
 
     A circuit can visit each vertex at most once, so the enumeration is
     complete whenever ``max_len`` reaches the vertex count; otherwise the
-    report is flagged truncated.
+    report is flagged truncated.  Each circuit is found once, from its
+    least vertex: the walks from a vertex visit only greater ones.  The
+    search keeps its own stack of out-edge iterators, one per edge of the
+    walk, so a long circuit needs no deep recursion.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    out, rng = g._index.out, g.rng
     found: list[tuple[str, ...]] = []
-
-    def extend(start: str, here: str, walk: list[str], seen: set[str]) -> None:
-        for e in g.out_edges(here):
-            nxt = g.rng[e]
-            walk.append(e)
+    for start in sorted(g.vertices):
+        walk: list[str] = []
+        seen = {start}
+        stack = [iter(out.get(start, ()))]
+        while stack:
+            e = next(stack[-1], None)
+            if e is None:
+                stack.pop()
+                if walk:
+                    seen.discard(rng[walk.pop()])
+                continue
+            nxt = rng[e]
             if nxt == start:
-                found.append(tuple(walk))
-            if len(walk) < max_len and nxt != start and nxt not in seen:
+                found.append((*walk, e))
+            elif len(walk) + 1 < max_len and nxt > start and nxt not in seen:
+                walk.append(e)
                 seen.add(nxt)
-                extend(start, nxt, walk, seen)
-                seen.discard(nxt)
-            walk.pop()
-
-    for v in sorted(g.vertices):
-        extend(v, v, [], {v})
-    # each circuit is found once per vertex on it; keep one canonical copy
-    canonical = sorted({min(rotations(w)) for w in found})
+                stack.append(iter(out.get(nxt, ())))
+    canonical = sorted(min(rotations(w)) for w in found)
     return CircuitReport(
         circuits=tuple(canonical), truncated=max_len < len(g.vertices)
     )

@@ -352,6 +352,19 @@ def test_unsettled_krieger_markers_answer_unknown(capsys):
     assert report["witnesses"] == [["y", 6, "two boundary resolutions in one chain"]]
 
 
+def test_a_window_longer_than_the_towers_gives_a_report(capsys):
+    # the level-8 basic graph is one circuit of 1,597 edges, and every
+    # floor lies within the window of a tower end
+    code = run(
+        "krieger", DATA / "fib_covering.json",
+        "--level", "8", "--steps", "1000", "--horizon", "9", "--format", "json",
+    )
+    assert code in (0, 1)
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "FAILS" and code == 1
+    assert report["details"]["outside_towers"] == ["e_a", "e_b"]
+
+
 def test_a_repeating_tail_has_no_diagram_form(tmp_path, capsys):
     assert run("telescope", DATA / "example2_covering.json", "1,3") == 0
     doc = tmp_path / "tail.json"

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdyn import graphs
 from zdyn.errors import CoverViolation, DomainMismatch, HomomorphismViolation
@@ -225,3 +226,53 @@ class TestEnumerateCircuits:
         # the length-2 walks through the single Fibonacci vertex revisit it
         report = enumerate_circuits(fib_graph(), 5)
         assert report.circuits == (("e_a",), ("e_b",))
+
+    def test_a_long_cycle_needs_no_deep_recursion(self):
+        n = 1500
+        vs = [f"v{i:04d}" for i in range(n)]
+        edges = {f"e{i:04d}": (vs[i], vs[(i + 1) % n]) for i in range(n)}
+        g = graphs.flexible(vs, edges)
+        report = enumerate_circuits(g, n)
+        assert report.circuits == (tuple(f"e{i:04d}" for i in range(n)),)
+        assert not report.truncated
+        assert enumerate_circuits(g, n - 1) == graphs.CircuitReport((), True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda k: st.lists(
+                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                min_size=1,
+                max_size=9,
+            )
+        ),
+        st.integers(1, 6),
+    )
+    def test_circuits_match_the_recursive_search(self, pairs, max_len):
+        g = graphs.flexible(
+            {f"v{x}" for pair in pairs for x in pair},
+            {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)},
+        )
+        assert enumerate_circuits(g, max_len) == recursive_circuits(g, max_len)
+
+
+def recursive_circuits(g, max_len):
+    """The circuit search as a recursion, one call per edge of the walk."""
+    found = []
+
+    def extend(start, here, walk, seen):
+        for e in g.out_edges(here):
+            nxt = g.rng[e]
+            walk.append(e)
+            if nxt == start:
+                found.append(tuple(walk))
+            if len(walk) < max_len and nxt != start and nxt not in seen:
+                seen.add(nxt)
+                extend(start, nxt, walk, seen)
+                seen.discard(nxt)
+            walk.pop()
+
+    for v in sorted(g.vertices):
+        extend(v, v, [], {v})
+    canonical = sorted({min(graphs.rotations(w)) for w in found})
+    return graphs.CircuitReport(tuple(canonical), max_len < len(g.vertices))

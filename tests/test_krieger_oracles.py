@@ -1,21 +1,30 @@
-"""Krieger markers and coverage in tower coordinates against path tuples.
+"""Krieger markers and coverage on per-tower marks against slower forms.
 
 The oracles are the path-tuple forms of the marker construction and of
 the coverage check: they step frozensets of depth-horizon path prefixes
 through ``_step_set`` and walk every probe chain again from its start.
 The library names each cylinder by its (vertex, floor) tower coordinates
-instead; both must give the same markers, reports and errors.  A second
-oracle keeps the per-cylinder chain loop in tower coordinates, which the
-library now runs only near the tower ends.  A third keeps the cylinders
-with every prefix built up front, as ``order`` and a ``path`` dict read
-off :func:`coverings.all_paths`, and the marker and coverage checks that
-sorted and named cylinders by those prefixes; the library reads a prefix
-by descent, only for a witness it reports.
+and keeps a byte per floor of each tower instead; both must give the same
+markers, reports and errors.
+
+A second oracle is the per-cylinder form in tower coordinates, with every
+prefix built up front (:class:`PathCylinders`): the cylinders of each
+level-n cell listed one by one, ``E`` and ``F`` as sets of cylinders, a
+set probe for each residual candidate, one coverage window per floor of
+``F``, chains of shifts from every floor near a tower end, and the
+iterates of all of ``F`` stepped L times and intersected pairwise.  The
+library makes its marks a level-n block at a time, reads the residual
+candidates and the probes off the marks, and steps only the floors of
+``F`` near a tower top.  A third oracle runs the chain loop from every
+cylinder.
 """
 
 import bisect
 import gc
 import itertools
+import operator
+import random
+import sys
 import weakref
 from dataclasses import replace
 
@@ -23,6 +32,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdyn import bratteli, cli, coverings
+from zdyn.graphs import Cover, flexible
 from zdyn.errors import (
     HorizonExceeded,
     InvalidParameter,
@@ -179,8 +189,8 @@ class PathCylinders:
     """The depth-``horizon`` cylinders with every prefix built up front.
 
     ``order`` lists the cylinders in :func:`coverings.all_paths` order
-    and ``path`` maps each to its prefix; cells, members and steps are
-    found in tower coordinates as in the library.
+    and ``path`` maps each to its prefix; cells and members come from
+    :func:`cell_of` and :func:`members_of`, and steps as in the library.
     """
 
     def __init__(self, p, n, horizon):
@@ -201,27 +211,13 @@ class PathCylinders:
                 v: list(itertools.chain(*(stack[edges[e][0]] for e in ranked)))
                 for v, ranked in level.ranked.items()
             }
-        self.stack = stack
-        self.starts = {}
-        self.blocks = {}
-        for v in self.heights:
-            starts = self.starts[v] = list(
-                itertools.accumulate((self.floors[e] for e in stack[v][:-1]), initial=0)
-            )
-            for e, start in zip(stack[v], starts):
-                self.blocks.setdefault(e, []).append((v, start))
+        self.stack = {v: stack[v] for v in tops}
 
     def members(self, cell):
-        e, i = cell
-        if not 0 <= i < self.floors.get(e, 0):
-            return []
-        return [(v, start + i) for v, start in self.blocks.get(e, ())]
+        return members_of(self, cell)
 
     def cell(self, cylinder):
-        v, f = cylinder
-        starts = self.starts[v]
-        j = bisect.bisect_right(starts, f) - 1
-        return self.stack[v][j], f - starts[j]
+        return cell_of(self, cylinder)
 
     def step(self, cylinders, forward):
         heights = self.heights
@@ -236,6 +232,106 @@ class PathCylinders:
             for u in bratteli.boundary_targets(self.diagram, v, delta):
                 out.add((u, 0 if forward else heights[u] - 1))
         return frozenset(out), exceptional
+
+
+def block_starts(cyl, v):
+    """The first floors of the level-n blocks of the tower of ``v``."""
+    return list(itertools.accumulate((cyl.floors[e] for e in cyl.stack[v]), initial=0))
+
+
+def members_of(cyl, cell):
+    """The cylinders of the level-n (edge, floor) ``cell``, tower by tower."""
+    e, i = cell
+    if not 0 <= i < cyl.floors.get(e, 0):
+        return []
+    return [
+        (v, start + i)
+        for v in cyl.heights
+        for x, start in zip(cyl.stack[v], block_starts(cyl, v))
+        if x == e
+    ]
+
+
+def cell_of(cyl, cylinder):
+    """The level-n (edge, floor) cell holding ``cylinder``."""
+    v, f = cylinder
+    starts = block_starts(cyl, v)
+    j = bisect.bisect_right(starts, f) - 1
+    return cyl.stack[v][j], f - starts[j]
+
+
+def chain_lands_in(cyl, start, L, target):
+    """Whether the chain from ``start`` lands wholly in ``target`` within L."""
+    for current in itertools.islice(coverings._shifts(cyl, start, True), L):
+        inside = current & target
+        if inside and inside != current:
+            raise HorizonExceeded("membership splits a horizon cylinder")
+        if inside:
+            return True
+    return False
+
+
+def cylinder_lands_in(cyl, start, L, target):
+    """Whether after some i <= L shifts all points over ``start`` are in ``target``.
+
+    ``target`` is a set of cylinders.  A start at least L floors below the
+    top floor of its tower only climbs that tower for L shifts, so the L
+    floors above it decide; a chain runs only from the floors nearer the
+    top.
+    """
+    if start in target:
+        return True
+    v, f = start
+    if f + L < cyl.heights[v]:
+        return any((v, f + i) in target for i in range(1, L + 1))
+    return chain_lands_in(cyl, start, L, target)
+
+
+def cylinder_probe(cyl, start, L, F):
+    """Whether some shift of ``start`` by at most L either way meets ``F``.
+
+    The forward and backward chains grow one shift per round, forward
+    first.  Returns the answer and the number of unresolved probes: a
+    chain that crosses two tower ends counts once then and once for every
+    round after it.
+    """
+    if start in F:
+        return True, 0
+    unresolved = 0
+    chains = [coverings._shifts(cyl, start, True), coverings._shifts(cyl, start, False)]
+    for _ in range(L):
+        for j, chain in enumerate(chains):
+            if chain is None:
+                unresolved += 1
+                continue
+            try:
+                if not F.isdisjoint(next(chain)):
+                    return True, unresolved
+            except HorizonExceeded:
+                chains[j] = None
+                unresolved += 1
+    return False, unresolved
+
+
+def zeros(near, lo, hi):
+    """The indices in ``[lo, hi)`` where ``near`` holds 0, in order."""
+    i = near.find(0, lo, hi)
+    while i >= 0:
+        yield i
+        i = near.find(0, i + 1, hi)
+
+
+def iterates_collide(cyl, F, L):
+    """Whether two of F, TF, ..., T^L F meet, the iterates stepped whole."""
+    iterates = [frozenset(F)]
+    for _ in range(L):
+        iterates.append(cyl.step(iterates[-1], forward=True)[0])
+    return any(a & b for a, b in itertools.combinations(iterates, 2))
+
+
+def cylinders(marks):
+    """The cylinders marked in the per-tower ``marks``."""
+    return frozenset((v, f) for v, m in marks.items() for f, b in enumerate(m) if b)
 
 
 def oracle_tower_markers(p, n, L, horizon):
@@ -269,7 +365,7 @@ def oracle_tower_markers(p, n, L, horizon):
         residual_floor = Lp * (k[e] + 1)
         candidates = sorted(cyl.members((e, residual_floor)), key=cyl.path.get)
         try:
-            kept = [c for c in candidates if not coverings._lands_in(cyl, c, L, E)]
+            kept = [c for c in candidates if not cylinder_lands_in(cyl, c, L, E)]
         except HorizonExceeded as exc:
             raise UnsettledResidual(e, residual_floor, str(exc)) from exc
         if kept:
@@ -284,12 +380,8 @@ def oracle_tower_markers(p, n, L, horizon):
                 }
             )
     F = frozenset(F)
-    iterates = [F]
-    for _ in range(L):
-        iterates.append(cyl.step(iterates[-1], forward=True)[0])
-    for a, b in itertools.combinations(iterates, 2):
-        if a & b:
-            raise AssertionError("marker iterates are not disjoint")
+    if iterates_collide(cyl, F, L):
+        raise AssertionError("marker iterates are not disjoint")
     markers = coverings.MarkerSet(
         level=n, L=L, horizon=horizon, J=tuple(J), P=tuple(P), k=k,
         atoms=tuple(atoms),
@@ -340,10 +432,10 @@ def oracle_tower_coverage(p, n, L, horizon):
     unresolved = 0
     for v, h in cyl.heights.items():
         bottom, top = range(min(L, h)), range(max(L, h - L), h)
-        uncovered = (i - L for i in coverings._zeros(near[v], 2 * L, h))
+        uncovered = (i - L for i in zeros(near[v], 2 * L, h))
         for f in itertools.chain(bottom, uncovered, top):
             if not L <= f < h - L:
-                inside, probes = coverings._probe(cyl, (v, f), L, F)
+                inside, probes = cylinder_probe(cyl, (v, f), L, F)
                 unresolved += probes
                 if inside:
                     continue
@@ -439,15 +531,34 @@ def outcome(fn, *args):
         return ("raised", type(exc), str(exc))
 
 
+def random_marks(rng, cyl, L, gap):
+    """Marks on the floors of each tower, consecutive marks ``gap`` to 2L + 2 apart."""
+    marks = {}
+    for v, h in cyl.heights.items():
+        m = bytearray(h)
+        f = rng.randrange(L + 2)
+        while f < h:
+            m[f] = 1
+            f += rng.randrange(gap, 2 * L + 3)
+        marks[v] = m
+    return marks
+
+
+def presentations():
+    yield from ((name, cli.read_document(DATA / name)) for name in FIXTURES)
+    yield "skew", skew_presentation()
+
+
 # ---------------------------------------------------------------------------
 # comparisons
 
 
 def assert_cells_match(p, n, horizon):
-    """Cells and their members in tower coordinates against path prefixes."""
+    """The blocks of each tower and their cells against path prefixes."""
     cyl = coverings._Cylinders(p, n, horizon)
     ref = PathCylinders(p, n, horizon)
     assert cyl.heights == ref.heights
+    assert list(cyl.stack) == list(cyl.heights)
     d = coverings._diagram(p)
     members = {}
     for c in ref.order:
@@ -457,11 +568,21 @@ def assert_cells_match(p, n, horizon):
         want = (bratteli.path_rng(d, prefix), bratteli.path_index(d, prefix))
         if not n:
             want = ("e0", 0)
-        assert cyl.cell(c) == want
+        assert cell_of(cyl, c) == want
         members.setdefault(want, []).append(c)
     cells = [(e, i) for e, h in cyl.floors.items() for i in range(-1, h + 1)]
-    assert {cell: cyl.members(cell) for cell in cells if cyl.members(cell)} == members
-    assert cyl.members(("nope", 0)) == []
+    got = {cell: members_of(cyl, cell) for cell in cells}
+    assert {cell: m for cell, m in got.items() if m} == members
+    assert members_of(cyl, ("nope", 0)) == []
+    # the marks of a block, laid end to end, mark the floors of its cells
+    for e, h in cyl.floors.items():
+        for i in range(h):
+            marks = {x: bytes(cyl.floors[x]) for x in cyl.floors}
+            marks[e] = bytes(i) + b"\x01" + bytes(h - i - 1)
+            laid = cyl.lay(marks)
+            assert list(map(len, laid.values())) == list(cyl.heights.values())
+            marked = [(v, f) for v, m in laid.items() for f in range(len(m)) if m[f]]
+            assert marked == members_of(cyl, (e, i))
 
 
 def assert_step_matches(p, n, horizon):
@@ -469,7 +590,7 @@ def assert_step_matches(p, n, horizon):
     ref = PathCylinders(p, n, horizon)
     assert_cells_match(p, n, horizon)
     cells = [(e, i) for e, h in cyl.floors.items() for i in range(h)]
-    members = [cyl.members(cell) for cell in cells]
+    members = [members_of(cyl, cell) for cell in cells]
     sets = [[c] for c in ref.order] + members + [ref.order]
     for cylinders in sets:
         paths = frozenset(ref.path[c] for c in cylinders)
@@ -562,20 +683,21 @@ def assert_tower_oracle_matches(p, n, L, horizon):
     assert got == outcome(oracle_tower_krieger_markers, p, n, L, horizon)
     if got[0] == "value":
         _, _, E, F = coverings._krieger_markers(p, n, L, horizon)
-        assert (E, F) == oracle_tower_markers(p, n, L, horizon)[2:]
+        want = oracle_tower_markers(p, n, L, horizon)[2:]
+        assert (cylinders(E), cylinders(F)) == want
     return report
 
 
 @pytest.mark.parametrize("name", FIXTURES)
 def test_witness_paths_match_the_path_dict_on_fixtures(name):
-    for n in (1, 2, 3):
+    for n in (0, 1, 2, 3):
         for L, horizon in itertools.product((1, 2, 3), range(n + 1, 9)):
             assert_tower_oracle_matches(cli.read_document(DATA / name), n, L, horizon)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    loop_presentations(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 5)
+    loop_presentations(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 5)
 )
 def test_witness_paths_match_the_path_dict_on_loop_presentations(p, n, L, extra):
     assert_tower_oracle_matches(p, n, L, min(n + extra, 8))
@@ -583,35 +705,83 @@ def test_witness_paths_match_the_path_dict_on_loop_presentations(p, n, L, extra)
 
 def test_witness_paths_match_the_path_dict_on_the_skew_case():
     verdicts = set()
-    for n, L, horizon in itertools.product((0, 1, 2, 3), (1, 2, 3), range(4, 9)):
-        report = assert_tower_oracle_matches(skew_presentation(), n, L, horizon)
-        verdicts.add(report[1].verdict)
+    for n, L in itertools.product((0, 1, 2, 3), (1, 2, 3)):
+        for horizon in range(n + 1, 9):
+            report = assert_tower_oracle_matches(skew_presentation(), n, L, horizon)
+            verdicts.add(report[1].verdict)
     assert verdicts == {HOLDS, FAILS, UNKNOWN}
 
 
 def test_the_unsettled_candidate_with_the_least_path_is_named(monkeypatch):
-    # every residual candidate but the first in tower order is unsettled,
-    # each for a reason naming it
+    # every residual candidate within L of its tower top runs a chain, and
+    # every chain is unsettled for a reason naming its start
     def unsettled(cyl, start, L, target):
-        if start == cyl.members(cyl.cell(start))[0]:
-            return True
         raise HorizonExceeded(f"candidate {start}")
 
     monkeypatch.setattr(coverings, "_lands_in", unsettled)
+    monkeypatch.setattr(sys.modules[__name__], "chain_lands_in", unsettled)
+    # a self-cover whose tower tops descend through a, b, a, ... and b, a,
+    # b, ..., so that path order and tower order disagree near the tops;
+    # its diagram is not straight, so only the marker sets are compared
+    g = flexible({"v"}, {"a": ("v", "v"), "b": ("v", "v")})
+    cover = Cover(g, g, {"v": "v"}, {"a": ("a", "a", "b"), "b": ("a",)})
+    alternating = coverings.stationary_presentation(cover, {"a": 1, "b": 2})
     reordered = 0
-    for name in FIXTURES:
-        for n, L in itertools.product((1, 2, 3), (1, 2, 3)):
-            report = assert_tower_oracle_matches(
-                cli.read_document(DATA / name), n, L, 8
-            )[1]
-            if report.verdict != UNKNOWN:
-                continue
-            cyl = coverings._Cylinders(cli.read_document(DATA / name), n, 8)
-            edge, floor, reason = report.witnesses[0]
-            first = cyl.members((edge, floor))[1]
-            reordered += reason != f"candidate {first}"
+    for p, n, L in itertools.product(
+        [*(p for _, p in presentations()), alternating], (1, 2, 3), (1, 2, 3)
+    ):
+        got = outcome(coverings.krieger_markers, p, n, L, 8)
+        assert got == outcome(oracle_tower_krieger_markers, p, n, L, 8)
+        if got[:2] != ("raised", UnsettledResidual):
+            continue
+        cyl = coverings._Cylinders(p, n, 8)
+        reason, edge, floor = got[2:]
+        near_top = [
+            (v, f) for v, f in members_of(cyl, (edge, floor)) if f + L >= cyl.heights[v]
+        ]
+        reordered += reason != f"candidate {near_top[0]}"
     # the least path is not always the first unsettled candidate in tower order
     assert reordered > 0
+
+
+def test_the_iterate_guard_matches_the_pairwise_test():
+    rng = random.Random(13)
+    seen = set()
+    for _, p in presentations():
+        for n, extra, L in itertools.product((0, 1, 2, 3), (1, 2, 3), (1, 2, 3)):
+            cyl = coverings._Cylinders(p, n, n + extra)
+            for trial in range(8):
+                spaced = trial > 0
+                marks = random_marks(rng, cyl, L, L + 1 if spaced else 1)
+                want = iterates_collide(cyl, cylinders(marks), L)
+                try:
+                    coverings._check_iterates(cyl, marks, L)
+                except AssertionError as exc:
+                    assert want and str(exc) == "marker iterates are not disjoint"
+                else:
+                    assert not want
+                seen.add((spaced, want))
+    # marks more than L apart in every tower collide only past a tower top
+    assert seen == {(False, True), (False, False), (True, True), (True, False)}
+
+
+def test_probes_match_the_chain_probe():
+    rng = random.Random(13)
+    counts = set()
+    for _, p in presentations():
+        for n, extra, L in itertools.product((0, 1, 2, 3), (1, 2, 3, 4), (1, 2, 3, 4)):
+            cyl = coverings._Cylinders(p, n, n + extra)
+            F = random_marks(rng, cyl, L, rng.choice((1, L + 1, 2 * L + 2)))
+            back = {v: m[::-1] for v, m in F.items()}
+            targets = cylinders(F)
+            for v, h in cyl.heights.items():
+                for f in range(h):
+                    got = coverings._probe(cyl, (v, f), L, F, back)
+                    assert got == cylinder_probe(cyl, (v, f), L, targets)
+                    counts.add(got)
+    # the chains answer both ways, and some cross two tower ends
+    assert {inside for inside, _ in counts} == {True, False}
+    assert any(unresolved for _, unresolved in counts)
 
 
 def spy(monkeypatch, module, name):
@@ -670,17 +840,29 @@ def test_coverage_probes_chains_only_near_tower_ends(L, monkeypatch):
     started = count_chains(monkeypatch)
     coverings.krieger_markers(p, 3, L, 8)
     residual = len(started)
-    # the residual floors probe only within L floors of a tower top
+    # the residual floors run chains only within L floors of a tower top
     cyl = coverings._Cylinders(p, 3, 8)
     assert all(f + L >= cyl.heights[v] for v, f in started)
     report = coverings.krieger_coverage(p, 3, L, 8)
     assert report.verdict == HOLDS
-    coverage = len(started) - 2 * residual
-    assert coverage <= 4 * L * len(cyl.heights)
+    # the coverage probes read the marks and start no chain of their own
+    assert len(started) == 2 * residual
     # one forward and one backward chain from every cylinder outside F
     del started[:]
     oracle_chain_coverage(p, 3, L, 8)
     assert len(started) - residual > 4 * L * len(cyl.heights)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_reports_do_not_depend_on_the_order_of_windows(name):
+    def reports(windows, n, horizon):
+        p = cli.read_document(DATA / name)
+        return {L: coverings.krieger_coverage(p, n, L, horizon) for L in windows}
+
+    for n, horizon in ((0, 4), (1, 5), (2, 6), (3, 7)):
+        forward, backward = reports((1, 2), n, horizon), reports((2, 1), n, horizon)
+        alone = {L: reports((L,), n, horizon)[L] for L in (1, 2)}
+        assert forward == backward == alone
 
 
 @pytest.mark.parametrize("L", [0, -1])
@@ -717,10 +899,14 @@ def test_level_zero_cells_are_named_after_the_singleton_loop():
 def test_a_dropped_presentation_frees_its_paths():
     p = example2_unit()
     assert coverings.krieger_coverage(p, 2, 1, 5).verdict == HOLDS
-    ref = weakref.ref(p)
-    del p
+    assert coverings.krieger_coverage(p, 2, 2, 5).verdict == HOLDS
+    # the window-free tables are kept on the presentation, and go with it
+    kept = [coverings._cylinders(p, 2, 5), coverings._orbit_tables(p, 2)[0]]
+    assert {("_cylinders", 2, 5), ("_orbit_tables", 2)} <= p._memo.keys()
+    refs = [weakref.ref(x) for x in [p, *kept]]
+    del p, kept
     gc.collect()
-    assert ref() is None
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 def test_equal_presentations_share_no_memo():
@@ -729,3 +915,10 @@ def test_equal_presentations_share_no_memo():
     assert coverings.level_expansion(p, 2) is not coverings.level_expansion(q, 2)
     assert coverings.all_paths(p, 3) is coverings.all_paths(p, 3)
     assert coverings.all_paths(p, 3) is not coverings.all_paths(q, 3)
+    cyl = coverings._cylinders(p, 2, 4)
+    assert coverings._cylinders(p, 2, 4) is cyl
+    assert coverings._cylinders(p, 2, 5) is not cyl
+    assert coverings._cylinders(q, 2, 4) is not cyl
+    tables = coverings._orbit_tables(p, 2)
+    assert coverings._orbit_tables(p, 2) is tables
+    assert not any(map(operator.is_, coverings._orbit_tables(q, 2), tables))
