@@ -589,58 +589,6 @@ def vershik_orbit(d: BratteliDiagram, p: tuple[str, ...], steps: int) -> list:
     return orbit
 
 
-@dataclass(frozen=True)
-class ExtremePrefix:
-    path: tuple[str, ...]
-    vertex: str
-    extendable: bool
-    straight: bool | None  # None when the diagram is not stationary
-
-
-def min_max_paths(d: BratteliDiagram, n: int):
-    """All-minimal and all-maximal depth-n prefixes with straightness flags.
-
-    A prefix is extendable when it continues to an infinite extreme path;
-    for stationary diagrams the flag is exact and ``straight`` marks the
-    vertices whose extreme in-edge is a self-loop, so the continuation
-    can repeat one edge forever.
-    """
-
-    def classify(kind: str) -> list[ExtremePrefix]:
-        out = []
-        last = kind == "max"
-        pick = -1 if last else 0
-        if d.kind == "stationary":
-            m = d.mono
-            extreme = m.max_edges() if last else m.min_edges()
-            alive = stationary._infinite_walk_vertices(m, extreme)
-            loops = m.max_loop_vertices() if last else m.min_loop_vertices()
-        for v in d.level_vertices(n):
-            path = _extreme_path(d, v, n, last)
-            if d.kind == "stationary":
-                out.append(
-                    ExtremePrefix(path, v, extendable=v in alive, straight=v in loops)
-                )
-            else:
-                limit = d.depth()
-                here, ok = v, True
-                for k in range(n + 1, (limit or n) + 1):
-                    level = d._level(k)
-                    nxt = [
-                        e
-                        for e in level.out.get(here, ())
-                        if level.ranked[level.edges[e][1]][pick] == e
-                    ]
-                    if not nxt:
-                        ok = False
-                        break
-                    here = level.edges[nxt[0]][1]
-                out.append(ExtremePrefix(path, v, extendable=ok, straight=None))
-        return out
-
-    return classify("min"), classify("max")
-
-
 # ---------------------------------------------------------------------------
 # walks
 

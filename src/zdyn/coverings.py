@@ -6,16 +6,15 @@ levels and a stationary presentation generated by a flexible self-cover
 together with level-1 multiplicities, from which weighted levels are
 expanded on demand by length propagation.
 
-Finite approximations of the inverse limit (points, tower floors, clopen
-sets) are evaluated as sets of depth-D path prefixes of the associated
-ordered Bratteli diagram; the shift map becomes the lexicographic
-successor.  The marker checks work in tower coordinates instead: each
-depth-D cylinder is a (vertex, floor) pair, each tower carries a byte per
-floor for the marker floors, made a level-n block at a time, and a path
-tuple is read by descent only for a witness the check reports.  Derived
-values (the diagram, path sets, basic expansions, and the tower blocks
-and orbit tables that serve every marker window) are memoised on the
-presentation they come from.
+A clopen set of the inverse limit lives in tower coordinates: a
+depth-D cylinder of the associated ordered Bratteli diagram is a
+(vertex, floor) pair, its floor the position of its prefix in path
+order, and the shift map moves it one floor up.  The marker checks keep
+a byte per floor of each tower for the marker floors, made a level-n
+block at a time, and a path tuple is read by descent only for a result
+or a witness they report.  Derived values (the diagram, the basic
+expansions, and the tower blocks and orbit tables that serve every
+marker window) are memoised on the presentation they come from.
 """
 
 from __future__ import annotations
@@ -270,45 +269,6 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
     level_covers = [compose_range(p, a, b) for a, b in zip(cuts, cuts[1:])]
     tail = REPEAT if p.kind == "stationary" else TRUNCATED
     return finite_prefix_presentation(level_graphs, level_covers, tail)
-
-
-# ---------------------------------------------------------------------------
-# basic expansions and points
-
-
-@_kept_on_presentation
-def level_expansion(p: CoveringPresentation, n: int) -> graphs.BasicExpansion:
-    return graphs.expand_to_basic(level_graph(p, n))
-
-
-@_kept_on_presentation
-def basic_cover_at(p: CoveringPresentation, n: int) -> graphs.BasicCover:
-    return graphs.expand_basic_cover(
-        cover_at(p, n),
-        domain_expansion=level_expansion(p, n),
-        codomain_expansion=level_expansion(p, n - 1),
-    )
-
-
-@dataclass(frozen=True)
-class LevelPoint:
-    """A depth-n approximation of a point: compatible basic vertices."""
-
-    depth: int
-    vertices: tuple[str, ...]
-
-
-def enumerate_points(p: CoveringPresentation, n: int) -> list[LevelPoint]:
-    """All compatible basic-vertex sequences down from depth ``n``."""
-    p._check_depth(n)
-    vmaps = [basic_cover_at(p, k).vmap for k in range(1, n + 1)]
-    points = []
-    for v in sorted(level_expansion(p, n).graph.vertices):
-        chain = [v]
-        for vmap in reversed(vmaps):
-            chain.append(vmap[chain[-1]])
-        points.append(LevelPoint(depth=n, vertices=tuple(reversed(chain))))
-    return points
 
 
 # ---------------------------------------------------------------------------
@@ -620,6 +580,11 @@ class PeriodicOrbit:
 
 
 @_kept_on_presentation
+def level_expansion(p: CoveringPresentation, n: int) -> graphs.BasicExpansion:
+    return graphs.expand_to_basic(level_graph(p, n))
+
+
+@_kept_on_presentation
 def _orbit_tables(p: CoveringPresentation, n: int):
     """What :func:`periodic_orbits` reads whatever its period bound.
 
@@ -668,7 +633,7 @@ def periodic_orbits(
 
 
 # ---------------------------------------------------------------------------
-# clopen evaluation on diagram prefixes
+# towers
 
 
 @_kept_on_presentation
@@ -680,6 +645,8 @@ def _diagram(p: CoveringPresentation):
 
 @_kept_on_presentation
 def all_paths(p: CoveringPresentation, depth: int) -> tuple:
+    """The depth-``depth`` paths, tower by tower in name order, each tower
+    floor by floor."""
     from . import bratteli
 
     d = _diagram(p)
@@ -689,97 +656,19 @@ def all_paths(p: CoveringPresentation, depth: int) -> tuple:
     return tuple(out)
 
 
-@_kept_on_presentation
-def floor_paths(
-    p: CoveringPresentation, n: int, e: str, floor: int, depth: int
-) -> frozenset:
-    """Depth-``depth`` paths sitting on the given floor of a level-n tower."""
-    from . import bratteli
-
-    d = _diagram(p)
-    prefix = bratteli.enumerate_paths(d, e, n)[floor]
-    return frozenset(bratteli.extend_walks(d, [prefix], n, depth))
-
-
-def evaluate_set(p: CoveringPresentation, desc: tuple, depth: int) -> frozenset:
-    """Evaluate a clopen descriptor as a set of depth-``depth`` paths.
-
-    Descriptor forms: ("all",), ("floor", n, e, i), ("fiber", n, e),
-    ("junction", n, v), ("vbar", n), ("union", (desc, ...)), and
-    ("image", k, desc) for the k-th shift image (k may be negative).
-    """
-    kind = desc[0]
-    if kind == "all":
-        return frozenset(all_paths(p, depth))
-    if kind == "floor":
-        _, n, e, i = desc
-        return floor_paths(p, n, e, i, depth)
-    if kind == "fiber":
-        _, n, e = desc
-        g = level_graph(p, n)
-        return frozenset().union(
-            *(floor_paths(p, n, e, i, depth) for i in range(g.length[e]))
-        )
-    if kind == "junction":
-        _, n, v = desc
-        g = level_graph(p, n)
-        return frozenset().union(
-            frozenset(),
-            *(floor_paths(p, n, e, 0, depth) for e in g.edges if g.src[e] == v),
-        )
-    if kind == "vbar":
-        _, n = desc
-        g = level_graph(p, n)
-        return frozenset().union(
-            frozenset(), *(floor_paths(p, n, e, 0, depth) for e in g.edges)
-        )
-    if kind == "union":
-        return frozenset().union(
-            frozenset(), *(evaluate_set(p, inner, depth) for inner in desc[1])
-        )
-    if kind == "image":
-        _, k, inner = desc
-        paths = evaluate_set(p, inner, depth)
-        for _ in range(abs(k)):
-            paths, _ = _step_set(p, paths, forward=k > 0)
-        return paths
-    raise ValueError(f"unknown descriptor {desc!r}")
-
-
-def _step_set(p: CoveringPresentation, paths, forward: bool):
-    from . import bratteli
-
-    d = _diagram(p)
-    out = set()
-    exceptional = False
-    for q in paths:
-        values, exc = (
-            bratteli.successor_values(d, q)
-            if forward
-            else bratteli.predecessor_values(d, q)
-        )
-        out |= values
-        exceptional = exceptional or exc
-    return frozenset(out), exceptional
-
-
-def v_infinity_approx(p: CoveringPresentation, n: int) -> tuple:
-    """The depth-n cylinder descriptor of the junction set."""
-    p._check_depth(n)
-    if n == 0:
-        return ("all",)
-    return ("vbar", n)
-
-
-# ---------------------------------------------------------------------------
-# towers
-
-
 @dataclass(frozen=True)
 class Tower:
+    """A level-n tower and its base as a clopen descriptor.
+
+    A descriptor names tower cells: ("floor", n, e, i) is floor ``i`` of
+    the level-n tower of ``e``, ("junction", n, v) the first floors of the
+    level-n towers starting at ``v``, and ("union", (desc, ...)) their
+    union.
+    """
+
     edge: str
     height: int
-    base: tuple  # clopen descriptor
+    base: tuple
 
 
 @dataclass(frozen=True)
@@ -794,7 +683,10 @@ def tower_decomposition(p: CoveringPresentation, n: int) -> TowerDecomposition:
     Towers of height at least two base at their first floor.  A
     height-1 tower collects pieces from the level-(n+1) towers whose
     expansions pass through it: whole junctions below covering edges of
-    length one, and single floors below the longer ones.
+    length one, and single floors below the longer ones, each piece
+    listed once, in first-seen order.  The bases assume a weighted
+    presentation: a junction piece lies inside the tower only when the
+    covers are +directional, which the CLI validates on loading.
     """
     p._check_depth(n + 1)
     g = level_graph(p, n)
@@ -805,32 +697,22 @@ def tower_decomposition(p: CoveringPresentation, n: int) -> TowerDecomposition:
         if g.length[e] >= 2:
             base = ("floor", n, e, 0)
         else:
-            pieces = []
+            pieces = {}  # an ordered set
             for e2 in gup.sorted_edges():
                 walk = cov.emap[e2]
                 if e not in walk:
                     continue
                 if gup.length[e2] == 1:
-                    pieces.append(("junction", n + 1, gup.src[e2]))
+                    pieces[("junction", n + 1, gup.src[e2])] = None
                 else:
                     offset = 0
                     for q in walk:
                         if q == e:
-                            pieces.append(("floor", n + 1, e2, offset))
+                            pieces[("floor", n + 1, e2, offset)] = None
                         offset += g.length[q]
             base = ("union", tuple(pieces))
         towers.append(Tower(edge=e, height=g.length[e], base=base))
     return TowerDecomposition(level=n, towers=tuple(towers))
-
-
-def tower_floor_sets(p: CoveringPresentation, n: int, depth: int) -> dict:
-    """All (edge, floor) cells at level n as depth-``depth`` path sets."""
-    g = level_graph(p, n)
-    return {
-        (e, i): floor_paths(p, n, e, i, depth)
-        for e in g.sorted_edges()
-        for i in range(g.length[e])
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -906,8 +788,9 @@ class _Cylinders:
     def step(self, cylinders, forward: bool):
         """The cylinders one shift of ``cylinders`` meets.
 
-        Returns ``(cylinders, exceptional)`` like :func:`_step_set`, the
-        flag telling whether some cylinder crossed the end of its tower.
+        Returns ``(cylinders, exceptional)``, the flag telling whether
+        some cylinder crossed the end of its tower: the cylinder form of
+        :func:`bratteli.successor_values` and its mirror image.
         """
         heights = self.heights
         delta = 1 if forward else -1
@@ -1023,28 +906,23 @@ def krieger_markers(
     for L steps are added too.  ``F`` comes back as a set of
     depth-``horizon`` path prefixes, with its first L forward iterates
     checked pairwise disjoint.  The work runs on per-tower floor marks
-    (see :class:`_Cylinders`); path tuples are read off :func:`all_paths`
-    for the result only.  When the horizon cannot sort the points of a
-    residual floor, :class:`UnsettledResidual` names the level-n edge and
-    floor, with the reason of the unsettled candidate whose path is least.
+    (see :class:`_Cylinders`); the path of each cylinder of ``F`` is read
+    once, by descent, for the result only.  When the horizon cannot sort
+    the points of a residual floor, :class:`UnsettledResidual` names the
+    level-n edge and floor, with the reason of the unsettled candidate
+    whose path is least.
     """
     markers, cyl, E, F = _krieger_markers(p, n, L, horizon)
-    # all_paths lists the cylinders tower by tower, floor by floor
-    paths = all_paths(p, horizon)
-    heights = cyl.heights
-    start = dict(zip(heights, itertools.accumulate(heights.values(), initial=0)))
-
-    def to_paths(cylinders):
-        return [paths[start[v] + f] for v, f in cylinders]
-
+    # E and the residual atoms lie inside F
+    path = {c: cyl.path(c) for c in _cylinders_of(F)}
     atoms = []
     for atom in markers.atoms:
         if atom["kind"] == "residual":
             atom = dict(atom)
-            atom["paths"] = tuple(sorted(to_paths(atom.pop("cylinders"))))
+            atom["paths"] = tuple(sorted(map(path.__getitem__, atom.pop("cylinders"))))
         atoms.append(atom)
-    F, E = (frozenset(to_paths(_cylinders_of(m))) for m in (F, E))
-    return replace(markers, F=F, E=E, atoms=tuple(atoms))
+    E = frozenset(map(path.__getitem__, _cylinders_of(E)))
+    return replace(markers, F=frozenset(path.values()), E=E, atoms=tuple(atoms))
 
 
 def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
-from .errors import CoverViolation, DomainMismatch, HomomorphismViolation, NameCollision
+from .errors import DomainMismatch, HomomorphismViolation, NameCollision
 
 
 # ---------------------------------------------------------------------------
@@ -560,27 +560,11 @@ class BasicExpansion:
     relation edges through ``k - 1`` interior vertices.  ``chains[e]``
     lists the ``k + 1`` chain vertices in order, starting at the source of
     ``e``.  Parallel length-1 edges between the same vertex pair collapse
-    onto a single relation edge; ``merges`` records which weighted edges
-    share each collapsed relation edge.
+    onto a single relation edge.
     """
 
-    source: Graph
     graph: BasicGraph
     chains: dict = field(hash=False)
-    merges: dict = field(hash=False)
-
-    def chain_vertex(self, e: str, i: int) -> str:
-        return self.chains[e][i]
-
-    def walk_vertex(self, walk: tuple[str, ...], offset: int) -> str:
-        """The chain vertex at a length offset along an expanded walk."""
-        g = self.source
-        j = offset
-        for e in walk:
-            if j <= g.length[e]:
-                return self.chains[e][j]
-            j -= g.length[e]
-        raise ValueError("offset beyond the walk length")
 
 
 def interior_vertex(edge: str, i: int) -> str:
@@ -592,7 +576,6 @@ def expand_to_basic(g: Graph) -> BasicExpansion:
     vertices = set(g.vertices)
     edges: set[tuple[str, str]] = set()
     chains: dict[str, tuple[str, ...]] = {}
-    merges: dict[tuple[str, str], list[str]] = {}
     for e in g.sorted_edges():
         k = g.length[e]
         chain = [g.src[e]]
@@ -603,76 +586,8 @@ def expand_to_basic(g: Graph) -> BasicExpansion:
         vertices.update(chain)
         for a, b in zip(chain, chain[1:]):
             edges.add((a, b))
-        if k == 1:
-            merges.setdefault((g.src[e], g.rng[e]), []).append(e)
-    merges = {pair: sorted(ids) for pair, ids in merges.items() if len(ids) > 1}
     basic = BasicGraph(vertices=frozenset(vertices), edges=frozenset(edges))
-    return BasicExpansion(source=g, graph=basic, chains=chains, merges=merges)
-
-
-@dataclass(frozen=True)
-class BasicCover:
-    """A vertex map that is a homomorphism of basic-graph relations."""
-
-    domain: BasicGraph
-    codomain: BasicGraph
-    vmap: dict = field(hash=False)
-
-
-@dataclass(frozen=True)
-class BasicCoverFlags:
-    homomorphism: bool
-    edge_surjective: bool
-    plus_directional: bool
-    minus_directional: bool
-    bidirectional: bool
-
-
-def check_basic_cover(c: BasicCover) -> BasicCoverFlags:
-    hom = all(
-        (c.vmap[u], c.vmap[w]) in c.codomain.edges for (u, w) in c.domain.edges
-    )
-    covered = {(c.vmap[u], c.vmap[w]) for (u, w) in c.domain.edges}
-    edge_surjective = covered == set(c.codomain.edges)
-    plus = True
-    minus = True
-    for u, w in c.domain.edges:
-        for u2, w2 in c.domain.edges:
-            if u == u2 and c.vmap[w] != c.vmap[w2]:
-                plus = False
-            if w == w2 and c.vmap[u] != c.vmap[u2]:
-                minus = False
-    return BasicCoverFlags(
-        homomorphism=hom,
-        edge_surjective=edge_surjective,
-        plus_directional=plus,
-        minus_directional=minus,
-        bidirectional=plus and minus,
-    )
-
-
-def expand_basic_cover(
-    c: Cover,
-    domain_expansion: BasicExpansion | None = None,
-    codomain_expansion: BasicExpansion | None = None,
-) -> BasicCover:
-    """Turn a weighted cover into a basic cover of the expanded graphs.
-
-    The interior vertex at offset ``i`` along an edge ``e`` is sent to the
-    chain vertex at the same length offset along the image walk of ``e``.
-    Raises :class:`CoverViolation` unless the input is a weighted cover
-    (+directional and edge-surjective), which makes the map well defined.
-    """
-    if not is_weighted_cover(c):
-        raise CoverViolation("input is not a weighted cover")
-    dome = domain_expansion or expand_to_basic(c.domain)
-    code = codomain_expansion or expand_to_basic(c.codomain)
-    vmap: dict[str, str] = {v: c.vmap[v] for v in c.domain.vertices}
-    for e in c.domain.sorted_edges():
-        walk = tuple(c.emap[e])
-        for i in range(1, c.domain.length[e]):
-            vmap[dome.chain_vertex(e, i)] = code.walk_vertex(walk, i)
-    return BasicCover(domain=dome.graph, codomain=code.graph, vmap=vmap)
+    return BasicExpansion(graph=basic, chains=chains)
 
 
 # ---------------------------------------------------------------------------

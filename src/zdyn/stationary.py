@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from . import graphs
-from .errors import NotStraight
+from .errors import CoverViolation, NotStraight
 from .graphs import Cover, EdgeIndex, Graph, cover_power, index_edges, read_only_fields
 from .reports import FAILS, HOLDS, UNKNOWN, Report
 
@@ -338,7 +338,7 @@ def analyze_self_cover(cover: Cover, cap: int = 256) -> SelfCoverAnalysis:
     if cover.domain != cover.codomain:
         raise ValueError("analyze_self_cover needs a self-cover")
     if not graphs.is_weighted_cover(cover):
-        raise graphs.CoverViolation("not a flexible cover")
+        raise CoverViolation("not a flexible cover")
     vmap = dict(cover.vmap)
     first = {e: cover.emap[e][0] for e in cover.domain.edges}
     last = {e: cover.emap[e][-1] for e in cover.domain.edges}

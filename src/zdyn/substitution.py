@@ -286,29 +286,6 @@ def array_window(p, seed: SeedRow, rows: int, cols) -> ArrayWindow:
 # window recognition
 
 
-def check_iota_window(p, w, depth_max: int = 6) -> Report:
-    """Search for the word ``w`` inside an iterated expansion.
-
-    Scans the images of every letter depth by depth and reports the
-    first hit as FOUND with the letter and the depth.
-    """
-    s = read_substitution(p.self_cover)
-    pattern = tuple(w)
-    images = {a: (a,) for a in s.alphabet}
-    for n in range(depth_max + 1):
-        for a in sorted(images):
-            word = images[a]
-            if any(
-                word[i : i + len(pattern)] == pattern
-                for i in range(len(word) - len(pattern) + 1)
-            ):
-                details = {"letter": a, "depth": n}
-                return Report("iota-window", "FOUND", ((a, n),), details)
-        images = {a: s.apply(word) for a, word in images.items()}
-    reason = f"not found up to depth {depth_max}"
-    return Report("iota-window", UNKNOWN, details={"reason": reason})
-
-
 def _level_cells(p, n: int) -> dict:
     """The columns under each level-(n+1) edge, read once per check.
 

@@ -1,0 +1,152 @@
+"""Clopen sets as sets of depth-D path prefixes, the oracle of the tests.
+
+The library keeps a clopen set in tower coordinates and reads a path
+tuple by descent only for what it reports.  Here a floor of a level-n
+tower is the frozenset of depth-D paths through it, built by
+enumeration, and a shift steps every path of a set through
+:func:`bratteli.successor_values`.  The tests state the paper's
+properties on these sets (the floors of a level partition the space,
+the tower bases and the junction sets are nested) and compare the
+library's tower-coordinate answers with them.
+
+The basic cover of a weighted cover, with its directionality flags,
+states one more: a weighted cover expands to a +directional cover of
+the basic graphs.
+"""
+
+from dataclasses import dataclass, field
+
+from zdyn import bratteli, coverings, graphs
+from zdyn.errors import CoverViolation
+
+
+@coverings._kept_on_presentation
+def floor_paths(p, n, e, floor, depth):
+    """Depth-``depth`` paths on the given floor of a level-n tower.
+
+    At level 0 the one tower is the singleton graph's loop, whose floor
+    is the root.
+    """
+    d = coverings._diagram(p)
+    prefix = bratteli.enumerate_paths(d, e, n)[floor] if n else ()
+    return frozenset(bratteli.extend_walks(d, [prefix], n, depth))
+
+
+def evaluate_set(p, desc, depth):
+    """Evaluate a clopen descriptor as a set of depth-``depth`` paths.
+
+    Descriptor forms: ("all",), ("floor", n, e, i), ("fiber", n, e),
+    ("junction", n, v), ("vbar", n), ("union", (desc, ...)), and
+    ("image", k, desc) for the k-th shift image (k may be negative).
+    """
+    kind = desc[0]
+    if kind == "all":
+        return frozenset(coverings.all_paths(p, depth))
+    if kind == "floor":
+        _, n, e, i = desc
+        return floor_paths(p, n, e, i, depth)
+    if kind == "union":
+        return frozenset().union(*(evaluate_set(p, inner, depth) for inner in desc[1]))
+    if kind == "image":
+        _, k, inner = desc
+        paths = evaluate_set(p, inner, depth)
+        for _ in range(abs(k)):
+            paths, _ = step_set(p, paths, forward=k > 0)
+        return paths
+    n = desc[1]
+    g = coverings.level_graph(p, n)
+    if kind == "fiber":
+        cells = [(desc[2], i) for i in range(g.length[desc[2]])]
+    elif kind == "junction":
+        cells = [(e, 0) for e in g.edges if g.src[e] == desc[2]]
+    elif kind == "vbar":
+        cells = [(e, 0) for e in g.edges]
+    else:
+        raise ValueError(f"unknown descriptor {desc!r}")
+    return frozenset().union(*(floor_paths(p, n, e, i, depth) for e, i in cells))
+
+
+def step_set(p, paths, forward):
+    """One shift of every path of ``paths``, and whether one crossed a tower end."""
+    d = coverings._diagram(p)
+    step = bratteli.successor_values if forward else bratteli.predecessor_values
+    out = set()
+    exceptional = False
+    for q in paths:
+        values, exc = step(d, q)
+        out |= values
+        exceptional = exceptional or exc
+    return frozenset(out), exceptional
+
+
+def tower_floor_sets(p, n, depth):
+    """All (edge, floor) cells at level n as depth-``depth`` path sets."""
+    g = coverings.level_graph(p, n)
+    return {
+        (e, i): floor_paths(p, n, e, i, depth)
+        for e in g.sorted_edges()
+        for i in range(g.length[e])
+    }
+
+
+# ---------------------------------------------------------------------------
+# basic covers
+
+
+@dataclass(frozen=True)
+class BasicCover:
+    """A vertex map that is a homomorphism of basic-graph relations."""
+
+    domain: graphs.BasicGraph
+    codomain: graphs.BasicGraph
+    vmap: dict = field(hash=False)
+
+
+@dataclass(frozen=True)
+class BasicCoverFlags:
+    homomorphism: bool
+    edge_surjective: bool
+    plus_directional: bool
+    minus_directional: bool
+    bidirectional: bool
+
+
+def check_basic_cover(c):
+    hom = all((c.vmap[u], c.vmap[w]) in c.codomain.edges for (u, w) in c.domain.edges)
+    covered = {(c.vmap[u], c.vmap[w]) for (u, w) in c.domain.edges}
+    plus = minus = True
+    for u, w in c.domain.edges:
+        for u2, w2 in c.domain.edges:
+            if u == u2 and c.vmap[w] != c.vmap[w2]:
+                plus = False
+            if w == w2 and c.vmap[u] != c.vmap[u2]:
+                minus = False
+    return BasicCoverFlags(
+        homomorphism=hom,
+        edge_surjective=covered == set(c.codomain.edges),
+        plus_directional=plus,
+        minus_directional=minus,
+        bidirectional=plus and minus,
+    )
+
+
+def expand_basic_cover(c):
+    """Turn a weighted cover into a basic cover of the expanded graphs.
+
+    The interior vertex at offset ``i`` along an edge ``e`` is sent to the
+    chain vertex at the same length offset along the image walk of ``e``.
+    Raises :class:`CoverViolation` unless the input is a weighted cover
+    (+directional and edge-surjective), which makes the map well defined.
+    """
+    if not graphs.is_weighted_cover(c):
+        raise CoverViolation("input is not a weighted cover")
+    dome, code = graphs.expand_to_basic(c.domain), graphs.expand_to_basic(c.codomain)
+    vmap = {v: c.vmap[v] for v in c.domain.vertices}
+    for e in c.domain.sorted_edges():
+        # the chain vertices of the image walk, one per length offset
+        along = [code.chains[c.emap[e][0]][0]]
+        for q in c.emap[e]:
+            along.extend(code.chains[q][1:])
+        for i in range(1, c.domain.length[e]):
+            vmap[dome.chains[e][i]] = along[i]
+    return BasicCover(domain=dome.graph, codomain=code.graph, vmap=vmap)

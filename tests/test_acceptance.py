@@ -22,6 +22,7 @@ from helpers import (
     skew_presentation,
     unit_presentation,
 )
+import path_sets
 
 
 def test_criterion_01_fibonacci_straightening():
@@ -183,7 +184,7 @@ def test_criterion_09_krieger_disjointness_and_coverage():
         markers = coverings.krieger_markers(p, 3, L, horizon=5)
         iterates = [markers.F]
         for _ in range(L):
-            nxt, _ = coverings._step_set(p, iterates[-1], forward=True)
+            nxt, _ = path_sets.step_set(p, iterates[-1], forward=True)
             iterates.append(nxt)
         for i in range(len(iterates)):
             for j in range(i + 1, len(iterates)):

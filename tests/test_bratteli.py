@@ -127,12 +127,13 @@ def test_successor_values_resolves_the_all_max_boundary():
 
 
 def test_min_max_flags_on_example2():
-    mins, maxs = bratteli.min_max_paths(ex1_bv(), 2)
-    by_vertex = {m.vertex: m for m in mins}
-    assert by_vertex["e_a"].extendable and by_vertex["e_a"].straight
-    assert not by_vertex["e_b"].extendable
-    assert not by_vertex["e_b"].straight
-    assert {m.vertex for m in maxs if m.straight} == {"e_a", "e_e", "e_f"}
+    m = ex1_bv().mono
+    # an all-minimal path into e_a goes on forever, along its minimal loop;
+    # one into e_b has no minimal edge to go on along
+    extendable = stationary._infinite_walk_vertices(m, m.min_edges())
+    assert "e_a" in extendable and "e_a" in m.min_loop_vertices()
+    assert "e_b" not in extendable and "e_b" not in m.min_loop_vertices()
+    assert m.max_loop_vertices() == {"e_a", "e_e", "e_f"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Covering presentations: levels, closing, regulation, towers, markers."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zdyn import bratteli, cli, coverings, graphs
 from zdyn.errors import DepthOutOfRange, HomomorphismViolation, InvalidSequence
@@ -15,6 +16,9 @@ from helpers import (
     weighted_cover,
 )
 from test_cli import DATA
+from test_krieger_oracles import FIXTURES
+from test_properties import weighted_loop_covers
+import path_sets
 
 
 def lengths_at(p, n):
@@ -332,47 +336,53 @@ def test_regulation_on_repeat_prefix_decides_each_level():
 
 
 # ---------------------------------------------------------------------------
-# points, towers, clopen evaluation
-
-
-def test_enumerate_points_counts_basic_vertices():
-    p = example2_unit()
-    g = coverings.level_graph(p, 2)
-    interior = sum(g.length[e] - 1 for e in g.edges)
-    points = coverings.enumerate_points(p, 2)
-    assert len(points) == len(g.vertices) + interior
-    for point in points:
-        assert len(point.vertices) == 3
-        assert point.vertices[0] == "v0"
+# towers and their cells, against the path-set oracle
 
 
 def test_tower_floor_sets_partition_the_horizon():
     p = example2_unit()
-    cells = coverings.tower_floor_sets(p, 3, 5)
+    cells = path_sets.tower_floor_sets(p, 3, 5)
     union = frozenset().union(*cells.values())
     assert union == frozenset(coverings.all_paths(p, 5))
     assert sum(len(c) for c in cells.values()) == len(union)
 
 
-def test_tower_bases_match_their_floor_sets():
-    p = example2_unit()
-    decomposition = coverings.tower_decomposition(p, 3)
-    for tower in decomposition.towers:
-        base = coverings.evaluate_set(p, tower.base, 5)
+def assert_tower_bases_match(p, n):
+    """A tall tower bases at its first floor, a height-1 tower at its whole
+    fiber, and a base made of pieces lists each piece once."""
+    depth = n + 2
+    for tower in coverings.tower_decomposition(p, n).towers:
+        base = path_sets.evaluate_set(p, tower.base, depth)
         if tower.height >= 2:
-            expected = coverings.floor_paths(p, 3, tower.edge, 0, 5)
+            assert base == path_sets.floor_paths(p, n, tower.edge, 0, depth)
         else:
-            expected = coverings.evaluate_set(p, ("fiber", 3, tower.edge), 5)
-        assert base == expected
+            assert base == path_sets.evaluate_set(p, ("fiber", n, tower.edge), depth)
+        if tower.base[0] == "union":
+            pieces = tower.base[1]
+            assert len(set(pieces)) == len(pieces), pieces
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("name", FIXTURES)
+def test_tower_bases_match_their_floor_sets(name, n):
+    assert_tower_bases_match(cli.read_document(DATA / name), n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(weighted_loop_covers(), st.integers(0, 2), st.data())
+def test_tower_bases_match_their_floor_sets_on_weighted_covers(cover, n, data):
+    mults = {
+        e: data.draw(st.integers(1, 2), label=f"mult({e})")
+        for e in cover.domain.sorted_edges()
+    }
+    assert_tower_bases_match(coverings.stationary_presentation(cover, mults), n)
 
 
 def test_junction_sets_are_nested():
     p = example2_unit()
-    previous = coverings.evaluate_set(p, coverings.v_infinity_approx(p, 0), 5)
+    previous = path_sets.evaluate_set(p, ("all",), 5)
     for n in range(1, 5):
-        current = coverings.evaluate_set(
-            p, coverings.v_infinity_approx(p, n), 5
-        )
+        current = path_sets.evaluate_set(p, ("vbar", n), 5)
         assert current <= previous
         previous = current
 
@@ -380,8 +390,8 @@ def test_junction_sets_are_nested():
 def test_shift_images_stay_inside_the_horizon_set():
     p = example2_unit()
     floor = ("floor", 2, "e_b", 0)
-    shifted = coverings.evaluate_set(p, ("image", 1, floor), 4)
-    assert shifted == coverings.evaluate_set(p, ("floor", 2, "e_b", 1), 4)
+    shifted = path_sets.evaluate_set(p, ("image", 1, floor), 4)
+    assert shifted == path_sets.evaluate_set(p, ("floor", 2, "e_b", 1), 4)
 
 
 # ---------------------------------------------------------------------------

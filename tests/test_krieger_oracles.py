@@ -2,7 +2,8 @@
 
 The oracles are the path-tuple forms of the marker construction and of
 the coverage check: they step frozensets of depth-horizon path prefixes
-through ``_step_set`` and walk every probe chain again from its start.
+through ``path_sets.step_set`` and walk every probe chain again from its
+start.
 The library names each cylinder by its (vertex, floor) tower coordinates
 and keeps a byte per floor of each tower instead; both must give the same
 markers, reports and errors.
@@ -44,6 +45,7 @@ from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
 from helpers import example2_unit, skew_presentation
 from test_cli import DATA
 from test_properties import loop_presentations
+import path_sets
 
 FIXTURES = (
     "example2_covering.json",
@@ -61,7 +63,7 @@ def oracle_step_chain(p, start, steps, forward):
     current = frozenset({start})
     budget = 1
     for _ in range(steps):
-        current, exc = coverings._step_set(p, current, forward)
+        current, exc = path_sets.step_set(p, current, forward)
         if exc:
             budget -= 1
             if budget < 0:
@@ -97,7 +99,7 @@ def oracle_markers(p, n, L, horizon):
         floors = [Lp * i for i in range(k[e] + 1)]
         E |= frozenset().union(
             frozenset(),
-            *(coverings.floor_paths(p, n, e, i, horizon) for i in floors),
+            *(path_sets.floor_paths(p, n, e, i, horizon) for i in floors),
         )
         atoms.extend({"kind": "E", "level": n, "edge": e, "floor": i} for i in floors)
     F = set(E)
@@ -107,7 +109,7 @@ def oracle_markers(p, n, L, horizon):
         residual_floor = Lp * (k[e] + 1)
         kept = [
             q
-            for q in sorted(coverings.floor_paths(p, n, e, residual_floor, horizon))
+            for q in sorted(path_sets.floor_paths(p, n, e, residual_floor, horizon))
             if not any(
                 oracle_membership_after(p, q, i, True, E) for i in range(L + 1)
             )
@@ -126,7 +128,7 @@ def oracle_markers(p, n, L, horizon):
     F = frozenset(F)
     iterates = [F]
     for _ in range(L):
-        nxt, _ = coverings._step_set(p, iterates[-1], forward=True)
+        nxt, _ = path_sets.step_set(p, iterates[-1], forward=True)
         iterates.append(nxt)
     for a, b in itertools.combinations(iterates, 2):
         if a & b:
@@ -596,7 +598,7 @@ def assert_step_matches(p, n, horizon):
         paths = frozenset(ref.path[c] for c in cylinders)
         for forward in (True, False):
             got = outcome(cyl.step, cylinders, forward)
-            want = outcome(coverings._step_set, p, paths, forward)
+            want = outcome(path_sets.step_set, p, paths, forward)
             if want[0] == "raised":
                 assert got == want
                 continue
@@ -819,6 +821,27 @@ def test_coverage_reads_paths_only_for_its_witnesses(monkeypatch):
     assert (listed, enumerated) == ([], [])
     assert len(descents) == len(report.details["violations"]) > 0
     assert len(orbits) == 1
+
+
+def test_markers_read_each_marker_path_once_by_descent(monkeypatch):
+    listed = spy(monkeypatch, coverings, "all_paths")
+    enumerated = spy(monkeypatch, bratteli, "enumerate_paths")
+    descents = spy(monkeypatch, bratteli, "path_at")
+    residual = 0
+    for name in FIXTURES:
+        p = cli.read_document(DATA / name)
+        for n, L in itertools.product((0, 1, 2, 3), (1, 2, 3)):
+            del descents[:]
+            try:
+                markers = coverings.krieger_markers(p, n, L, n + 3)
+            except UnsettledResidual:
+                continue  # an unsettled candidate reads its path for the error
+            atoms = [q for a in markers.atoms if a["kind"] == "residual" for q in a["paths"]]
+            residual += len(atoms)
+            read = {args[1:] for args in descents}
+            assert len(descents) == len(read) == len(markers.F | markers.E | set(atoms))
+    assert (listed, enumerated) == ([], [])
+    assert residual > 0
 
 
 def count_chains(monkeypatch):

@@ -19,6 +19,7 @@ from helpers import (
     fib_presentation,
     non_nesting_diagram,
 )
+import path_sets
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +201,12 @@ def test_arithmetic_telescoping_reindexes_lengths(p):
 def test_tower_heights_are_lengths_and_floors_partition(p, n):
     g = coverings.level_graph(p, n)
     depth = n + 1
-    cells = coverings.tower_floor_sets(p, n, depth)
+    cells = path_sets.tower_floor_sets(p, n, depth)
     seen = []
     for (e, i), paths in cells.items():
         assert 0 <= i < g.length[e]
         seen.extend(paths)
-    everything = coverings.evaluate_set(p, ("all",), depth)
+    everything = path_sets.evaluate_set(p, ("all",), depth)
     assert sorted(seen) == sorted(everything)
     assert len(seen) == len(set(seen))
 
@@ -215,12 +216,10 @@ def test_tower_heights_are_lengths_and_floors_partition(p, n):
 def test_shift_moves_floors_up_the_tower(p, n):
     depth = n + 1
     g = coverings.level_graph(p, n)
-    cells = coverings.tower_floor_sets(p, n, depth)
+    cells = path_sets.tower_floor_sets(p, n, depth)
     for e in g.sorted_edges():
         for i in range(g.length[e] - 1):
-            moved, exceptional = coverings._step_set(
-                p, cells[(e, i)], forward=True
-            )
+            moved, exceptional = path_sets.step_set(p, cells[(e, i)], forward=True)
             if not exceptional:
                 assert moved == cells[(e, i + 1)]
 

@@ -198,22 +198,6 @@ def test_illegal_seeds_are_rejected():
 # window recognition
 
 
-def test_iota_window_finds_fib_factors():
-    p = fib_presentation()
-    ab = subs.check_iota_window(p, ("e_a", "e_b"))
-    assert ab.verdict == "FOUND"
-    assert ab.witnesses == (("e_a", 1),)
-    aa = subs.check_iota_window(p, ("e_a", "e_a"))
-    assert aa.verdict == "FOUND"
-    assert aa.witnesses == (("e_a", 2),)
-
-
-def test_iota_window_gives_up_on_missing_words():
-    # bb is never a factor of the Fibonacci language
-    report = subs.check_iota_window(fib_presentation(), ("e_b", "e_b"))
-    assert report.verdict == "UNKNOWN"
-
-
 def test_recoding_example2_is_determined_at_small_radius():
     p = example2_unit()
     assert subs.check_recoding(p, 1, 1).verdict == "AMBIGUOUS"
