@@ -201,6 +201,10 @@ class BratteliDiagram:
         index = self._index
         return index[min(n, len(index)) - 1]
 
+    def _levels(self, lo: int, hi: int) -> list[EdgeIndex]:
+        """The indexes of edge levels ``lo + 1`` to ``hi``, bottom first."""
+        return [self._level(k) for k in range(lo + 1, hi + 1)]
+
     def level_vertices(self, n: int) -> list[str]:
         self._check_depth(n)
         if n == 0:
@@ -304,26 +308,7 @@ def _tower_heights(d: BratteliDiagram, n: int, vertices) -> list[dict]:
 def enumerate_paths(d: BratteliDiagram, v: str, n: int) -> list[tuple[str, ...]]:
     """All paths from the root to ``v`` at level ``n``, in order."""
     _tower_heights(d, n, (v,))
-    if n == 0:
-        return [()]
-    wanted = [{v}]
-    for k in range(n, 1, -1):
-        level = d._level(k)
-        wanted.append(
-            {level.edges[e][0] for w in wanted[-1] for e in level.ranked.get(w, ())}
-        )
-    paths = {ROOT: [()]}
-    for k in range(1, n + 1):
-        level = d._level(k)
-        paths = {
-            w: [
-                q + (e,)
-                for e in level.ranked.get(w, ())
-                for q in paths[level.edges[e][0]]
-            ]
-            for w in wanted[n - k]
-        }
-    return paths[v]
+    return graphs.paths_into(d._levels(0, n), (v,))[v]
 
 
 def path_count(d: BratteliDiagram, v: str, n: int) -> int:
@@ -590,28 +575,6 @@ def vershik_orbit(d: BratteliDiagram, p: tuple[str, ...], steps: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# walks
-
-
-def extend_walks(d: BratteliDiagram, walks, lo: int, hi: int) -> list:
-    """Extend walks whose last edge sits at level ``lo`` up to level ``hi``.
-
-    Each walk branches over the out-edges of its end vertex, in id order,
-    one level at a time; the empty walk ends at the root.  Extensions
-    keep the order of the walks they grow from.
-    """
-    walks = list(walks)
-    for k in range(lo + 1, hi + 1):
-        out = d._level(k).out
-        if k == 1:
-            walks = [w + (e,) for w in walks for e in out.get(ROOT, ())]
-            continue
-        edges = d._level(k - 1).edges
-        walks = [w + (e,) for w in walks for e in out.get(edges[w[-1]][1], ())]
-    return walks
-
-
-# ---------------------------------------------------------------------------
 # telescoping
 
 
@@ -637,30 +600,19 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
     edge_levels = []
     prev = 0
     for cut in cuts:
-        levels.append(tuple(d.level_vertices(cut)))
-        table = {}
-        # walks from level prev to level cut
+        tops = d.level_vertices(cut)
+        levels.append(tuple(tops))
         first = d._level(prev + 1).edges
-        walks = extend_walks(d, [(e,) for e in first], prev + 1, cut)
-        top = d._level(cut).edges
-        by_target: dict[str, list] = {}
-        for w in walks:
-            by_target.setdefault(top[w[-1]][1], []).append(w)
-        for v, group in by_target.items():
-            group.sort(key=lambda w: _segment_rank_key(d, prev, w))
-            for i, w in enumerate(group, start=1):
-                table[" ".join(w)] = (first[w[0]][0], v, i)
-        edge_levels.append(table)
+        paths = graphs.paths_into(d._levels(prev, cut), tops)
+        edge_levels.append({
+            " ".join(w): (first[w[0]][0], v, i)
+            for v in tops
+            for i, w in enumerate(paths[v], start=1)
+        })
         prev = cut
     return BratteliDiagram(
         kind="finite_prefix", levels=tuple(levels), edge_levels=tuple(edge_levels)
     )
-
-
-def _segment_rank_key(d: BratteliDiagram, lo: int, w):
-    return tuple(
-        d._level(lo + 1 + i).edges[e][2] for i, e in enumerate(w)
-    )[::-1]
 
 
 # ---------------------------------------------------------------------------

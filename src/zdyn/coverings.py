@@ -647,13 +647,10 @@ def _diagram(p: CoveringPresentation):
 def all_paths(p: CoveringPresentation, depth: int) -> tuple:
     """The depth-``depth`` paths, tower by tower in name order, each tower
     floor by floor."""
-    from . import bratteli
-
     d = _diagram(p)
-    out = []
-    for v in sorted(d.level_vertices(depth)):
-        out.extend(bratteli.enumerate_paths(d, v, depth))
-    return tuple(out)
+    tops = sorted(d.level_vertices(depth))
+    paths = graphs.paths_into(d._levels(0, depth), tops)
+    return tuple(q for v in tops for q in paths[v])
 
 
 @dataclass(frozen=True)
@@ -684,9 +681,11 @@ def tower_decomposition(p: CoveringPresentation, n: int) -> TowerDecomposition:
     height-1 tower collects pieces from the level-(n+1) towers whose
     expansions pass through it: whole junctions below covering edges of
     length one, and single floors below the longer ones, each piece
-    listed once, in first-seen order.  The bases assume a weighted
-    presentation: a junction piece lies inside the tower only when the
-    covers are +directional, which the CLI validates on loading.
+    listed once, in first-seen order.  A first floor is left out when
+    the junction of its source is listed, which holds it.  The bases
+    assume a weighted presentation: a junction piece lies inside the
+    tower only when the covers are +directional, which the CLI validates
+    on loading.
     """
     p._check_depth(n + 1)
     g = level_graph(p, n)
@@ -710,7 +709,11 @@ def tower_decomposition(p: CoveringPresentation, n: int) -> TowerDecomposition:
                         if q == e:
                             pieces[("floor", n + 1, e2, offset)] = None
                         offset += g.length[q]
-            base = ("union", tuple(pieces))
+            base = ("union", tuple(
+                q for q in pieces
+                if q[0] == "junction" or q[3]
+                or ("junction", n + 1, gup.src[q[2]]) not in pieces
+            ))
         towers.append(Tower(edge=e, height=g.length[e], base=base))
     return TowerDecomposition(level=n, towers=tuple(towers))
 

@@ -411,6 +411,33 @@ def walk_length(g: Graph, edges: tuple[str, ...]) -> int:
     return sum(g.length[e] for e in edges)
 
 
+def paths_into(levels, vertices) -> dict:
+    """The paths through ``levels`` into each of ``vertices``, in path order.
+
+    ``levels`` holds one :class:`EdgeIndex` per edge level, bottom first;
+    a path takes one edge of each, each edge leaving the vertex the one
+    below enters.  Paths into ``w`` compare by the rank of their edges at
+    the deepest level where they differ.  The in-edges are walked down
+    over the backward cone of ``vertices``, and the lists are built up
+    from the bottom: the paths into ``w`` take its in-edges in rank order
+    and, under each edge, every path into that edge's source, so they
+    come out in path order.  With no levels, each vertex has the empty
+    path.
+    """
+    cone = [set(vertices)]
+    for level in reversed(levels):
+        edges, ranked = level.edges, level.ranked
+        cone.append({edges[e][0] for w in cone[-1] for e in ranked.get(w, ())})
+    paths = {u: [()] for u in cone.pop()}
+    for level in levels:
+        edges, ranked = level.edges, level.ranked
+        paths = {
+            w: [q + (e,) for e in ranked.get(w, ()) for q in paths[edges[e][0]]]
+            for w in cone.pop()
+        }
+    return paths
+
+
 # ---------------------------------------------------------------------------
 # covers
 

@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from . import graphs
-from .errors import CoverViolation, NotStraight
+from .errors import CoverViolation, DomainMismatch, NotStraight
 from .graphs import Cover, EdgeIndex, Graph, cover_power, index_edges, read_only_fields
 from .reports import FAILS, HOLDS, UNKNOWN, Report
 
@@ -61,17 +61,12 @@ class MonoGraph:
     def out_edges(self, v: str) -> list[str]:
         return list(self._index.out.get(v, ()))
 
-    def e_max(self, v: str) -> str:
-        return self._index.ranked.get(v, ())[-1]
+    def extreme_edge(self, v: str, last: bool) -> str:
+        """The maximal (``last``) or minimal in-edge of ``v``."""
+        return self._index.ranked.get(v, ())[-1 if last else 0]
 
-    def e_min(self, v: str) -> str:
-        return self._index.ranked.get(v, ())[0]
-
-    def max_edges(self) -> frozenset[str]:
-        return frozenset(self.e_max(v) for v in self.vertices)
-
-    def min_edges(self) -> frozenset[str]:
-        return frozenset(self.e_min(v) for v in self.vertices)
+    def extreme_edges(self, last: bool) -> frozenset[str]:
+        return frozenset(self.extreme_edge(v, last) for v in self.vertices)
 
     def serial(self, e: str) -> str | None:
         """The next-ranked in-edge after ``e``, or None for a maximal edge."""
@@ -80,26 +75,17 @@ class MonoGraph:
         i = index.position[e] + 1
         return ranked[i] if i < len(ranked) else None
 
-    def max_loop_vertices(self) -> frozenset[str]:
-        """Sources of maximal self-loops."""
+    def extreme_loop_vertices(self, last: bool) -> frozenset[str]:
+        """Sources of maximal (``last``) or minimal self-loops."""
         return frozenset(
             self.src[e]
-            for e in self.max_edges()
+            for e in self.extreme_edges(last)
             if self.src[e] == self.rng[e]
         )
 
-    def min_loop_vertices(self) -> frozenset[str]:
-        return frozenset(
-            self.src[e]
-            for e in self.min_edges()
-            if self.src[e] == self.rng[e]
-        )
-
-    def max_of(self, v: str) -> str:
-        return self.src[self.e_max(v)]
-
-    def min_of(self, v: str) -> str:
-        return self.src[self.e_min(v)]
+    def extreme_of(self, v: str, last: bool) -> str:
+        """The source of the maximal (``last``) or minimal in-edge of ``v``."""
+        return self.src[self.extreme_edge(v, last)]
 
 
 def mono_graph(vertices, edge_table) -> MonoGraph:
@@ -166,17 +152,15 @@ def straightness_violations(m: MonoGraph) -> list[str]:
     an extreme self-loop.
     """
     problems = []
-    for label, extreme, loops in (
-        ("max", m.max_edges(), m.max_loop_vertices()),
-        ("min", m.min_edges(), m.min_loop_vertices()),
-    ):
+    for label, last in (("max", True), ("min", False)):
+        extreme = m.extreme_edges(last)
+        loops = m.extreme_loop_vertices(last)
         alive = _infinite_walk_vertices(m, extreme)
         for e in sorted(extreme):
             if m.rng[e] in alive and m.src[e] != m.rng[e]:
                 problems.append(f"non-constant infinite {label} walk via {e}")
         for v in sorted(m.vertices):
-            e = m.e_max(v) if label == "max" else m.e_min(v)
-            if m.src[e] not in loops:
+            if m.src[m.extreme_edge(v, last)] not in loops:
                 problems.append(
                     f"{label} in-edge of {v} starts outside the {label}-loop vertices"
                 )
@@ -190,26 +174,21 @@ def is_straight(m: MonoGraph) -> bool:
 def mono_power(m: MonoGraph, K: int) -> MonoGraph:
     """The mono-graph whose edges are K-step walks of ``m``.
 
-    Edge ids join the constituent edge ids with spaces.  Ranks compare
-    walks by their rank sequences read from the deep end, which is the
-    lexicographic path order of the generated diagram.
+    Edge ids join the constituent edge ids with spaces.  A walk ranks by
+    its place among the walks into its end in path order, which compares
+    their rank sequences from the deep end: the lexicographic path order
+    of the generated diagram.
     """
     if K < 1:
         raise ValueError("K must be at least 1")
     if K == 1:
         return m
-    out = m._index.out
-    walks: list[tuple[str, ...]] = [(e,) for e in sorted(m.edges)]
-    for _ in range(K - 1):
-        walks = [w + (e,) for w in walks for e in out.get(m.rng[w[-1]], ())]
-    table = {}
-    by_target: dict[str, list[tuple[str, ...]]] = {}
-    for w in walks:
-        by_target.setdefault(m.rng[w[-1]], []).append(w)
-    for v, group in by_target.items():
-        group.sort(key=lambda w: tuple(m.rank[e] for e in reversed(w)))
-        for i, w in enumerate(group, start=1):
-            table[" ".join(w)] = (m.src[w[0]], v, i)
+    walks = graphs.paths_into([m._index] * K, m.vertices)
+    table = {
+        " ".join(w): (m.src[w[0]], v, i)
+        for v, group in sorted(walks.items())
+        for i, w in enumerate(group, start=1)
+    }
     return mono_graph(m.vertices, table)
 
 
@@ -242,15 +221,15 @@ def check_continuity(m: MonoGraph) -> Report:
     """
     if not is_straight(m):
         raise NotStraight("; ".join(straightness_violations(m)))
-    vmax1 = m.max_loop_vertices()
-    vmin1 = m.min_loop_vertices()
+    vmax1 = m.extreme_loop_vertices(last=True)
+    vmin1 = m.extreme_loop_vertices(last=False)
     psi: dict[str, str] = {}
     for e in sorted(m.edges):
         nxt = m.serial(e)
         if nxt is None:
             continue
-        key = m.max_of(m.src[e])
-        val = m.min_of(m.src[nxt])
+        key = m.extreme_of(m.src[e], last=True)
+        val = m.extreme_of(m.src[nxt], last=False)
         if key in psi and psi[key] != val:
             return Report(
                 tag="continuity",
@@ -336,7 +315,7 @@ def analyze_self_cover(cover: Cover, cap: int = 256) -> SelfCoverAnalysis:
     idempotent maps are the limit vertex and edge sets.
     """
     if cover.domain != cover.codomain:
-        raise ValueError("analyze_self_cover needs a self-cover")
+        raise DomainMismatch("analyze_self_cover needs a self-cover")
     if not graphs.is_weighted_cover(cover):
         raise CoverViolation("not a flexible cover")
     vmap = dict(cover.vmap)

@@ -27,9 +27,8 @@ def floor_paths(p, n, e, floor, depth):
     At level 0 the one tower is the singleton graph's loop, whose floor
     is the root.
     """
-    d = coverings._diagram(p)
-    prefix = bratteli.enumerate_paths(d, e, n)[floor] if n else ()
-    return frozenset(bratteli.extend_walks(d, [prefix], n, depth))
+    prefix = bratteli.enumerate_paths(coverings._diagram(p), e, n)[floor] if n else ()
+    return frozenset(q for q in coverings.all_paths(p, depth) if q[:n] == prefix)
 
 
 def evaluate_set(p, desc, depth):

@@ -130,10 +130,10 @@ def test_min_max_flags_on_example2():
     m = ex1_bv().mono
     # an all-minimal path into e_a goes on forever, along its minimal loop;
     # one into e_b has no minimal edge to go on along
-    extendable = stationary._infinite_walk_vertices(m, m.min_edges())
-    assert "e_a" in extendable and "e_a" in m.min_loop_vertices()
-    assert "e_b" not in extendable and "e_b" not in m.min_loop_vertices()
-    assert m.max_loop_vertices() == {"e_a", "e_e", "e_f"}
+    extendable = stationary._infinite_walk_vertices(m, m.extreme_edges(last=False))
+    assert "e_a" in extendable and "e_a" in m.extreme_loop_vertices(last=False)
+    assert "e_b" not in extendable and "e_b" not in m.extreme_loop_vertices(last=False)
+    assert m.extreme_loop_vertices(last=True) == {"e_a", "e_e", "e_f"}
 
 
 # ---------------------------------------------------------------------------

@@ -528,6 +528,61 @@ def test_small_option_values_never_crash(name, capsys):
             assert out == "" and err.startswith("error:"), (argv, out, err)
 
 
+# every subcommand as (arguments before the file, arguments after it)
+EVERY_COMMAND = (
+    (("validate",), ()),
+    (("check", "closing"), ()),
+    (("check", "regulated"), ("--l-seq", "1,2")),
+    (("check", "nesting"), ()),
+    (("check", "continuity"), ()),
+    (("check", "overlap"), ()),
+    (("check", "recoding"), ("--radius", "1")),
+    (("convert", "to-bv"), ()),
+    (("convert", "to-covering"), ()),
+    (("telescope",), ("1,3",)),
+    (("straighten",), ()),
+    (("vershik",), ("v0", "--level", "0", "--steps", "2")),
+    (("paths",), ("v0", "--level", "0")),
+    (("towers",), ()),
+    (("krieger",), ()),
+    (("array",), ("0:3", "--seed-file", DATA / "ex2_seed.json")),
+    (("subst",), ("--depth", "2")),
+    (("dot",), ()),
+)
+
+# a valid cover whose domain is not its codomain
+NON_SELF_COVER = {
+    "version": "zdyn/1",
+    "kind": "cover",
+    "domain": {"kind": "flexible_graph", "vertices": ["v"],
+               "edges": {"a": ["v", "v"], "b": ["v", "v"]}},
+    "codomain": {"kind": "flexible_graph", "vertices": ["v"],
+                 "edges": {"c": ["v", "v"]}},
+    "vmap": {"v": "v"},
+    "emap": {"a": ["c"], "b": ["c", "c"]},
+}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in DATA.glob("*.json")) + ["non_self_cover.json"]
+)
+def test_every_command_keeps_the_exit_contract(name, tmp_path, capsys):
+    path = DATA / name
+    if name == "non_self_cover.json":
+        path = tmp_path / name
+        path.write_text(json.dumps(NON_SELF_COVER))
+        assert run("validate", path) == 0
+        capsys.readouterr()
+    for head, tail in EVERY_COMMAND:
+        code = run(*head, path, *tail)
+        out, err = capsys.readouterr()
+        assert code in (0, 1, 2), (head, err)
+        # validate lists the problems of a loadable document as its output
+        listed = head == ("validate",) and out and not err
+        if code == 2 and not listed:
+            assert out == "" and err.startswith("error:"), (head, out, err)
+
+
 def test_an_internal_error_exits_3_not_1(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")

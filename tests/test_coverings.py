@@ -1,5 +1,7 @@
 """Covering presentations: levels, closing, regulation, towers, markers."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -349,7 +351,8 @@ def test_tower_floor_sets_partition_the_horizon():
 
 def assert_tower_bases_match(p, n):
     """A tall tower bases at its first floor, a height-1 tower at its whole
-    fiber, and a base made of pieces lists each piece once."""
+    fiber, and a base made of pieces lists each piece once and none that
+    another piece holds."""
     depth = n + 2
     for tower in coverings.tower_decomposition(p, n).towers:
         base = path_sets.evaluate_set(p, tower.base, depth)
@@ -360,6 +363,9 @@ def assert_tower_bases_match(p, n):
         if tower.base[0] == "union":
             pieces = tower.base[1]
             assert len(set(pieces)) == len(pieces), pieces
+            sets = [path_sets.evaluate_set(p, q, depth) for q in pieces]
+            for (a, inner), (b, outer) in itertools.permutations(zip(pieces, sets), 2):
+                assert not inner <= outer, (a, b)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])

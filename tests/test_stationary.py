@@ -3,7 +3,7 @@
 import pytest
 
 from zdyn import bratteli, graphs, stationary
-from zdyn.errors import NotStraight
+from zdyn.errors import DomainMismatch, NotStraight
 from zdyn.reports import FAILS, HOLDS
 
 from helpers import (
@@ -170,7 +170,7 @@ def test_analysis_of_straight_cover_is_idempotent():
 def test_analyze_rejects_non_self_cover():
     from helpers import weighted_cover
 
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainMismatch):
         stationary.analyze_self_cover(weighted_cover(fib_cover(), 1))
 
 
