@@ -892,29 +892,6 @@ def bv_to_weighted(d: BratteliDiagram, probe_levels: int = 3):
 # closing and regulation on the diagram side
 
 
-def _unique_in_chain_heads(d: BratteliDiagram) -> tuple[set, dict]:
-    """Vertices heading an infinite path of unique in-edges above them.
-
-    Returns the set of such vertices and the one-step relation
-    ``v -> w`` meaning the only in-edge of ``w`` starts at ``v``.
-    """
-    m = d.mono
-    step: dict[str, set] = {v: set() for v in m.vertices}
-    for w in m.vertices:
-        ranked = m.in_edges(w)
-        if len(ranked) == 1:
-            step[m.src[ranked[0]]].add(w)
-    alive = set(m.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            if not (step[v] & alive):
-                alive.discard(v)
-                changed = True
-    return alive, step
-
-
 def check_closing_bv(d: BratteliDiagram) -> Report:
     """Closing on the diagram side.
 
@@ -928,8 +905,10 @@ def check_closing_bv(d: BratteliDiagram) -> Report:
             verdict=UNKNOWN,
             details={"reason": "finite prefixes cannot certify closing"},
         )
-    heads, _ = _unique_in_chain_heads(d)
-    if not heads:
+    m = d.mono
+    # a constant path climbs edges that are the only in-edge of their range
+    unique = frozenset(e for e in m.edges if len(m.in_edges(m.rng[e])) == 1)
+    if not stationary._infinite_walk_vertices(m, unique):
         return Report(
             tag="closing", verdict=HOLDS, details={"reason": "no constant paths"}
         )

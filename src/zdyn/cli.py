@@ -512,7 +512,7 @@ def _cmd_validate(args) -> int:
     obj = read_document(args.file, check=False)
     problems = _structure_problems(obj)
     for msg in problems:
-        print(msg)
+        print(f"error: {msg}", file=sys.stderr)
     if problems:
         return 2
     print("ok")

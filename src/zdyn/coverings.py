@@ -12,9 +12,10 @@ depth-D cylinder of the associated ordered Bratteli diagram is a
 order, and the shift map moves it one floor up.  The marker checks keep
 a byte per floor of each tower for the marker floors, made a level-n
 block at a time, and a path tuple is read by descent only for a result
-or a witness they report.  Derived values (the diagram, the basic
-expansions, and the tower blocks and orbit tables that serve every
-marker window) are memoised on the presentation they come from.
+or a witness they report.  A periodic orbit is a simple circuit of a
+level graph.  Derived values (the diagram, and the tower blocks and
+orbit tables that serve every marker window) are memoised on the
+presentation they come from.
 """
 
 from __future__ import annotations
@@ -580,56 +581,68 @@ class PeriodicOrbit:
 
 
 @_kept_on_presentation
-def level_expansion(p: CoveringPresentation, n: int) -> graphs.BasicExpansion:
-    return graphs.expand_to_basic(level_graph(p, n))
-
-
-@_kept_on_presentation
 def _orbit_tables(p: CoveringPresentation, n: int):
     """What :func:`periodic_orbits` reads whatever its period bound.
 
-    The depth-n basic relation as a flexible graph, the edges whose
-    chains take each of its steps, and the edges infinitely constantly
-    covered by circuits.
+    The level-n graph as a weighted graph of steps, the edges each step
+    takes, and the edges infinitely constantly covered by circuits.  A
+    step is one edge, except that parallel length-1 edges make one step,
+    named by the least of them: they take the same relation step of the
+    basic graph.
     """
-    exp = level_expansion(p, n)
-    step_support: dict[tuple[str, str], set] = {}
-    for e, chain in exp.chains.items():
-        for a, b in zip(chain, chain[1:]):
-            step_support.setdefault((a, b), set()).add(e)
+    g = level_graph(p, n)
+    steps: dict[str, tuple] = {}
+    support: dict[str, list] = {}
+    unit: dict[tuple[str, str], str] = {}
+    for e in g.sorted_edges():
+        ends, k = (g.src[e], g.rng[e]), g.length[e]
+        step = unit.setdefault(ends, e) if k == 1 else e
+        if step == e:
+            steps[e] = (*ends, k)
+        support.setdefault(step, []).append(e)
     good = _circuit_chain_edges(p.self_cover) if p.kind == "stationary" else set()
-    basic = exp.graph
-    flex = graphs.flexible(basic.vertices, {f"{u}>{w}": (u, w) for u, w in basic.edges})
-    return flex, step_support, good
+    return graphs.weighted(g.vertices, steps), support, good
 
 
 def periodic_orbits(
     p: CoveringPresentation, n: int, max_period: int
 ) -> list[PeriodicOrbit]:
-    """Cycles of the depth-n basic relation, flagged by chain support.
+    """Simple circuits of the level-n graph, flagged by their edges.
 
-    An orbit is CERTIFIED when it traces the chain of a single edge
-    that is infinitely constantly covered by circuits, which pins an
-    actual periodic point inside that tower; everything else is merely
+    A circuit's period is the sum of its edge lengths.  An orbit lists
+    the circuit's basic vertices: at each edge ``e`` of length k its
+    source, then the interior floors ``e#1`` to ``e#(k-1)``.  It starts
+    at the least relation id ``a>b`` of two consecutive basic vertices,
+    and the orbits come in the order of those id tuples.
+
+    An orbit is CERTIFIED when it traces a single edge that is
+    infinitely constantly covered by circuits, which pins an actual
+    periodic point inside that tower; everything else is merely
     POSSIBLE at this depth.  The tables that do not depend on
     ``max_period`` are kept on the presentation.
     """
     p._check_depth(n)
-    flex, step_support, good = _orbit_tables(p, n)
+    g, step_support, good = _orbit_tables(p, n)
     orbits = []
-    for circuit in graphs.enumerate_circuits(flex, max_period).circuits:
-        steps = [(flex.src[eid], flex.rng[eid]) for eid in circuit]
-        support = sorted(set().union(*(step_support[s] for s in steps)))
+    for circuit in graphs.enumerate_circuits(g, max_period).circuits:
+        vertices = [
+            v
+            for s in circuit
+            for v in (g.src[s], *(f"{s}#{i}" for i in range(1, g.length[s])))
+        ]
+        ids = [f"{a}>{b}" for a, b in zip(vertices, vertices[1:] + vertices[:1])]
+        i = ids.index(min(ids))
+        support = sorted(set().union(*(step_support[s] for s in circuit)))
         certified = len(support) == 1 and support[0] in good
-        orbits.append(
-            PeriodicOrbit(
-                period=len(circuit),
-                vertices=tuple(u for (u, _) in steps),
-                certainty="CERTIFIED" if certified else "POSSIBLE",
-                support=tuple(support),
-            )
+        orbit = PeriodicOrbit(
+            period=len(vertices),
+            vertices=tuple(vertices[i:] + vertices[:i]),
+            certainty="CERTIFIED" if certified else "POSSIBLE",
+            support=tuple(support),
         )
-    return orbits
+        orbits.append((tuple(ids[i:] + ids[:i]), orbit))
+    orbits.sort(key=lambda keyed: keyed[0])
+    return [orbit for _, orbit in orbits]
 
 
 # ---------------------------------------------------------------------------

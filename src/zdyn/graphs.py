@@ -3,8 +3,9 @@
 One frozen record, :class:`Graph`, is every multigraph of the toolkit:
 its ``src``, ``rng`` and ``length`` maps are read-only, and ``length`` is
 None for a flexible graph.  Its adjacency is one :class:`EdgeIndex`, the
-index mono-graphs and diagrams use too.  ``BasicGraph`` is a plain
-relation on vertices, the form of an expanded weighted graph.
+index mono-graphs and diagrams use too.  A circuit of a graph counts
+the lengths of its edges.  ``BasicGraph`` is a plain relation on
+vertices, a document kind of the command line.
 
 A *cover* maps edges of one graph to walks of another so that endpoints
 match and, for weighted graphs, lengths are preserved; its maps are
@@ -310,9 +311,6 @@ class Graph:
     def sorted_edges(self) -> list[str]:
         return sorted(self.edges)
 
-    def out_edges(self, v: str) -> list[str]:
-        return list(self._index.out.get(v, ()))
-
     def in_edges(self, v: str) -> list[str]:
         return list(self._index.ranked.get(v, ()))
 
@@ -576,48 +574,6 @@ def cover_power(c: Cover, k: int) -> Cover:
 
 
 # ---------------------------------------------------------------------------
-# basic expansion
-
-
-@dataclass(frozen=True)
-class BasicExpansion:
-    """A weighted graph rewritten as a basic graph.
-
-    Each weighted edge ``e`` of length ``k`` becomes a chain of ``k``
-    relation edges through ``k - 1`` interior vertices.  ``chains[e]``
-    lists the ``k + 1`` chain vertices in order, starting at the source of
-    ``e``.  Parallel length-1 edges between the same vertex pair collapse
-    onto a single relation edge.
-    """
-
-    graph: BasicGraph
-    chains: dict = field(hash=False)
-
-
-def interior_vertex(edge: str, i: int) -> str:
-    return f"{edge}#{i}"
-
-
-def expand_to_basic(g: Graph) -> BasicExpansion:
-    """Expand a weighted graph into its basic graph."""
-    vertices = set(g.vertices)
-    edges: set[tuple[str, str]] = set()
-    chains: dict[str, tuple[str, ...]] = {}
-    for e in g.sorted_edges():
-        k = g.length[e]
-        chain = [g.src[e]]
-        for i in range(1, k):
-            chain.append(interior_vertex(e, i))
-        chain.append(g.rng[e])
-        chains[e] = tuple(chain)
-        vertices.update(chain)
-        for a, b in zip(chain, chain[1:]):
-            edges.add((a, b))
-    basic = BasicGraph(vertices=frozenset(vertices), edges=frozenset(edges))
-    return BasicExpansion(graph=basic, chains=chains)
-
-
-# ---------------------------------------------------------------------------
 # circuits
 
 
@@ -628,21 +584,25 @@ class CircuitReport:
 
 
 def enumerate_circuits(g, max_len: int) -> CircuitReport:
-    """All circuits of at most ``max_len`` edges, lexicographically.
+    """All circuits of total length at most ``max_len``, lexicographically.
 
-    A circuit can visit each vertex at most once, so the enumeration is
-    complete whenever ``max_len`` reaches the vertex count; otherwise the
-    report is flagged truncated.  Each circuit is found once, from its
-    least vertex: the walks from a vertex visit only greater ones.  The
-    search keeps its own stack of out-edge iterators, one per edge of the
-    walk, so a long circuit needs no deep recursion.
+    An edge counts its length, 1 in a flexible graph.  A circuit visits
+    each vertex at most once, so the enumeration is complete whenever
+    ``max_len`` reaches the vertex count plus the excess ``length - 1``
+    of every edge; otherwise the report is flagged truncated.  Each
+    circuit is found once, from its least vertex: the walks from a
+    vertex visit only greater ones.  The search keeps its own stack of
+    out-edge iterators, one per edge of the walk, so a long circuit
+    needs no deep recursion.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     out, rng = g._index.out, g.rng
+    length = dict.fromkeys(g.edges, 1) if g.length is None else g.length
     found: list[tuple[str, ...]] = []
     for start in sorted(g.vertices):
         walk: list[str] = []
+        total = 0
         seen = {start}
         stack = [iter(out.get(start, ()))]
         while stack:
@@ -650,19 +610,22 @@ def enumerate_circuits(g, max_len: int) -> CircuitReport:
             if e is None:
                 stack.pop()
                 if walk:
-                    seen.discard(rng[walk.pop()])
+                    e = walk.pop()
+                    total -= length[e]
+                    seen.discard(rng[e])
                 continue
-            nxt = rng[e]
+            nxt, reach = rng[e], total + length[e]
             if nxt == start:
-                found.append((*walk, e))
-            elif len(walk) + 1 < max_len and nxt > start and nxt not in seen:
+                if reach <= max_len:
+                    found.append((*walk, e))
+            elif reach < max_len and nxt > start and nxt not in seen:
                 walk.append(e)
+                total = reach
                 seen.add(nxt)
                 stack.append(iter(out.get(nxt, ())))
     canonical = sorted(min(rotations(w)) for w in found)
-    return CircuitReport(
-        circuits=tuple(canonical), truncated=max_len < len(g.vertices)
-    )
+    size = len(g.vertices) + sum(length[e] - 1 for e in g.edges)
+    return CircuitReport(circuits=tuple(canonical), truncated=max_len < size)
 
 
 def rotations(walk: tuple[str, ...]) -> list[tuple[str, ...]]:

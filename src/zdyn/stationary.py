@@ -58,9 +58,6 @@ class MonoGraph:
         """In-edges of ``v`` in rank order."""
         return list(self._index.ranked.get(v, ()))
 
-    def out_edges(self, v: str) -> list[str]:
-        return list(self._index.out.get(v, ()))
-
     def extreme_edge(self, v: str, last: bool) -> str:
         """The maximal (``last``) or minimal in-edge of ``v``."""
         return self._index.ranked.get(v, ())[-1 if last else 0]

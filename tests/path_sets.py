@@ -11,7 +11,9 @@ library's tower-coordinate answers with them.
 
 The basic cover of a weighted cover, with its directionality flags,
 states one more: a weighted cover expands to a +directional cover of
-the basic graphs.
+the basic graphs.  The basic graph of a weighted graph also gives the
+oracle of the periodic orbits: the library finds them as circuits of
+the level graph, and here they are the cycles of its basic relation.
 """
 
 from dataclasses import dataclass, field
@@ -89,7 +91,73 @@ def tower_floor_sets(p, n, depth):
 
 
 # ---------------------------------------------------------------------------
-# basic covers
+# basic graphs and covers
+
+
+@dataclass(frozen=True)
+class BasicExpansion:
+    """A weighted graph rewritten as a basic graph.
+
+    Each weighted edge ``e`` of length ``k`` becomes a chain of ``k``
+    relation edges through ``k - 1`` interior vertices.  ``chains[e]``
+    lists the ``k + 1`` chain vertices in order, starting at the source of
+    ``e``.  Parallel length-1 edges between the same vertex pair collapse
+    onto a single relation edge.
+    """
+
+    graph: graphs.BasicGraph
+    chains: dict = field(hash=False)
+
+
+def expand_to_basic(g):
+    """Expand a weighted graph into its basic graph."""
+    vertices = set(g.vertices)
+    edges = set()
+    chains = {}
+    for e in g.sorted_edges():
+        k = g.length[e]
+        chain = [g.src[e], *(f"{e}#{i}" for i in range(1, k)), g.rng[e]]
+        chains[e] = tuple(chain)
+        vertices.update(chain)
+        for a, b in zip(chain, chain[1:]):
+            edges.add((a, b))
+    basic = graphs.BasicGraph(vertices=frozenset(vertices), edges=frozenset(edges))
+    return BasicExpansion(graph=basic, chains=chains)
+
+
+def basic_periodic_orbits(p, n, max_period):
+    """``coverings.periodic_orbits`` as cycles of the depth-n basic relation.
+
+    Each relation step ``(a, b)`` is a flexible edge named ``a>b``; every
+    circuit of at most ``max_period`` steps is an orbit, starting at its
+    least step id, and its support is every edge whose chain takes one of
+    its steps.
+    """
+    p._check_depth(n)
+    exp = expand_to_basic(coverings.level_graph(p, n))
+    step_support = {}
+    for e, chain in exp.chains.items():
+        for a, b in zip(chain, chain[1:]):
+            step_support.setdefault((a, b), set()).add(e)
+    good = (
+        coverings._circuit_chain_edges(p.self_cover) if p.kind == "stationary" else set()
+    )
+    basic = exp.graph
+    flex = graphs.flexible(basic.vertices, {f"{u}>{w}": (u, w) for u, w in basic.edges})
+    orbits = []
+    for circuit in graphs.enumerate_circuits(flex, max_period).circuits:
+        steps = [(flex.src[eid], flex.rng[eid]) for eid in circuit]
+        support = sorted(set().union(*(step_support[s] for s in steps)))
+        certified = len(support) == 1 and support[0] in good
+        orbits.append(
+            coverings.PeriodicOrbit(
+                period=len(circuit),
+                vertices=tuple(u for (u, _) in steps),
+                certainty="CERTIFIED" if certified else "POSSIBLE",
+                support=tuple(support),
+            )
+        )
+    return orbits
 
 
 @dataclass(frozen=True)
@@ -139,7 +207,7 @@ def expand_basic_cover(c):
     """
     if not graphs.is_weighted_cover(c):
         raise CoverViolation("input is not a weighted cover")
-    dome, code = graphs.expand_to_basic(c.domain), graphs.expand_to_basic(c.codomain)
+    dome, code = expand_to_basic(c.domain), expand_to_basic(c.codomain)
     vmap = {v: c.vmap[v] for v in c.domain.vertices}
     for e in c.domain.sorted_edges():
         # the chain vertices of the image walk, one per length offset

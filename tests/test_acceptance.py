@@ -238,7 +238,7 @@ def random_seed_row(p, rng):
     core = []
     here = u
     for _ in range(rng.randint(0, 3)):
-        e = rng.choice(sorted(g3.out_edges(here)))
+        e = rng.choice(sorted(g3._index.out.get(here, ())))
         core.append(e)
         here = g3.rng[e]
     right = rng.choice(EX2_CYCLES[here])

@@ -1,6 +1,7 @@
 """Ordered Bratteli diagrams, successors, nesting, and conversions."""
 
 import pytest
+from hypothesis import given, settings
 
 from zdyn import bratteli, coverings, stationary
 from zdyn.bratteli import MAXIMAL, MINIMAL
@@ -14,6 +15,7 @@ from helpers import (
     non_nesting_diagram,
     skew_presentation,
 )
+from test_properties import mono_graphs
 
 
 def ex1_bv():
@@ -269,6 +271,35 @@ def test_closing_bv_fails_on_the_skew_fixture():
 
 def test_closing_bv_is_unknown_on_finite_prefixes():
     assert bratteli.check_closing_bv(non_nesting_diagram()).verdict == UNKNOWN
+
+
+def unique_in_chain_heads(m):
+    """Vertices heading an infinite path of unique in-edges above them.
+
+    The one-step relation ``v -> w`` holds when the only in-edge of ``w``
+    starts at ``v``; a vertex stays while it steps to one that stays.
+    """
+    step = {v: set() for v in m.vertices}
+    for w in m.vertices:
+        ranked = m.in_edges(w)
+        if len(ranked) == 1:
+            step[m.src[ranked[0]]].add(w)
+    alive = set(m.vertices)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(alive):
+            if not (step[v] & alive):
+                alive.discard(v)
+                changed = True
+    return alive
+
+
+@settings(max_examples=200, deadline=None)
+@given(mono_graphs())
+def test_constant_path_heads_are_infinite_unique_in_walks(m):
+    unique = frozenset(e for e in m.edges if len(m.in_edges(m.rng[e])) == 1)
+    assert stationary._infinite_walk_vertices(m, unique) == unique_in_chain_heads(m)
 
 
 def test_regulated_bv_matches_the_covering_side():

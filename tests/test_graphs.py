@@ -10,7 +10,6 @@ from zdyn.graphs import (
     compose_covers,
     cover_power,
     enumerate_circuits,
-    expand_to_basic,
     identity_cover,
     singleton_graph,
     validate_graph,
@@ -26,7 +25,7 @@ from helpers import (
     weighted_cover,
     weighted_level,
 )
-from path_sets import check_basic_cover, expand_basic_cover
+from path_sets import check_basic_cover, expand_basic_cover, expand_to_basic
 
 
 class TestValidateGraph:
@@ -236,36 +235,44 @@ class TestEnumerateCircuits:
         assert not report.truncated
         assert enumerate_circuits(g, n - 1) == graphs.CircuitReport((), True)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         st.integers(1, 5).flatmap(
             lambda k: st.lists(
-                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1)),
+                st.tuples(st.integers(0, k - 1), st.integers(0, k - 1), st.integers(1, 3)),
                 min_size=1,
                 max_size=9,
             )
         ),
-        st.integers(1, 6),
+        st.integers(1, 12),
+        st.booleans(),
     )
-    def test_circuits_match_the_recursive_search(self, pairs, max_len):
-        g = graphs.flexible(
-            {f"v{x}" for pair in pairs for x in pair},
-            {f"e{i}": (f"v{a}", f"v{b}") for i, (a, b) in enumerate(pairs)},
-        )
+    def test_circuits_match_the_recursive_search(self, triples, max_len, as_flexible):
+        vertices = {f"v{x}" for a, b, _ in triples for x in (a, b)}
+        table = {f"e{i}": (f"v{a}", f"v{b}", k) for i, (a, b, k) in enumerate(triples)}
+        if as_flexible:
+            g = graphs.flexible(vertices, {e: t[:2] for e, t in table.items()})
+        else:
+            g = weighted(vertices, table)
         assert enumerate_circuits(g, max_len) == recursive_circuits(g, max_len)
 
 
 def recursive_circuits(g, max_len):
-    """The circuit search as a recursion, one call per edge of the walk."""
+    """The circuit search as a recursion, one call per edge of the walk.
+
+    An edge counts its length, 1 in a flexible graph.
+    """
+    length = dict.fromkeys(g.edges, 1) if g.length is None else g.length
     found = []
 
     def extend(start, here, walk, seen):
-        for e in g.out_edges(here):
+        for e in g._index.out.get(here, ()):
             nxt = g.rng[e]
             walk.append(e)
-            if nxt == start:
+            total = sum(length[f] for f in walk)
+            if nxt == start and total <= max_len:
                 found.append(tuple(walk))
-            if len(walk) < max_len and nxt != start and nxt not in seen:
+            if total < max_len and nxt != start and nxt not in seen:
                 seen.add(nxt)
                 extend(start, nxt, walk, seen)
                 seen.discard(nxt)
@@ -274,4 +281,5 @@ def recursive_circuits(g, max_len):
     for v in sorted(g.vertices):
         extend(v, v, [], {v})
     canonical = sorted({min(graphs.rotations(w)) for w in found})
-    return graphs.CircuitReport(tuple(canonical), max_len < len(g.vertices))
+    size = len(g.vertices) + sum(length[e] - 1 for e in g.edges)
+    return graphs.CircuitReport(tuple(canonical), max_len < size)
