@@ -471,7 +471,7 @@ def _continuity_psi(d: BratteliDiagram) -> dict:
         raise HorizonExceeded("no successor beyond the prefix of a finite diagram")
     report = d._continuity
     if report.verdict != HOLDS:
-        raise UndefinedVershik("the diagram carries no continuous successor map")
+        raise UndefinedVershik("no continuous successor map exists")
     return report.details["psi"]
 
 
@@ -659,35 +659,20 @@ def _successor_projections(
     return resolved, unresolved
 
 
-def _max_tail_targets(d: BratteliDiagram, v: str, n: int) -> set:
-    """Successor images of the all-maximal points above vertex ``v``.
-
-    Only available for straight stationary diagrams whose mono-graph has
-    the continuity condition; the image of the all-max point through a
-    max self-loop at ``v`` is the all-min point through psi(v).
-    """
-    report = d._continuity
-    if report.verdict != HOLDS:
-        raise UndefinedVershik("no continuous successor map exists")
-    psi = report.details["psi"]
-    if v not in psi:
-        raise UndefinedVershik(f"no successor for the maximal point over {v}")
-    return {minimal_path(d, psi[v], n)}
-
-
-def clusters(d: BratteliDiagram, n: int, depth: int | None = None) -> ClusterPartition:
+def clusters(d: BratteliDiagram, n: int) -> ClusterPartition:
     """The partition of level-n bases glued by successor images of tops.
 
     Two bases join when the successor image of some tower top meets both.
-    Resolution probes extensions up to ``depth``; for straight stationary
-    diagrams with the continuity condition the all-maximal leftovers are
-    resolved exactly and the partition is EXACT.
+    On a straight stationary diagram the image is read off
+    :func:`boundary_targets` and the partition is EXACT.  A finite prefix
+    or a bent stationary diagram probes the extensions of each top two
+    levels deep, or to the end of the prefix; an extension still maximal
+    there makes the partition DEPTH_LIMITED, and so does a bent diagram.
+    Level 0 is the root alone.
     """
-    depth = depth if depth is not None else n + 2
-    limit = d.depth()
-    if limit is not None:
-        depth = min(depth, limit)
     verts = d.level_vertices(n)
+    if n == 0:
+        return ClusterPartition(level=0, clusters=(frozenset(verts),), certainty="EXACT")
     parent = {v: v for v in verts}
 
     def find(x):
@@ -701,21 +686,21 @@ def clusters(d: BratteliDiagram, n: int, depth: int | None = None) -> ClusterPar
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    minpaths = {v: minimal_path(d, v, n) for v in verts}
-    certainty = "EXACT"
-    stationary_straight = (
-        d.kind == "stationary" and stationary.is_straight(d.mono)
-    )
+    straight = d.kind == "stationary" and stationary.is_straight(d.mono)
+    certainty = "DEPTH_LIMITED" if d.kind == "stationary" and not straight else "EXACT"
+    limit = d.depth()
+    depth = n + 2 if limit is None else min(n + 2, limit)
     for v in verts:
-        top = maximal_path(d, v, n)
-        projections, unresolved = _successor_projections(d, top, n, depth)
-        if unresolved:
-            if stationary_straight:
-                projections |= _max_tail_targets(d, v, n)
-            else:
+        if straight:
+            hits = boundary_targets(d, v, 1)
+        else:
+            top = maximal_path(d, v, n)
+            projections, unresolved = _successor_projections(d, top, n, depth)
+            if unresolved:
                 certainty = "DEPTH_LIMITED"
-        hit = [w for w in verts if minpaths[w] in projections]
-        for a, b in zip(hit, hit[1:]):
+            hits = {path_rng(d, q) for q in projections}
+        hits = sorted(hits)
+        for a, b in zip(hits, hits[1:]):
             union(a, b)
     groups: dict[str, set] = {}
     for v in verts:
@@ -723,15 +708,17 @@ def clusters(d: BratteliDiagram, n: int, depth: int | None = None) -> ClusterPar
     ordered = tuple(
         frozenset(groups[root]) for root in sorted(groups)
     )
-    if d.kind == "stationary" and not stationary_straight:
-        certainty = "DEPTH_LIMITED"
     return ClusterPartition(level=n, clusters=ordered, certainty=certainty)
 
 
-def check_nesting(d: BratteliDiagram, n: int, depth: int | None = None) -> Report:
-    """Does every level-(n+1) cluster sit inside one level-n base?"""
+def check_nesting(d: BratteliDiagram, n: int) -> Report:
+    """Does every level-(n+1) cluster sit inside one level-n base?
+
+    The clusters come from :func:`clusters`: exact on a straight
+    stationary diagram, probed two levels deep otherwise.
+    """
     d._check_depth(n)
-    part = clusters(d, n + 1, depth)
+    part = clusters(d, n + 1)
     for cluster in part.clusters:
         truncations = {
             v: minimal_path(d, v, n + 1)[:n] for v in sorted(cluster)
@@ -815,18 +802,21 @@ def weighted_to_bv(p) -> BratteliDiagram:
     )
 
 
-def bv_to_weighted(d: BratteliDiagram, probe_levels: int = 3):
+def bv_to_weighted(d: BratteliDiagram):
     """Rewrite a stationary diagram as a stationary covering presentation.
 
-    Needs the nesting property at the probed levels.  Covering vertices
-    are the base clusters, covering edges are the diagram vertices, and
-    the expansion of an edge lists the sources of its ranked in-edges.
+    Needs the nesting property at levels 1 to 3, which only a straight
+    diagram has.  Covering vertices are the level-1 base clusters,
+    covering edges are the diagram vertices, and the expansion of an edge
+    lists the sources of its ranked in-edges.  An edge runs from the
+    cluster of its own base to the cluster where the step past its tower
+    top lands, as :func:`boundary_targets` decides it.
     """
     if d.kind != "stationary":
         raise UnsupportedKind(
             "only stationary diagrams convert back to covering presentations"
         )
-    for n in range(1, probe_levels + 1):
+    for n in range(1, 4):
         report = check_nesting(d, n)
         if report.verdict == FAILS:
             raise NestingViolation(f"nesting fails at level {n}: {report.witnesses}")
@@ -834,50 +824,23 @@ def bv_to_weighted(d: BratteliDiagram, probe_levels: int = 3):
             raise UndefinedVershik(
                 f"cluster resolution is depth-limited at level {n}"
             )
-    parts = [clusters(d, n) for n in range(1, probe_levels + 1)]
-    partition = {
-        frozenset(c) for c in parts[0].clusters
-    }
-    for part in parts[1:]:
-        if {frozenset(c) for c in part.clusters} != partition:
-            raise UndefinedVershik("cluster partition is not level-stationary")
-
-    def cluster_name(c: frozenset) -> str:
-        return "+".join(sorted(c))
-
+    part = clusters(d, 1)
+    name = {v: "+".join(sorted(c)) for c in part.clusters for v in c}
     m = d.mono
-    n0 = 1
-    part = parts[0]
-    minpaths = {v: minimal_path(d, v, n0) for v in d.level_vertices(n0)}
-    src_cluster = {v: cluster_name(part.cluster_of(v)) for v in m.vertices}
-    rng_cluster = {}
+    edge_table = {}
     for v in sorted(m.vertices):
-        top = maximal_path(d, v, n0)
-        projections, unresolved = _successor_projections(d, top, n0, n0 + 2)
-        if unresolved:
-            projections |= _max_tail_targets(d, v, n0)
-        hits = {w for w in m.vertices if minpaths[w] in projections}
-        if not hits:
+        hosts = {name[w] for w in boundary_targets(d, v, 1)}
+        if not hosts:
             raise NestingViolation(f"tower top of {v} escapes every base")
-        host_clusters = {cluster_name(part.cluster_of(w)) for w in hits}
-        if len(host_clusters) > 1:
+        if len(hosts) > 1:
             raise NestingViolation(f"tower top of {v} lands in two clusters")
-        rng_cluster[v] = host_clusters.pop()
-
-    vertices = {cluster_name(frozenset(c)) for c in partition}
-    edge_table = {
-        v: (src_cluster[v], rng_cluster[v]) for v in m.vertices
-    }
-    g = graphs.flexible(vertices, edge_table)
+        edge_table[v] = (name[v], hosts.pop())
+    g = graphs.flexible(set(name.values()), edge_table)
     emap = {
         v: tuple(m.src[e] for e in m.in_edges(v)) for v in m.vertices
     }
-    vmap = {}
-    for c in partition:
-        v = sorted(c)[0]
-        q = minimal_path(d, v, n0 + 1)[:n0]
-        host = path_rng(d, q)
-        vmap[cluster_name(c)] = cluster_name(part.cluster_of(host))
+    # a level-2 base sits over the level-1 base its minimal in-edge leaves
+    vmap = {name[v]: name[m.extreme_of(v, last=False)] for v in m.vertices}
     cover = graphs.Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
     problems = graphs.cover_violations(cover)
     if problems or not graphs.cover_flags(cover).weighted:

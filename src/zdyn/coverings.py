@@ -78,8 +78,14 @@ class CoveringPresentation:
 
     @functools.cached_property
     def _lengths(self) -> list:
-        """Stationary edge lengths by level, read-only, extended on demand."""
-        return [self.multiplicities]
+        """Edge lengths by level from the first repeated one, extended on demand.
+
+        A stationary presentation starts at level 1, a finite prefix whose
+        last cover repeats at its top level.
+        """
+        if self.kind == "stationary":
+            return [self.multiplicities]
+        return [self.graphs[-1].length]
 
     @functools.cached_property
     def _memo(self) -> dict:
@@ -161,18 +167,24 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
 
 
 def _stationary_lengths(p: CoveringPresentation, n: int):
-    """Level-n edge lengths of a stationary presentation, read-only.
+    """Level-n edge lengths where the covers repeat, read-only.
 
-    Computed level by level and kept on the presentation.
+    That is every level of a stationary presentation, which repeats its
+    self-cover from level 1, and the levels above the top of a finite
+    prefix, which repeats its last cover.  Computed level by level and
+    kept on the presentation.
     """
+    if p.kind == "stationary":
+        base, emap = 1, p.self_cover.emap
+    else:
+        base, emap = len(p.graphs), p.covers[-1].emap
     lengths = p._lengths
-    emap = p.self_cover.emap
-    while len(lengths) < n:
+    while len(lengths) <= n - base:
         below = lengths[-1]
         lengths.append(
             MappingProxyType({e: sum(below[q] for q in emap[e]) for e in emap})
         )
-    return lengths[n - 1]
+    return lengths[n - base]
 
 
 def level_graph(p: CoveringPresentation, n: int) -> Graph:
@@ -185,19 +197,14 @@ def level_graph(p: CoveringPresentation, n: int) -> Graph:
         return singleton_graph()
     if p.kind == "stationary":
         g = p.self_cover.domain
-        lengths = _stationary_lengths(p, n)
     elif n <= len(p.graphs):
         return p.graphs[n - 1]
     else:
-        # the repeating tail keeps the top shape and propagates lengths
+        # the repeating tail keeps the top shape
         g = p.graphs[-1]
-        emap = p.covers[-1].emap
-        lengths = g.length
-        for _ in range(n - len(p.graphs)):
-            lengths = {e: sum(lengths[q] for q in emap[e]) for e in g.edges}
-        lengths = MappingProxyType(lengths)
     return Graph(
-        vertices=g.vertices, edges=g.edges, src=g.src, rng=g.rng, length=lengths
+        vertices=g.vertices, edges=g.edges, src=g.src, rng=g.rng,
+        length=_stationary_lengths(p, n),
     )
 
 

@@ -225,6 +225,27 @@ def test_non_arithmetic_telescope_repeats_last_cover():
     assert lengths_at(q, 2) == lengths_at(p, 3)
 
 
+def propagated_lengths(q, n):
+    """Level-n lengths of a repeating tail, propagated from the top graph."""
+    g, emap = q.graphs[-1], q.covers[-1].emap
+    lengths = dict(g.length)
+    for _ in range(n - len(q.graphs)):
+        lengths = {e: sum(lengths[x] for x in emap[e]) for e in g.edges}
+    return lengths
+
+
+@pytest.mark.parametrize("cuts", [[1, 3], [2, 3], [1, 2, 4]])
+def test_repeating_tail_lengths_are_kept_and_propagated(cuts):
+    for p in (example2_unit(), example2_weighted(), fib_presentation(), skew_presentation()):
+        q = coverings.telescope(p, cuts)
+        for n in range(len(cuts) + 8, len(cuts) - 1, -1):
+            assert lengths_at(q, n) == propagated_lengths(q, n)
+            assert coverings.level_graph(q, n).length is coverings.level_graph(q, n).length
+        # level k of the telescope is level cuts[-1] + (k - len(cuts)) * step
+        step = cuts[-1] - cuts[-2]
+        assert lengths_at(q, len(cuts) + 5) == lengths_at(p, cuts[-1] + 5 * step)
+
+
 def test_telescope_preserves_closing_verdicts():
     for p in (example2_unit(), skew_presentation()):
         before = coverings.check_closing(p).verdict
