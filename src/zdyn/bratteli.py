@@ -475,39 +475,6 @@ def _continuity_psi(d: BratteliDiagram) -> dict:
     return report.details["psi"]
 
 
-def successor_values(d: BratteliDiagram, p: tuple[str, ...]):
-    """Depth-D truncations of successors of all points extending ``p``.
-
-    Returns ``(values, exceptional)``.  For a non-maximal prefix the
-    successor is determined by the prefix itself and the set is a
-    singleton.  An all-maximal prefix is resolved exactly on straight
-    stationary diagrams with the continuity condition: bumping each
-    one-level-deeper extension, with the constant max column closed
-    through psi.
-    """
-    return _step_values(d, p, 1)
-
-
-def predecessor_values(d: BratteliDiagram, p: tuple[str, ...]):
-    """The dual of :func:`successor_values` for the inverse map."""
-    return _step_values(d, p, -1)
-
-
-def _step_values(d: BratteliDiagram, p: tuple[str, ...], delta: int):
-    """:func:`successor_values` for ``delta = 1``, its dual for ``delta = -1``.
-
-    Past the boundary, each extension along the extreme edges is bumped
-    to its neighbour on the ``delta`` side at the first edge that has
-    one, with everything below reset to the opposite extreme; a constant
-    extreme column closes through psi (its preimages going backwards).
-    """
-    nxt = _step(d, p, delta)
-    if nxt not in (MAXIMAL, MINIMAL):
-        return frozenset({nxt}), False
-    targets = boundary_targets(d, path_rng(d, p), delta)
-    return frozenset(_extreme_path(d, u, len(p), last=delta < 0) for u in targets), True
-
-
 def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
     """Where the step past the end of ``v``'s tower lands, as vertices.
 
@@ -715,7 +682,10 @@ def check_nesting(d: BratteliDiagram, n: int) -> Report:
     """Does every level-(n+1) cluster sit inside one level-n base?
 
     The clusters come from :func:`clusters`: exact on a straight
-    stationary diagram, probed two levels deep otherwise.
+    stationary diagram, probed two levels deep otherwise.  A level-(n+1)
+    base projects to the minimal path into the source of its minimal
+    in-edge, itself a level-n base, so a cluster sits inside one base
+    exactly when its bases share that projection.
     """
     d._check_depth(n)
     part = clusters(d, n + 1)
@@ -723,31 +693,15 @@ def check_nesting(d: BratteliDiagram, n: int) -> Report:
         truncations = {
             v: minimal_path(d, v, n + 1)[:n] for v in sorted(cluster)
         }
-        distinct = set(truncations.values())
-        witnesses = tuple(sorted(cluster))
-        if len(distinct) > 1:
+        if len(set(truncations.values())) > 1:
             return Report(
                 tag="nesting",
                 verdict=FAILS,
-                witnesses=witnesses,
+                witnesses=tuple(sorted(cluster)),
                 details={
                     "level": n,
                     "reason": "cluster bases project to different level-n paths",
                     "projections": truncations,
-                    "certainty": part.certainty,
-                },
-            )
-        q = distinct.pop()
-        host = path_rng(d, q)
-        if q != minimal_path(d, host, n):
-            return Report(
-                tag="nesting",
-                verdict=FAILS,
-                witnesses=witnesses,
-                details={
-                    "level": n,
-                    "reason": "cluster sits inside a tower interior, not a base",
-                    "projection": q,
                     "certainty": part.certainty,
                 },
             )
@@ -805,8 +759,10 @@ def weighted_to_bv(p) -> BratteliDiagram:
 def bv_to_weighted(d: BratteliDiagram):
     """Rewrite a stationary diagram as a stationary covering presentation.
 
-    Needs the nesting property at levels 1 to 3, which only a straight
-    diagram has.  Covering vertices are the level-1 base clusters,
+    Needs the nesting property at level 1, which only a straight diagram
+    has; on a straight diagram the clusters and the projections of the
+    bases are the same at every level from 1 on, so level 1 decides them
+    all.  Covering vertices are the level-1 base clusters,
     covering edges are the diagram vertices, and the expansion of an edge
     lists the sources of its ranked in-edges.  An edge runs from the
     cluster of its own base to the cluster where the step past its tower
@@ -816,25 +772,21 @@ def bv_to_weighted(d: BratteliDiagram):
         raise UnsupportedKind(
             "only stationary diagrams convert back to covering presentations"
         )
-    for n in range(1, 4):
-        report = check_nesting(d, n)
-        if report.verdict == FAILS:
-            raise NestingViolation(f"nesting fails at level {n}: {report.witnesses}")
-        if report.verdict == UNKNOWN:
-            raise UndefinedVershik(
-                f"cluster resolution is depth-limited at level {n}"
-            )
+    report = check_nesting(d, 1)
+    if report.verdict == FAILS:
+        raise NestingViolation(f"nesting fails at level 1: {report.witnesses}")
+    if report.verdict == UNKNOWN:
+        raise UndefinedVershik("cluster resolution is depth-limited at level 1")
     part = clusters(d, 1)
     name = {v: "+".join(sorted(c)) for c in part.clusters for v in c}
     m = d.mono
     edge_table = {}
     for v in sorted(m.vertices):
-        hosts = {name[w] for w in boundary_targets(d, v, 1)}
-        if not hosts:
+        targets = boundary_targets(d, v, 1)
+        if not targets:
             raise NestingViolation(f"tower top of {v} escapes every base")
-        if len(hosts) > 1:
-            raise NestingViolation(f"tower top of {v} lands in two clusters")
-        edge_table[v] = (name[v], hosts.pop())
+        # the clusters glue all the targets of a top together
+        edge_table[v] = (name[v], name[min(targets)])
     g = graphs.flexible(set(name.values()), edge_table)
     emap = {
         v: tuple(m.src[e] for e in m.in_edges(v)) for v in m.vertices

@@ -166,6 +166,18 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
 # levels and covers
 
 
+def _tail(p: CoveringPresentation) -> tuple[int, Cover | None]:
+    """``(top, cover)``: from level ``top`` on, ``cover`` maps each level onto the one below.
+
+    A stationary presentation repeats its self-cover from level 1 and a
+    repeating tail its last cover from its top level.  A truncated prefix
+    stops at its top level, and ``cover`` is None.
+    """
+    if p.kind == "stationary":
+        return 1, p.self_cover
+    return len(p.graphs), p.covers[-1] if p.tail == REPEAT else None
+
+
 def _stationary_lengths(p: CoveringPresentation, n: int):
     """Level-n edge lengths where the covers repeat, read-only.
 
@@ -174,10 +186,8 @@ def _stationary_lengths(p: CoveringPresentation, n: int):
     prefix, which repeats its last cover.  Computed level by level and
     kept on the presentation.
     """
-    if p.kind == "stationary":
-        base, emap = 1, p.self_cover.emap
-    else:
-        base, emap = len(p.graphs), p.covers[-1].emap
+    base, cover = _tail(p)
+    emap = cover.emap
     lengths = p._lengths
     while len(lengths) <= n - base:
         below = lengths[-1]
@@ -224,12 +234,8 @@ def cover_at(p: CoveringPresentation, n: int) -> Cover:
             vmap=MappingProxyType({v: "v0" for v in dom.vertices}),
             emap=MappingProxyType({e: ("e0",) * dom.length[e] for e in dom.edges}),
         )
-    if p.kind == "stationary":
-        base = p.self_cover
-    elif n <= len(p.graphs):
-        base = p.covers[n - 2]
-    else:
-        base = p.covers[-1]
+    top, repeated = _tail(p)
+    base = p.covers[n - 2] if n <= top else repeated
     return Cover(
         domain=dom, codomain=level_graph(p, n - 1), vmap=base.vmap, emap=base.emap
     )
@@ -285,25 +291,22 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
 
 @dataclass(frozen=True)
 class ConstantChain:
-    """An infinite constant covering, eventually periodic.
+    """An infinite constant covering, periodic from where the covers repeat.
 
-    The chain above ``edge`` reads ``transient`` from the level just
-    above upward and then repeats ``cycle`` forever.  For truncated
+    The chain above ``edge`` reads ``transient`` at levels 2, 3, ... and
+    from there on repeats ``cycle`` forever, read upward: each edge is the
+    single image of the next.  On a stationary presentation ``edge`` lies
+    on its own cycle and ``transient`` is empty; on a repeating tail the
+    transient runs up to the level below the top and the cycle, which
+    ends with the chain's top edge, starts at the top.  For truncated
     prefixes ``exact`` is False: the chain is only a within-prefix
-    witness and ``cycle`` is empty.
+    witness up to the top and ``cycle`` is empty.
     """
 
     edge: str
     transient: tuple[str, ...]
     cycle: tuple[str, ...]
     exact: bool = True
-
-    def edges(self) -> frozenset:
-        return (
-            frozenset({self.edge})
-            | frozenset(self.transient)
-            | frozenset(self.cycle)
-        )
 
 
 def _single_image_relation(cover: Cover) -> dict:
@@ -314,7 +317,15 @@ def _single_image_relation(cover: Cover) -> dict:
 
 
 def _relation_cycles(rel: dict) -> set:
-    """Edges lying on a cycle of the (functional) relation."""
+    """Edges lying on a cycle of the (functional) relation.
+
+    These are exactly the edges with arbitrarily long constant chains
+    above them.  A chain that climbs forever through finitely many edges
+    meets some edge twice, and that edge lies on a cycle; the edges below
+    it on the chain are its images, and a function maps each of its
+    cycles onto itself.  An edge on a cycle has the cycle run backwards
+    above it.
+    """
     on_cycle = set()
     for start in rel:
         seen = []
@@ -327,87 +338,44 @@ def _relation_cycles(rel: dict) -> set:
     return on_cycle
 
 
-def _icc_edges(rel: dict, cycles: set) -> set:
-    """Edges with arbitrarily long constant chains above them."""
-    covered = set(cycles)
-    changed = True
-    while changed:
-        changed = False
-        for src, dst in rel.items():
-            if src in covered and dst not in covered:
-                covered.add(dst)
-                changed = True
-    return covered
-
-
-def _chain_description(rel: dict, cycles: set, covered: set, e: str):
-    """The (transient, cycle) witness above an infinitely covered edge.
-
-    ``transient`` lists the chain edges strictly above ``e`` up to the
-    cycle entry (exclusive); ``cycle`` lists the repeating cycle in
-    covering order.
-    """
-    up = [e]
-    while up[-1] not in cycles:
-        up.append(min(q for q in rel if rel[q] == up[-1] and q in covered))
-    entry = up[-1]
-    cyc = [entry]
-    here = rel[entry]
-    while here != entry:
-        cyc.append(here)
-        here = rel[here]
-    cyc.reverse()
-    transient = tuple(q for q in up[1:] if q not in cycles)
-    return transient, tuple(cyc)
+def _cycle_through(rel: dict, e: str) -> tuple[str, ...]:
+    """The cycle of ``rel`` through ``e`` read upward, ending with ``e``."""
+    cycle = [e]
+    while rel[cycle[-1]] != e:
+        cycle.append(rel[cycle[-1]])
+    return tuple(reversed(cycle))
 
 
 def find_constant_chains(p: CoveringPresentation) -> list[ConstantChain]:
     """All infinitely constantly covered level-1 edges with witnesses.
 
-    On a truncated prefix the returned chains are within-prefix
-    witnesses only (``exact`` is False).
+    A level-1 edge is covered when single-edge images lead down to it
+    from a top-level edge on a cycle of the repeated cover's single-image
+    relation (see :func:`_relation_cycles` and :func:`_tail`).  On a
+    truncated prefix every such descent from the top is returned as a
+    within-prefix witness only (``exact`` is False).
     """
-    if p.kind == "stationary":
-        rel = _single_image_relation(p.self_cover)
-        cycles = _relation_cycles(rel)
-        covered = _icc_edges(rel, cycles)
-        return [
-            ConstantChain(e, *_chain_description(rel, cycles, covered, e))
-            for e in sorted(covered)
-        ]
-    top = len(p.graphs)
-    if top < 2:
+    top, cover = _tail(p)
+    if cover is None and top < 2:
         return []
-    # follow single-edge images downward from the top level
-    descents = {e: [e] for e in sorted(level_graph(p, top).edges)}
-    for n in range(top, 1, -1):
-        cov = cover_at(p, n)
-        descents = {
-            e: chain + [cov.emap[chain[-1]][0]]
-            for e, chain in descents.items()
-            if len(cov.emap[chain[-1]]) == 1
+    # follow single-edge images downward from the top level; a chain
+    # lists its edges upward, from level 1 to the top
+    chains = {e: (e,) for e in sorted(level_graph(p, top).edges)}
+    for cov in reversed(p.covers):
+        chains = {
+            e: (cov.emap[c[0]][0], *c)
+            for e, c in chains.items()
+            if len(cov.emap[c[0]]) == 1
         }
-    chains = []
-    if p.tail == REPEAT:
-        rel = _single_image_relation(p.covers[-1])
-        cycles = _relation_cycles(rel)
-        covered = _icc_edges(rel, cycles)
-        for e_top, chain in sorted(descents.items()):
-            if e_top not in covered:
-                continue
-            upward = list(reversed(chain))  # levels 1 .. top
-            trans_top, cyc = _chain_description(rel, cycles, covered, e_top)
-            above = upward[1:]
-            if e_top in set(cyc):
-                above = above[:-1]
-            chains.append(ConstantChain(upward[0], tuple(above) + trans_top, cyc))
-    else:
-        for e_top, chain in sorted(descents.items()):
-            upward = list(reversed(chain))
-            chains.append(
-                ConstantChain(upward[0], tuple(upward[1:]), (), exact=False)
-            )
-    return chains
+    if cover is None:
+        return [ConstantChain(c[0], c[1:], (), exact=False) for c in chains.values()]
+    rel = _single_image_relation(cover)
+    cycles = _relation_cycles(rel)
+    return [
+        ConstantChain(c[0], c[1:-1], _cycle_through(rel, e))
+        for e, c in chains.items()
+        if e in cycles
+    ]
 
 
 def _is_circuit_edge(g, e: str) -> bool:
@@ -415,14 +383,12 @@ def _is_circuit_edge(g, e: str) -> bool:
 
 
 def _chain_is_circuits(p: CoveringPresentation, chain: ConstantChain) -> bool:
-    if p.kind == "stationary":
-        g = p.self_cover.domain
-        return all(_is_circuit_edge(g, e) for e in chain.edges())
-    top = len(p.graphs)
+    top, _ = _tail(p)
     placed = [(1, chain.edge)]
-    placed += [(min(i + 2, top), e) for i, e in enumerate(chain.transient)]
+    placed += [(i + 2, e) for i, e in enumerate(chain.transient)]
     placed += [(top, e) for e in chain.cycle]
-    return all(_is_circuit_edge(level_graph(p, n), e) for n, e in placed)
+    shape = {n: level_graph(p, n) for n in {n for n, _ in placed}}
+    return all(_is_circuit_edge(shape[n], e) for n, e in placed)
 
 
 def check_closing(p: CoveringPresentation) -> Report:
@@ -455,7 +421,7 @@ def _circuit_chain_edges(cover: Cover) -> set:
         for a, b in rel.items()
         if _is_circuit_edge(g, a) and _is_circuit_edge(g, b)
     }
-    return _icc_edges(loop_rel, _relation_cycles(loop_rel))
+    return _relation_cycles(loop_rel)
 
 
 def growing_symbols(rules) -> frozenset:
@@ -477,32 +443,6 @@ def growing_symbols(rules) -> frozenset:
     return frozenset(a for a, r in reach.items() if a in pumping or r & pumping)
 
 
-def _prefix_chain_support(p: CoveringPresentation, n: int):
-    """Level-n circuit edges with all-circuit constant chains in a prefix.
-
-    Returns ``(supported, undecided)``: supported edges are certified
-    infinitely constantly covered by circuits (repeating tails only);
-    undecided edges carry a within-prefix all-circuit chain to the top
-    of a truncated prefix.  Everything else is certified uncovered.
-    """
-    top = len(p.graphs)
-    g = level_graph(p, n)
-    alive = {e: e for e in g.edges if _is_circuit_edge(g, e)}
-    for k in range(n + 1, top + 1):
-        cov = cover_at(p, k)
-        gk = level_graph(p, k)
-        alive = {
-            e2: bottom
-            for e, bottom in alive.items()
-            for e2 in gk.edges
-            if cov.emap[e2] == (e,) and _is_circuit_edge(gk, e2)
-        }
-    if p.tail == REPEAT:
-        good_top = _circuit_chain_edges(p.covers[-1])
-        return {alive[e] for e in alive if e in good_top}, set()
-    return set(), set(alive.values())
-
-
 def _checked_l_seq(l_seq, n_max: int) -> list:
     """The thresholds as a list, strictly increasing, positive, >= n_max long."""
     seq = list(l_seq)
@@ -517,32 +457,44 @@ def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
     """Short edges at each level must be constantly covered by circuits.
 
     ``l_seq`` is the increasing threshold sequence, consulted at levels
-    1..n_max.  For stationary presentations the report also carries an
-    asymptotic verdict about the edges of bounded length, which stay
+    1..n_max.  A short edge passes when an all-circuit constant chain
+    climbs from it to the top level and goes on forever under the
+    repeated cover; on a truncated prefix a chain to the top leaves the
+    level UNKNOWN.  For stationary presentations the report also carries
+    an asymptotic verdict about the edges of bounded length, which stay
     short forever; edges of unbounded length are listed as undecided
     since a finite threshold sequence cannot constrain their tail.
     """
     seq = _checked_l_seq(l_seq, n_max)
     p._check_depth(n_max)
-    if p.kind == "stationary":
-        good = _circuit_chain_edges(p.self_cover)
+    _, cover = _tail(p)
+    good = set() if cover is None else _circuit_chain_edges(cover)
     levels = []
     overall = HOLDS
     for n in range(1, n_max + 1):
         g = level_graph(p, n)
         short = sorted(e for e in g.edges if g.length[e] <= seq[n - 1])
-        if p.kind == "stationary":
-            bad = [e for e in short if e not in good]
-            verdict = FAILS if bad else HOLDS
+        # all-circuit constant chains from level n to the top, by top edge
+        chains = {e: e for e in g.edges if _is_circuit_edge(g, e)}
+        for gk, cov in zip(p.graphs[n:], p.covers[n - 1:]):
+            chains = {
+                e: chains[cov.emap[e][0]]
+                for e in gk.edges
+                if len(cov.emap[e]) == 1
+                and cov.emap[e][0] in chains
+                and _is_circuit_edge(gk, e)
+            }
+        if cover is None:
+            reached = set(chains.values())
         else:
-            supported, undecided = _prefix_chain_support(p, n)
-            bad = [e for e in short if e not in supported and e not in undecided]
-            if bad:
-                verdict = FAILS
-            elif any(e in undecided for e in short):
-                verdict = UNKNOWN
-            else:
-                verdict = HOLDS
+            reached = {bottom for e, bottom in chains.items() if e in good}
+        bad = [e for e in short if e not in reached]
+        if bad:
+            verdict = FAILS
+        elif short and cover is None:
+            verdict = UNKNOWN
+        else:
+            verdict = HOLDS
         levels.append({"level": n, "verdict": verdict, "witnesses": tuple(bad)})
         if verdict == FAILS:
             overall = FAILS
@@ -812,8 +764,9 @@ class _Cylinders:
         """The cylinders one shift of ``cylinders`` meets.
 
         Returns ``(cylinders, exceptional)``, the flag telling whether
-        some cylinder crossed the end of its tower: the cylinder form of
-        :func:`bratteli.successor_values` and its mirror image.
+        some cylinder crossed the end of its tower.  A cylinder moves one
+        floor up (down); one at its tower's end lands on the first (last)
+        floor of each tower :func:`bratteli.boundary_targets` names.
         """
         heights = self.heights
         delta = 1 if forward else -1
@@ -857,9 +810,6 @@ def _lands_in(cyl: _Cylinders, start: tuple, L: int, marks: dict) -> bool:
     ``start`` lies within L floors of its tower top.  Mixed answers across
     boundary branches raise HorizonExceeded.
     """
-    v, f = start
-    if marks[v][f]:
-        return True
     for current in itertools.islice(_shifts(cyl, start, True), L):
         inside = sum(marks[u][g] for u, g in current)
         if inside and inside != len(current):

@@ -103,8 +103,13 @@ def indexed_mono(vertices, index: EdgeIndex) -> MonoGraph:
     return m
 
 
-def validate_mono(m: MonoGraph, surjective: bool = True) -> list[str]:
+def validate_mono(m: MonoGraph) -> list[str]:
     problems = []
+    for e in sorted(m.edges):
+        if m.src[e] not in m.vertices:
+            problems.append(f"edge {e} has unknown source {m.src[e]}")
+        if m.rng[e] not in m.vertices:
+            problems.append(f"edge {e} has unknown range {m.rng[e]}")
     sources = {m.src[e] for e in m.edges}
     ranks_at: dict[str, list[int]] = {}
     for e in m.edges:
@@ -116,7 +121,7 @@ def validate_mono(m: MonoGraph, surjective: bool = True) -> list[str]:
             continue
         if ranks != list(range(1, len(ranks) + 1)):
             problems.append(f"rank gap at vertex {v}")
-        if surjective and v not in sources:
+        if v not in sources:
             problems.append(f"no outgoing edge at {v}")
     return problems
 

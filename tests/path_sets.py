@@ -4,7 +4,7 @@ The library keeps a clopen set in tower coordinates and reads a path
 tuple by descent only for what it reports.  Here a floor of a level-n
 tower is the frozenset of depth-D paths through it, built by
 enumeration, and a shift steps every path of a set through
-:func:`bratteli.successor_values`.  The tests state the paper's
+:func:`successor_values`.  The tests state the paper's
 properties on these sets (the floors of a level partition the space,
 the tower bases and the junction sets are nested) and compare the
 library's tower-coordinate answers with them.
@@ -19,6 +19,7 @@ the level graph, and here they are the cycles of its basic relation.
 from dataclasses import dataclass, field
 
 from zdyn import bratteli, coverings, graphs
+from zdyn.bratteli import MAXIMAL, MINIMAL
 from zdyn.errors import CoverViolation
 
 
@@ -67,10 +68,42 @@ def evaluate_set(p, desc, depth):
     return frozenset().union(*(floor_paths(p, n, e, i, depth) for e, i in cells))
 
 
+def successor_values(d, p):
+    """Depth-D truncations of successors of all points extending ``p``.
+
+    Returns ``(values, exceptional)``.  For a non-maximal prefix the
+    successor is determined by the prefix itself and the set is a
+    singleton.  An all-maximal prefix is resolved exactly on straight
+    stationary diagrams with the continuity condition: bumping each
+    one-level-deeper extension, with the constant max column closed
+    through psi.
+    """
+    return step_values(d, p, 1)
+
+
+def predecessor_values(d, p):
+    """The dual of :func:`successor_values` for the inverse map."""
+    return step_values(d, p, -1)
+
+
+def step_values(d, p, delta):
+    """:func:`successor_values` for ``delta = 1``, its dual for ``delta = -1``.
+
+    Past the boundary, the values are the extreme paths into the vertices
+    :func:`bratteli.boundary_targets` names.
+    """
+    nxt = bratteli._step(d, p, delta)
+    if nxt not in (MAXIMAL, MINIMAL):
+        return frozenset({nxt}), False
+    targets = bratteli.boundary_targets(d, bratteli.path_rng(d, p), delta)
+    last = delta < 0
+    return frozenset(bratteli._extreme_path(d, u, len(p), last=last) for u in targets), True
+
+
 def step_set(p, paths, forward):
     """One shift of every path of ``paths``, and whether one crossed a tower end."""
     d = coverings._diagram(p)
-    step = bratteli.successor_values if forward else bratteli.predecessor_values
+    step = successor_values if forward else predecessor_values
     out = set()
     exceptional = False
     for q in paths:

@@ -16,6 +16,7 @@ from helpers import (
     skew_presentation,
 )
 from test_properties import mono_graphs
+import path_sets
 
 
 def ex1_bv():
@@ -112,7 +113,7 @@ def test_successor_and_predecessor_are_inverse():
 def test_successor_values_is_a_singleton_off_the_boundary():
     d = ex1_bv()
     q = bratteli.minimal_path(d, "e_b", 2)
-    values, exceptional = bratteli.successor_values(d, q)
+    values, exceptional = path_sets.successor_values(d, q)
     assert not exceptional
     assert values == frozenset({bratteli.vershik_successor(d, q)})
 
@@ -120,7 +121,7 @@ def test_successor_values_is_a_singleton_off_the_boundary():
 def test_successor_values_resolves_the_all_max_boundary():
     d = ex1_bv()
     top = bratteli.maximal_path(d, "e_a", 2)
-    values, exceptional = bratteli.successor_values(d, top)
+    values, exceptional = path_sets.successor_values(d, top)
     assert exceptional
     # the constant path over e_a is a fixed point of the successor
     assert bratteli.minimal_path(d, "e_a", 2) in values

@@ -1,0 +1,250 @@
+"""Constant chains and regulation on cycles of the repeated cover, against the closure search.
+
+The library reads an infinitely constantly covered edge as one on a
+cycle of the single-image relation and runs a stationary presentation
+as a self-cover repeated from level 1.  The oracle, ``chain_oracle``,
+closes the covered set upward from the cycles and gives a stationary
+presentation its own branch.  Both must give the same chains, closing
+and regulation reports and covers, on stationary presentations and on
+their repeating and truncated telescopes.
+
+The pinned cases at the top reach the paths no fixture reaches: a cycle
+of two edges, a repeating tail whose top edge lies on no cycle, a
+one-level prefix and regulation on truncated prefixes.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from zdyn import bratteli, cli, coverings
+from zdyn.coverings import ConstantChain
+from zdyn.graphs import Cover, flexible
+from zdyn.reports import FAILS, HOLDS, UNKNOWN
+
+from helpers import (
+    example2_unit,
+    example2_weighted,
+    fib_base_cover,
+    fib_presentation,
+    skew_presentation,
+    unit_presentation,
+)
+from test_cli import DATA
+from test_cluster_oracles import outcome
+from test_properties import loop_presentations
+import chain_oracle
+
+CUTS = ([1, 3], [2, 3], [1, 2, 4], [2, 5], [1, 4])
+
+CHECKS = (
+    (coverings.find_constant_chains, chain_oracle.find_constant_chains),
+    (coverings.check_closing, chain_oracle.check_closing),
+)
+
+THRESHOLDS = ([1, 2, 3], [2, 4, 8, 16], [1, 2, 3, 4, 5, 6])
+
+
+def swap_cover():
+    """Loops x at u and y at w, swapped by the cover, each the other's single image."""
+    g = flexible(
+        {"u", "w"},
+        {"x": ("u", "u"), "y": ("w", "w"), "s": ("u", "w"), "t": ("w", "u")},
+    )
+    return Cover(
+        domain=g,
+        codomain=g,
+        vmap={"u": "w", "w": "u"},
+        emap={"x": ("y",), "y": ("x",), "s": ("y", "t"), "t": ("x", "s")},
+    )
+
+
+def feeder_cover():
+    """The loop a has the single image b, a fixed loop, but lies on no cycle."""
+    g = flexible({"v"}, {"a": ("v", "v"), "b": ("v", "v"), "c": ("v", "v")})
+    return Cover(
+        domain=g,
+        codomain=g,
+        vmap={"v": "v"},
+        emap={"a": ("b",), "b": ("b",), "c": ("b", "a", "c")},
+    )
+
+
+def truncated(p, cuts):
+    q = coverings.telescope(p, cuts)
+    return coverings.finite_prefix_presentation(q.graphs, q.covers, coverings.TRUNCATED)
+
+
+def levels(report):
+    return [(x["level"], x["verdict"], x["witnesses"]) for x in report.details["levels"]]
+
+
+# ---------------------------------------------------------------------------
+# pinned cases
+
+
+def test_the_pinned_covers_are_valid():
+    for c in (swap_cover(), feeder_cover()):
+        assert coverings.validate_presentation(unit_presentation(c)) == []
+
+
+def test_a_cycle_of_two_loops_is_one_chain_per_edge():
+    p = unit_presentation(swap_cover())
+    assert coverings.find_constant_chains(p) == [
+        ConstantChain("x", (), ("y", "x")),
+        ConstantChain("y", (), ("x", "y")),
+    ]
+    assert coverings.check_closing(p).details == {"reason": "all chains are circuits"}
+    q = coverings.telescope(p, [2, 3])
+    assert coverings.find_constant_chains(q) == [
+        ConstantChain("y", (), ("y", "x")),
+        ConstantChain("x", (), ("x", "y")),
+    ]
+    q = coverings.telescope(p, [1, 2, 4])
+    assert coverings.find_constant_chains(q) == [
+        ConstantChain("y", ("x",), ("x",)),
+        ConstantChain("x", ("y",), ("y",)),
+    ]
+    assert coverings.check_closing(q).verdict == HOLDS
+
+
+def test_a_repeating_tail_skips_a_top_edge_off_every_cycle():
+    p = unit_presentation(feeder_cover())
+    assert coverings.find_constant_chains(p) == [ConstantChain("b", (), ("b",))]
+    for cuts in ([1, 3], [2, 3]):
+        q = coverings.telescope(p, cuts)
+        # a descends to b under the repeated cover but lies on no cycle
+        assert coverings.find_constant_chains(q) == [ConstantChain("b", (), ("b",))]
+    report = coverings.check_regulated(coverings.telescope(p, [1, 3]), [1, 2, 3], 3)
+    assert report.verdict == FAILS
+    assert levels(report) == [(1, FAILS, ("a", "c")), (2, FAILS, ("a",)), (3, FAILS, ("a",))]
+
+
+def test_a_one_level_prefix_has_no_chains():
+    one = coverings.finite_prefix_presentation(
+        [coverings.level_graph(example2_weighted(), 1)], []
+    )
+    assert coverings.find_constant_chains(one) == []
+    assert coverings.check_closing(one).details == {"reason": "no constant chains"}
+    report = coverings.check_regulated(one, [1], 1)
+    assert report.verdict == UNKNOWN
+    assert levels(report) == [(1, UNKNOWN, ())]
+
+
+def test_regulation_on_truncated_prefixes():
+    report = coverings.check_regulated(truncated(example2_weighted(), [1, 3]), [1, 2], 2)
+    assert report.verdict == UNKNOWN
+    assert levels(report) == [(1, UNKNOWN, ()), (2, UNKNOWN, ())]
+    report = coverings.check_regulated(truncated(example2_unit(), [1, 3]), [1, 2], 2)
+    assert report.verdict == FAILS
+    assert levels(report) == [(1, FAILS, ("e_b", "e_c", "e_d", "e_e")), (2, UNKNOWN, ())]
+    assert report.witnesses == ((1, "e_b"), (1, "e_c"), (1, "e_d"), (1, "e_e"))
+    report = coverings.check_regulated(truncated(fib_presentation(), [1, 3]), [1, 2], 2)
+    assert levels(report) == [(1, FAILS, ("e_a", "e_b")), (2, HOLDS, ())]
+    assert report.details["asymptotic"] == {"verdict": UNKNOWN, "witnesses": ()}
+
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def cover_maps(c):
+    return c.domain, c.codomain, dict(c.vmap), dict(c.emap)
+
+
+def assert_matches_the_oracle(p):
+    for fn, oracle in CHECKS:
+        assert outcome(fn, p) == outcome(oracle, p)
+    depth = p.depth()
+    for seq in THRESHOLDS:
+        n_max = len(seq) if depth is None else min(len(seq), depth)
+        got = outcome(coverings.check_regulated, p, seq, n_max)
+        assert got == outcome(chain_oracle.check_regulated, p, seq, n_max)
+    for n in range(1, 5 if depth is None else depth + 1):
+        assert cover_maps(coverings.cover_at(p, n)) == cover_maps(chain_oracle.cover_at(p, n))
+
+
+def assert_telescopes_match_the_oracle(p):
+    assert_matches_the_oracle(p)
+    assert coverings._circuit_chain_edges(p.self_cover) == chain_oracle.circuit_chain_edges(
+        p.self_cover
+    )
+    for cuts in CUTS:
+        assert_matches_the_oracle(coverings.telescope(p, cuts))
+        assert_matches_the_oracle(truncated(p, cuts))
+
+
+def fixture_presentations():
+    docs = [cli.read_document(path) for path in sorted(DATA.glob("*_covering.json"))]
+    fib_bv = cli.read_document(DATA / "fib_bratteli.json")
+    return docs + [
+        example2_unit(),
+        example2_weighted(),
+        fib_presentation(),
+        skew_presentation(),
+        unit_presentation(fib_base_cover()),
+        unit_presentation(swap_cover()),
+        unit_presentation(feeder_cover()),
+        bratteli.bv_to_weighted(fib_bv),
+    ]
+
+
+def test_fixture_chains_match_the_oracle():
+    for p in fixture_presentations():
+        assert p.kind == "stationary"
+        assert_telescopes_match_the_oracle(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_presentations())
+def test_loop_chains_match_the_oracle(p):
+    assert_telescopes_match_the_oracle(p)
+
+
+def walks(g, a, b, length):
+    """Every walk of ``length`` edges from ``a`` to ``b`` in ``g``, in id order."""
+    found = [((), a)]
+    for _ in range(length):
+        found = [
+            (w + (e,), g.rng[e])
+            for w, here in found
+            for e in g.sorted_edges()
+            if g.src[e] == here
+        ]
+    return [w for w, here in found if here == b]
+
+
+@st.composite
+def self_covers(draw):
+    """A self-cover on 1-3 vertices whose edge images are walks, often single edges.
+
+    The edge set is closed under the vertex map, so every edge has a
+    one-edge image to draw; some edges take a longer walk instead.
+    """
+    k = draw(st.integers(1, 3))
+    vertices = [f"u{i}" for i in range(k)]
+    vmap = {v: draw(st.sampled_from(vertices)) for v in vertices}
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    pairs = set(draw(st.lists(ends, min_size=1, max_size=4)))
+    while True:
+        closed = pairs | {(vmap[a], vmap[b]) for a, b in pairs}
+        if closed == pairs:
+            break
+        pairs = closed
+    table = {}
+    for i, pair in enumerate(sorted(pairs)):
+        for j in range(draw(st.integers(1, 2))):
+            table[f"e{i}{'ab'[j]}"] = pair
+    g = flexible(set(vertices), table)
+    emap = {}
+    for e in g.sorted_edges():
+        a, b = vmap[g.src[e]], vmap[g.rng[e]]
+        options = walks(g, a, b, draw(st.sampled_from([1, 1, 1, 2, 3]))) or walks(g, a, b, 1)
+        emap[e] = draw(st.sampled_from(options))
+    return Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
+
+
+@settings(max_examples=100, deadline=None)
+@given(self_covers(), st.data())
+def test_generated_chains_match_the_oracle(cover, data):
+    mults = {e: data.draw(st.integers(1, 2)) for e in cover.domain.sorted_edges()}
+    assert_telescopes_match_the_oracle(coverings.stationary_presentation(cover, mults))
+

@@ -454,7 +454,28 @@ def test_unknown_names_are_reported_not_raised(doc, problem, tmp_path, capsys):
     assert f"error: {problem}" in err.splitlines()
 
 
-JUNK = (None, 0, -1, 2, 1.5, True, "", "w", "e_a", [], ["w"], [1], [[]], {}, {"w": 1})
+@pytest.mark.parametrize(
+    "edge, problem",
+    [(["zz", "a", 2], "unknown source zz"), (["a", "q", 1], "unknown range q")],
+    ids=["source", "range"],
+)
+def test_a_mono_edge_off_the_vertices_is_bad_input(edge, problem, tmp_path, capsys):
+    doc = {
+        "version": "zdyn/1",
+        "kind": "mono_graph",
+        "vertices": ["a"],
+        "edges": {"x": ["a", "a", 1], "y": edge},
+    }
+    path = tmp_path / "mono.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["validate"], ["subst"], ["check", "continuity"], ["straighten"], ["dot"]):
+        assert run(*argv, path) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: edge y has {problem}\n"
+
+
+JUNK =(None, 0, -1, 2, 1.5, True, "", "w", "e_a", [], ["w"], [1], [[]], {}, {"w": 1})
 
 
 def places(node, path=()):

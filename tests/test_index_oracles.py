@@ -23,6 +23,7 @@ from zdyn.errors import InvalidParameter, NameCollision, UnknownName, ZdynError
 from helpers import example2_cover, example2_unit, skew_fixed_edge_cover
 from test_cli import DATA
 from test_properties import loop_covers, loop_presentations, mono_graphs
+import path_sets
 
 COVERING_FIXTURES = (
     "example2_covering.json",
@@ -255,8 +256,8 @@ def test_continuity_is_decided_once_per_diagram(monkeypatch):
     monkeypatch.setattr(stationary, "check_continuity", counted)
     d = bratteli.weighted_to_bv(example2_unit())
     for v in d.level_vertices(2):
-        assert bratteli.successor_values(d, bratteli.maximal_path(d, v, 2))[1]
-        assert bratteli.predecessor_values(d, bratteli.minimal_path(d, v, 2))[1]
+        assert path_sets.successor_values(d, bratteli.maximal_path(d, v, 2))[1]
+        assert path_sets.predecessor_values(d, bratteli.minimal_path(d, v, 2))[1]
     assert len(calls) == 1
 
 
