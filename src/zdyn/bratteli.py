@@ -231,8 +231,12 @@ def stationary_diagram(mono: MonoGraph, multiplicities: dict) -> BratteliDiagram
     )
 
 
-def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
-    """Invariant problems, read off the raw tables so loading stays index-free."""
+def validate_diagram(d: BratteliDiagram) -> list[str]:
+    """Invariant problems, read off the raw tables so loading stays index-free.
+
+    A stationary diagram is read at levels 1 and 2: level 2's table is the
+    table of every deeper level.
+    """
     if d.kind == "stationary":
         missing = sorted(set(d.mono.vertices) - set(d.multiplicities))
         if missing:
@@ -240,8 +244,7 @@ def validate_diagram(d: BratteliDiagram, depth: int = 3) -> list[str]:
     elif len(d.edge_levels) != len(d.levels) - 1:
         return ["need one edge table per level above the root"]
     problems = []
-    limit = d.depth()
-    top = limit if limit is not None else depth
+    top = 2 if d.kind == "stationary" else d.depth()
     for n in range(1, top + 1):
         table = d._table(n)
         below = set(d.level_vertices(n - 1))

@@ -714,7 +714,8 @@ class _Cylinders:
     its paths run through and its floor in that tower, the position of its
     prefix in path order.  A shift moves a cylinder one floor up (or down)
     and branches only past the end of a tower, onto the far ends of the
-    towers that :func:`bratteli.boundary_targets` names.  :meth:`path`
+    towers that :func:`bratteli.boundary_targets` names; a chain of shifts
+    is read off per-tower marks by :func:`_chain_events`.  :meth:`path`
     reads the prefix of a cylinder by descent through the tower heights.
 
     Each level-``n`` tower is one block of ``floors[e]`` floors; each
@@ -760,63 +761,10 @@ class _Cylinders:
         """Per tower, the ``marks`` of its level-n blocks laid end to end."""
         return {v: b"".join(map(marks.__getitem__, s)) for v, s in self.stack.items()}
 
-    def step(self, cylinders, forward: bool):
-        """The cylinders one shift of ``cylinders`` meets.
-
-        Returns ``(cylinders, exceptional)``, the flag telling whether
-        some cylinder crossed the end of its tower.  A cylinder moves one
-        floor up (down); one at its tower's end lands on the first (last)
-        floor of each tower :func:`bratteli.boundary_targets` names.
-        """
-        heights = self.heights
-        delta = 1 if forward else -1
-        out = set()
-        exceptional = False
-        for v, f in cylinders:
-            if 0 <= f + delta < heights[v]:
-                out.add((v, f + delta))
-                continue
-            exceptional = True
-            for u in self._targets(v, delta):
-                out.add((u, 0 if forward else heights[u] - 1))
-        return frozenset(out), exceptional
-
 
 @_kept_on_presentation
 def _cylinders(p: CoveringPresentation, n: int, horizon: int) -> _Cylinders:
     return _Cylinders(p, n, horizon)
-
-
-def _shifts(cyl: _Cylinders, start: tuple, forward: bool):
-    """The cylinders the points over ``start`` meet after 1, 2, ... shifts.
-
-    At most one tower end may be crossed along the chain; the second
-    crossing raises HorizonExceeded.
-    """
-    current = frozenset({start})
-    budget = 1
-    while True:
-        current, exceptional = cyl.step(current, forward)
-        if exceptional:
-            budget -= 1
-            if budget < 0:
-                raise HorizonExceeded("two boundary resolutions in one chain")
-        yield current
-
-
-def _lands_in(cyl: _Cylinders, start: tuple, L: int, marks: dict) -> bool:
-    """Whether after some i <= L shifts all points over ``start`` are marked.
-
-    ``start`` lies within L floors of its tower top.  Mixed answers across
-    boundary branches raise HorizonExceeded.
-    """
-    for current in itertools.islice(_shifts(cyl, start, True), L):
-        inside = sum(marks[u][g] for u, g in current)
-        if inside and inside != len(current):
-            raise HorizonExceeded("membership splits a horizon cylinder")
-        if inside:
-            return True
-    return False
 
 
 def _unmarked(marks, lo: int, hi: int):
@@ -842,25 +790,31 @@ def _check_iterates(cyl: _Cylinders, F: dict, L: int) -> None:
     """Assert that the iterates F, TF, ..., T^L F are pairwise disjoint.
 
     Inside a tower two floors of F at most L apart collide, and no others
-    until a shift crosses a tower top.  So only the floors of F within L
-    of a top are stepped, and a cylinder they reach past it must be met
-    after one number of shifts only, counting climbs from F below it.
+    until a shift crosses a tower top.  So only the floor of F within L
+    of a top is followed past it, through the towers each crossing names,
+    once per (tower, shift), and a cylinder it reaches must be met after
+    one number of shifts only, counting climbs from F below it.
     """
-    reached: dict[tuple, set] = {}
+    crossings = []
     for v, marks in F.items():
         m = int.from_bytes(marks, "little")
         if any(m & m >> 8 * d for d in range(1, L + 1)):
             raise AssertionError("marker iterates are not disjoint")
         h = len(marks)
         f = marks.find(1, max(h - L, 0))
-        if f < 0:
-            continue
-        current = frozenset({(v, f)})
-        for i in range(1, L + 1):
-            current = cyl.step(current, forward=True)[0]
-            if f + i >= h:
-                for c in current:
-                    reached.setdefault(c, set()).add(i)
+        if f >= 0:
+            crossings.append((v, h - f))
+    reached: dict[tuple, set] = {}
+    walked = set(crossings)
+    while crossings:
+        v, i = crossings.pop()
+        for u in cyl._targets(v, 1):
+            h = cyl.heights[u]
+            for g in range(min(h, L + 1 - i)):
+                reached.setdefault((u, g), set()).add(i + g)
+            if i + h <= L and (u, i + h) not in walked:
+                walked.add((u, i + h))
+                crossings.append((u, i + h))
     for (u, g), shifts in reached.items():
         marks = F[u]
         shifts.update(g - x for x in range(max(g - L, 0), g + 1) if marks[x])
@@ -905,8 +859,8 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
     atoms listing ``cylinders`` instead of ``paths``, the cylinders, and
     the marks of ``E`` and ``F``: per tower, a byte per floor, 1 on a
     marker floor.  A residual candidate more than L floors below its tower
-    top reads the marks of the L floors above; only one nearer the top
-    runs a chain of shifts.
+    top reads the marks of the L floors above; one nearer the top reads
+    its chain across the top with :func:`_chain_events`.
     """
     if L < 1:
         raise InvalidParameter(f"the window L must be at least 1, got {L}")
@@ -946,15 +900,20 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
                 if E[v].find(1, f, f + Lp) < 0:
                     kept.append((v, f))
                 continue
-            try:
-                if not _lands_in(cyl, (v, f), L, E):
-                    kept.append((v, f))
-            except HorizonExceeded as exc:
-                unsettled.append((cyl.path((v, f)), exc))
+            hit, fail, whole = _chain_events(cyl, (v, f), L, E, 1)
+            if hit <= L and whole:
+                continue  # it lands in E
+            if hit <= L:
+                reason = "membership splits a horizon cylinder"
+            elif fail <= L:
+                reason = "two boundary resolutions in one chain"
+            else:
+                kept.append((v, f))
+                continue
+            unsettled.append((cyl.path((v, f)), reason))
         if unsettled:
             # the reason is that of the unsettled candidate with the least path
-            exc = min(unsettled, key=lambda u: u[0])[1]
-            raise UnsettledResidual(e, residual_floor, str(exc)) from exc
+            raise UnsettledResidual(e, residual_floor, min(unsettled)[1])
         if kept:
             for v, f in kept:
                 F[v][f] = 1
@@ -966,8 +925,10 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
 
 
 def _chain_events(cyl: _Cylinders, start: tuple, L: int, marks: dict, delta: int):
-    """The rounds at which the chain of shifts by ``delta`` from ``start``
-    first meets a marked floor and crosses a second tower end, or L + 1.
+    """The rounds ``(hit, fail, whole)`` at which the chain of shifts by
+    ``delta`` from ``start`` first meets a marked floor and crosses a
+    second tower end, or L + 1, and whether every branch is marked at
+    round ``hit`` (always so before the crossing).
 
     ``marks`` reads each tower in the direction of the chain: it climbs
     its tower, crosses onto the first floors of the towers the boundary
@@ -977,26 +938,29 @@ def _chain_events(cyl: _Cylinders, start: tuple, L: int, marks: dict, delta: int
     c = len(marks[v]) - f  # the round of the crossing
     x = marks[v].find(1, f + 1, f + min(c, L + 1))
     if x >= 0 or c > L:
-        return x - f if x >= 0 else L + 1, L + 1
+        return x - f if x >= 0 else L + 1, L + 1, True
     targets = cyl._targets(v, delta)
     span = min((cyl.heights[u] for u in targets), default=L + 1)
-    found = (marks[u].find(1, 0, min(span, L + 1 - c)) for u in targets)
-    return min((c + x for x in found if x >= 0), default=L + 1), c + span
+    found = [marks[u].find(1, 0, min(span, L + 1 - c)) for u in targets]
+    # every branch is marked at the first marked floor x when each finds x
+    x = min((y for y in found if y >= 0), default=L + 1 - c)
+    return c + x, c + span, found.count(x) == len(found)
 
 
 def _probe(cyl: _Cylinders, start: tuple, L: int, F: dict, back: dict):
     """Whether some shift of ``start`` by at most L either way meets ``F``.
 
     ``back`` reads the marks of ``F`` top to bottom.  The chains of
-    :func:`_shifts` either way grow one shift per round, forward first; a
-    chain that crosses two tower ends adds an unresolved probe then and in
-    every round after it until one answers.  Returns the answer and count.
+    :func:`_chain_events` either way grow one shift per round, forward
+    first; a chain that crosses two tower ends adds an unresolved probe
+    then and in every round after it until one answers.  Returns the
+    answer and count.
     """
     v, f = start
     if F[v][f]:
         return True, 0
-    hit_f, fail_f = _chain_events(cyl, start, L, F, 1)
-    hit_b, fail_b = _chain_events(cyl, (v, len(F[v]) - 1 - f), L, back, -1)
+    hit_f, fail_f, _ = _chain_events(cyl, start, L, F, 1)
+    hit_b, fail_b, _ = _chain_events(cyl, (v, len(F[v]) - 1 - f), L, back, -1)
     rnd, backward = min((hit_f, 0), (hit_b, 1))
     return rnd <= L, max(0, rnd - fail_f + backward) + max(0, rnd - fail_b)
 

@@ -339,9 +339,9 @@ def flexible(vertices, edge_table) -> Graph:
     )
 
 
-def singleton_graph(vertex: str = "v0", edge: str = "e0") -> Graph:
+def singleton_graph() -> Graph:
     """The one-vertex, one-self-loop weighted graph with length 1."""
-    return weighted({vertex}, {edge: (vertex, vertex, 1)})
+    return weighted({"v0"}, {"e0": ("v0", "v0", 1)})
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +528,6 @@ def cover_flags(c: Cover) -> CoverFlags:
         minus_directional=minus,
         bidirectional=plus and minus,
     )
-
-
-def is_weighted_cover(c: Cover) -> bool:
-    """A weighted cover is +directional and edge-surjective."""
-    return check_cover(c).weighted
 
 
 def identity_cover(g: Graph) -> Cover:

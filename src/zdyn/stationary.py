@@ -194,18 +194,18 @@ def mono_power(m: MonoGraph, K: int) -> MonoGraph:
     return mono_graph(m.vertices, table)
 
 
-def straighten_mono(m: MonoGraph, cap: int = 24) -> tuple[int, MonoGraph]:
+def straighten_mono(m: MonoGraph) -> tuple[int, MonoGraph]:
     """Smallest power K with ``mono_power(m, K)`` straight.
 
     Extreme-edge successor maps on a finite vertex set are eventually
-    periodic, so a straight power always exists; ``cap`` only guards
-    against runaway search on adversarial inputs.
+    periodic, so a straight power always exists; the cap of 24 only
+    guards against runaway search on adversarial inputs.
     """
-    for K in range(1, cap + 1):
+    for K in range(1, 25):
         powered = mono_power(m, K)
         if is_straight(powered):
             return K, powered
-    raise NotStraight(f"no straight power found up to K={cap}")
+    raise NotStraight(f"no straight power found up to K=24")
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +308,22 @@ def _power_map(mapping: dict, k: int) -> dict:
     return result
 
 
-def analyze_self_cover(cover: Cover, cap: int = 256) -> SelfCoverAnalysis:
+def analyze_self_cover(cover: Cover) -> SelfCoverAnalysis:
     """Straighten a flexible self-cover.
 
-    Finds the least exponent K for which the K-th powers of the vertex
-    map, the first-edge map, and the last-edge map are all idempotent;
-    the K-th power of the cover is then straight and the images of those
-    idempotent maps are the limit vertex and edge sets.
+    Finds the least exponent K, up to 256, for which the K-th powers of
+    the vertex map, the first-edge map, and the last-edge map are all
+    idempotent; the K-th power of the cover is then straight and the
+    images of those idempotent maps are the limit vertex and edge sets.
     """
     if cover.domain != cover.codomain:
         raise DomainMismatch("analyze_self_cover needs a self-cover")
-    if not graphs.is_weighted_cover(cover):
+    if not graphs.check_cover(cover).weighted:
         raise CoverViolation("not a flexible cover")
     vmap = dict(cover.vmap)
     first = {e: cover.emap[e][0] for e in cover.domain.edges}
     last = {e: cover.emap[e][-1] for e in cover.domain.edges}
-    for K in range(1, cap + 1):
+    for K in range(1, 257):
         if all(
             _idempotent_power(_power_map(f, K)) for f in (vmap, first, last)
         ):
@@ -335,7 +335,7 @@ def analyze_self_cover(cover: Cover, cap: int = 256) -> SelfCoverAnalysis:
                 lim_f=_power_map(first, K),
                 lim_l=_power_map(last, K),
             )
-    raise NotStraight(f"no straight power found up to K={cap}")
+    raise NotStraight(f"no straight power found up to K=256")
 
 
 # ---------------------------------------------------------------------------

@@ -115,12 +115,12 @@ def language(s: Substitution, max_len: int) -> frozenset[tuple[str, ...]]:
     return frozenset().union(*_closure_passes(s, max_len))
 
 
-def read_substitution(source, iota: dict | None = None) -> Substitution:
+def read_substitution(source) -> Substitution:
     """The substitution read off a mono-graph or a flexible self-cover.
 
     For a mono-graph the image of a vertex lists the sources of its
     ranked in-edges; for a self-cover the image of an edge is its
-    expansion walk.  ``iota`` optionally renames the letters.
+    expansion walk.
     """
     if isinstance(source, MonoGraph):
         rules = {
@@ -133,11 +133,6 @@ def read_substitution(source, iota: dict | None = None) -> Substitution:
         rules = {e: tuple(source.emap[e]) for e in source.domain.edges}
     else:
         raise UnsupportedKind(f"cannot read a substitution off {type(source)!r}")
-    if iota:
-        names = {x: a for a, x in iota.items()}
-        rules = {
-            names[x]: tuple(names[q] for q in w) for x, w in rules.items()
-        }
     s = substitution(rules)
     if not growing_letters(s):
         raise EmptyGrowingSet("the read substitution has no growing letter")

@@ -1,8 +1,10 @@
-"""Recorded CLI outputs of the closing, regulation, nesting and conversion commands.
+"""Recorded CLI outputs of the closing, regulation, nesting, conversion and Krieger commands.
 
 ``golden/outputs.json`` keeps, for every document under ``data/``, the
 stdout and exit code of each command in :func:`commands`, in both
-output formats where the command has them.  ``test_golden.py`` runs the
+output formats where the command has them; ``krieger`` runs in the human
+format at levels 0-3, windows 1-2 and horizons one to three past the
+level.  ``test_golden.py`` runs the
 commands again and compares.  To record the snapshot afresh, from the
 repository root::
 
@@ -11,6 +13,7 @@ repository root::
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -30,6 +33,12 @@ def commands():
             for level in ("1", "2", "3"):
                 yield ["check", "nesting", name, "--level", level, "--format", fmt]
         yield ["convert", "to-covering", name]
+        for n, L in itertools.product(range(4), (1, 2)):
+            for horizon in range(n + 1, n + 4):
+                yield [
+                    "krieger", name, "--level", str(n), "--steps", str(L),
+                    "--horizon", str(horizon),
+                ]
 
 
 def run(argv):

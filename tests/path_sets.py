@@ -238,7 +238,7 @@ def expand_basic_cover(c):
     Raises :class:`CoverViolation` unless the input is a weighted cover
     (+directional and edge-surjective), which makes the map well defined.
     """
-    if not graphs.is_weighted_cover(c):
+    if not graphs.check_cover(c).weighted:
         raise CoverViolation("input is not a weighted cover")
     dome, code = expand_to_basic(c.domain), expand_to_basic(c.codomain)
     vmap = {v: c.vmap[v] for v in c.domain.vertices}

@@ -81,6 +81,25 @@ def test_validate_exit_codes(capsys):
     assert run("validate", DATA / "no_such_file.json") == 2
 
 
+def test_validate_reports_each_problem_of_a_stationary_diagram_once(tmp_path, capsys):
+    # level 2's mono table is the table of every deeper level, so a rank
+    # gap in it is one problem
+    doc = {
+        "version": "zdyn/1", "kind": "bratteli", "form": "stationary",
+        "mono": {
+            "kind": "mono_graph", "vertices": ["a", "b"],
+            "edges": {"x": ["a", "a", 1], "y": ["b", "a", 3], "z": ["a", "b", 1]},
+        },
+        "multiplicities": {"a": 1, "b": 1},
+    }
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(doc))
+    assert run("validate", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: rank gap at vertex a (level 2)\n"
+
+
 def test_check_closing_matches_the_library(capsys):
     assert run("check", "closing", DATA / "example2_covering.json") == 0
     assert "closing: HOLDS" in capsys.readouterr().out

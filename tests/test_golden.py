@@ -1,4 +1,4 @@
-"""The closing, regulation, nesting and conversion commands keep their recorded outputs."""
+"""The closing, regulation, nesting, conversion and Krieger commands keep their recorded outputs."""
 
 import json
 

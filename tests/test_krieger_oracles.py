@@ -13,11 +13,12 @@ prefix built up front (:class:`PathCylinders`): the cylinders of each
 level-n cell listed one by one, ``E`` and ``F`` as sets of cylinders, a
 set probe for each residual candidate, one coverage window per floor of
 ``F``, chains of shifts from every floor near a tower end, and the
-iterates of all of ``F`` stepped L times and intersected pairwise.  The
+iterates of all of ``F`` stepped L times and intersected pairwise, all
+through :func:`step`, which steps a set of cylinders at once.  The
 library makes its marks a level-n block at a time, reads the residual
-candidates and the probes off the marks, and steps only the floors of
-``F`` near a tower top.  A third oracle runs the chain loop from every
-cylinder.
+candidates and the probes off the marks, one chain at a time, and walks
+the tower ends only from the floors of ``F`` near a tower top.  A third
+oracle runs the chain loop from every cylinder.
 """
 
 import bisect
@@ -192,7 +193,7 @@ class PathCylinders:
 
     ``order`` lists the cylinders in :func:`coverings.all_paths` order
     and ``path`` maps each to its prefix; cells and members come from
-    :func:`cell_of` and :func:`members_of`, and steps as in the library.
+    :func:`cell_of` and :func:`members_of`, and :func:`step` steps them.
     """
 
     def __init__(self, p, n, horizon):
@@ -221,19 +222,45 @@ class PathCylinders:
     def cell(self, cylinder):
         return cell_of(self, cylinder)
 
-    def step(self, cylinders, forward):
-        heights = self.heights
-        delta = 1 if forward else -1
-        out = set()
-        exceptional = False
-        for v, f in cylinders:
-            if 0 <= f + delta < heights[v]:
-                out.add((v, f + delta))
-                continue
-            exceptional = True
-            for u in bratteli.boundary_targets(self.diagram, v, delta):
-                out.add((u, 0 if forward else heights[u] - 1))
-        return frozenset(out), exceptional
+
+def step(cyl, cylinders, forward):
+    """The cylinders one shift of ``cylinders`` meets, stepped as a set.
+
+    Returns ``(cylinders, exceptional)``, the flag telling whether some
+    cylinder crossed the end of its tower.  A cylinder moves one floor up
+    (down); one at its tower's end lands on the first (last) floor of each
+    tower :func:`bratteli.boundary_targets` names.  ``cyl`` is a
+    :class:`PathCylinders` or the library's cylinders.
+    """
+    heights = cyl.heights
+    delta = 1 if forward else -1
+    out = set()
+    exceptional = False
+    for v, f in cylinders:
+        if 0 <= f + delta < heights[v]:
+            out.add((v, f + delta))
+            continue
+        exceptional = True
+        for u in bratteli.boundary_targets(cyl.diagram, v, delta):
+            out.add((u, 0 if forward else heights[u] - 1))
+    return frozenset(out), exceptional
+
+
+def shifts(cyl, start, forward):
+    """The cylinders the points over ``start`` meet after 1, 2, ... shifts.
+
+    At most one tower end may be crossed along the chain; the second
+    crossing raises HorizonExceeded.
+    """
+    current = frozenset({start})
+    budget = 1
+    while True:
+        current, exceptional = step(cyl, current, forward)
+        if exceptional:
+            budget -= 1
+            if budget < 0:
+                raise HorizonExceeded("two boundary resolutions in one chain")
+        yield current
 
 
 def block_starts(cyl, v):
@@ -264,7 +291,7 @@ def cell_of(cyl, cylinder):
 
 def chain_lands_in(cyl, start, L, target):
     """Whether the chain from ``start`` lands wholly in ``target`` within L."""
-    for current in itertools.islice(coverings._shifts(cyl, start, True), L):
+    for current in itertools.islice(shifts(cyl, start, True), L):
         inside = current & target
         if inside and inside != current:
             raise HorizonExceeded("membership splits a horizon cylinder")
@@ -300,7 +327,7 @@ def cylinder_probe(cyl, start, L, F):
     if start in F:
         return True, 0
     unresolved = 0
-    chains = [coverings._shifts(cyl, start, True), coverings._shifts(cyl, start, False)]
+    chains = [shifts(cyl, start, True), shifts(cyl, start, False)]
     for _ in range(L):
         for j, chain in enumerate(chains):
             if chain is None:
@@ -327,7 +354,7 @@ def iterates_collide(cyl, F, L):
     """Whether two of F, TF, ..., T^L F meet, the iterates stepped whole."""
     iterates = [frozenset(F)]
     for _ in range(L):
-        iterates.append(cyl.step(iterates[-1], forward=True)[0])
+        iterates.append(step(cyl, iterates[-1], forward=True)[0])
     return any(a & b for a, b in itertools.combinations(iterates, 2))
 
 
@@ -482,7 +509,7 @@ def oracle_chain_coverage(p, n, L, horizon):
     unresolved = 0
     for c in cyl.order:
         inside = c in F
-        chains = [coverings._shifts(cyl, c, True), coverings._shifts(cyl, c, False)]
+        chains = [shifts(cyl, c, True), shifts(cyl, c, False)]
         for _ in range(L):
             if inside:
                 break
@@ -597,7 +624,7 @@ def assert_step_matches(p, n, horizon):
     for cylinders in sets:
         paths = frozenset(ref.path[c] for c in cylinders)
         for forward in (True, False):
-            got = outcome(cyl.step, cylinders, forward)
+            got = outcome(step, cyl, cylinders, forward)
             want = outcome(path_sets.step_set, p, paths, forward)
             if want[0] == "raised":
                 assert got == want
@@ -714,36 +741,55 @@ def test_witness_paths_match_the_path_dict_on_the_skew_case():
     assert verdicts == {HOLDS, FAILS, UNKNOWN}
 
 
-def test_the_unsettled_candidate_with_the_least_path_is_named(monkeypatch):
-    # every residual candidate within L of its tower top runs a chain, and
-    # every chain is unsettled for a reason naming its start
-    def unsettled(cyl, start, L, target):
-        raise HorizonExceeded(f"candidate {start}")
+SPLITS = "membership splits a horizon cylinder"
+TWO_ENDS = "two boundary resolutions in one chain"
 
-    monkeypatch.setattr(coverings, "_lands_in", unsettled)
-    monkeypatch.setattr(sys.modules[__name__], "chain_lands_in", unsettled)
+
+def test_the_unsettled_candidate_with_the_least_path_is_named(monkeypatch):
+    # every residual candidate within L of its tower top runs a chain that
+    # leaves it unsettled: the one candidate ``split`` names splits a
+    # horizon cylinder and every other crosses two tower ends, so the
+    # reason tells whether the named candidate is that one
+    split = None
+
+    def events(cyl, start, L, marks, delta):
+        return (1, L + 1, False) if start == split else (L + 1, L, True)
+
+    def lands_in(cyl, start, L, target):
+        raise HorizonExceeded(SPLITS if start == split else TWO_ENDS)
+
+    monkeypatch.setattr(coverings, "_chain_events", events)
+    monkeypatch.setattr(sys.modules[__name__], "chain_lands_in", lands_in)
     # a self-cover whose tower tops descend through a, b, a, ... and b, a,
     # b, ..., so that path order and tower order disagree near the tops;
     # its diagram is not straight, so only the marker sets are compared
     g = flexible({"v"}, {"a": ("v", "v"), "b": ("v", "v")})
     cover = Cover(g, g, {"v": "v"}, {"a": ("a", "a", "b"), "b": ("a",)})
     alternating = coverings.stationary_presentation(cover, {"a": 1, "b": 2})
-    reordered = 0
+    unsettled = reordered = 0
     for p, n, L in itertools.product(
         [*(p for _, p in presentations()), alternating], (1, 2, 3), (1, 2, 3)
     ):
+        split = None
         got = outcome(coverings.krieger_markers, p, n, L, 8)
         assert got == outcome(oracle_tower_krieger_markers, p, n, L, 8)
         if got[:2] != ("raised", UnsettledResidual):
             continue
+        assert got[2] == TWO_ENDS
+        unsettled += 1
         cyl = coverings._Cylinders(p, n, 8)
-        reason, edge, floor = got[2:]
+        edge, floor = got[3:]
         near_top = [
             (v, f) for v, f in members_of(cyl, (edge, floor)) if f + L >= cyl.heights[v]
         ]
-        reordered += reason != f"candidate {near_top[0]}"
+        least = min(near_top, key=cyl.path)
+        for split in {least, near_top[0]}:
+            got = outcome(coverings.krieger_markers, p, n, L, 8)
+            assert got == outcome(oracle_tower_krieger_markers, p, n, L, 8)
+            assert got[2:] == (SPLITS if split == least else TWO_ENDS, edge, floor)
+        reordered += near_top[0] != least
     # the least path is not always the first unsettled candidate in tower order
-    assert reordered > 0
+    assert unsettled > reordered > 0
 
 
 def test_the_iterate_guard_matches_the_pairwise_test():
@@ -844,36 +890,53 @@ def test_markers_read_each_marker_path_once_by_descent(monkeypatch):
     assert residual > 0
 
 
-def count_chains(monkeypatch):
-    """Count the probe chains started through ``coverings._shifts``."""
-    started = []
-    shifts = coverings._shifts
+def count_chains(monkeypatch, cyl):
+    """Record ``(start, delta, crossed)`` for every ``_chain_events`` call:
+    a chain crossed a tower end when it read ``cyl._targets``."""
+    chains = []
+    events, targets = coverings._chain_events, cyl._targets
+    crossed = []
 
-    def counted(cyl, start, forward):
-        started.append(start)
-        return shifts(cyl, start, forward)
+    def counted(cyl, start, L, marks, delta):
+        del crossed[:]
+        answer = events(cyl, start, L, marks, delta)
+        chains.append((start, delta, bool(crossed)))
+        return answer
 
-    monkeypatch.setattr(coverings, "_shifts", counted)
-    return started
+    def read(v, delta):
+        crossed.append(v)
+        return targets(v, delta)
+
+    monkeypatch.setattr(coverings, "_chain_events", counted)
+    monkeypatch.setattr(cyl, "_targets", read)
+    return chains
 
 
 @pytest.mark.parametrize("L", [1, 2])
 def test_coverage_probes_chains_only_near_tower_ends(L, monkeypatch):
     p = cli.read_document(DATA / "fib_covering.json")
-    started = count_chains(monkeypatch)
+    cyl = coverings._cylinders(p, 3, 8)
+    chains = count_chains(monkeypatch, cyl)
     coverings.krieger_markers(p, 3, L, 8)
-    residual = len(started)
-    # the residual floors run chains only within L floors of a tower top
-    cyl = coverings._Cylinders(p, 3, 8)
-    assert all(f + L >= cyl.heights[v] for v, f in started)
+    # the residual floors run chains only within L floors of a tower top,
+    # and some of them cross it
+    assert all(f + L >= cyl.heights[v] and delta == 1 for (v, f), delta, _ in chains)
+    assert any(crossed for *_, crossed in chains)
+    residual = len(chains)
     report = coverings.krieger_coverage(p, 3, L, 8)
     assert report.verdict == HOLDS
-    # the coverage probes read the marks and start no chain of their own
-    assert len(started) == 2 * residual
-    # one forward and one backward chain from every cylinder outside F
-    del started[:]
+    # the coverage builds the same markers, then probes chains either way
+    # only from the floors within L of a tower end, and some cross it
+    assert chains[residual : 2 * residual] == chains[:residual]
+    probes = chains[2 * residual :]
+    assert all(min(f, cyl.heights[v] - 1 - f) < L for (v, f), *_ in probes)
+    assert any(crossed for *_, crossed in probes)
+    assert len(probes) <= 4 * L * len(cyl.heights)
+    # the chain loop runs one forward and one backward chain from every
+    # cylinder outside F
+    started = spy(monkeypatch, sys.modules[__name__], "shifts")
     oracle_chain_coverage(p, 3, L, 8)
-    assert len(started) - residual > 4 * L * len(cyl.heights)
+    assert len(started) > len(probes)
 
 
 @pytest.mark.parametrize("name", FIXTURES)
@@ -908,6 +971,35 @@ def test_an_unsettled_residual_floor_gives_unknown():
     assert report.verdict == UNKNOWN
     assert report.witnesses == (("y", 6, "two boundary resolutions in one chain"),)
     assert report.details["horizon"] == 7
+
+
+def split_presentation():
+    """A one-vertex self-cover whose chain past a tower top at level 2,
+    window 3 and horizon 3 meets E on some of its branches only."""
+    g = flexible({"v"}, {e: ("v", "v") for e in ("e0", "e1", "e2")})
+    emap = {"e0": ("e2", "e1", "e0"), "e1": ("e2", "e0", "e1"), "e2": ("e2", "e2")}
+    cover = Cover(g, g, {"v": "v"}, emap)
+    return coverings.stationary_presentation(cover, {"e0": 2, "e1": 2, "e2": 1})
+
+
+def test_a_split_horizon_cylinder_gives_unknown(tmp_path, capsys):
+    p = split_presentation()
+    with pytest.raises(UnsettledResidual) as err:
+        coverings.krieger_markers(p, 2, 3, 3)
+    assert (err.value.edge, err.value.floor) == ("e0", 4)
+    report = coverings.krieger_coverage(p, 2, 3, 3)
+    assert report.verdict == UNKNOWN
+    assert report.witnesses == (("e0", 4, SPLITS),)
+    assert_tower_oracle_matches(p, 2, 3, 3)
+    # one level deeper the horizon settles the floor
+    assert coverings.krieger_coverage(p, 2, 3, 4).verdict == FAILS
+    path = tmp_path / "split.json"
+    path.write_text(cli.dump_document(p))
+    argv = ["krieger", str(path), "--level", "2", "--steps", "3", "--horizon", "3"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("krieger: UNKNOWN\n")
+    assert f"witness: ('e0', 4, '{SPLITS}')" in out
 
 
 def test_level_zero_cells_are_named_after_the_singleton_loop():

@@ -80,11 +80,6 @@ def test_reading_mono_and_cover_commute():
     assert via_cover.rules == via_mono.rules
 
 
-def test_read_with_iota_renames_letters():
-    s = subs.read_substitution(fib_cover(), iota={"a": "e_a", "b": "e_b"})
-    assert s.rules == {"a": ("a", "b", "a"), "b": ("a", "b")}
-
-
 def test_read_rejects_non_growing_covers():
     with pytest.raises(EmptyGrowingSet):
         subs.read_substitution(identity_cover(fib_graph()))
