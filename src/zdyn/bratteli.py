@@ -2,7 +2,8 @@
 conversions between diagrams and covering presentations.
 
 A diagram is either a finite prefix given level by level or a stationary
-diagram generated by a mono-graph together with level-1 multiplicities.
+diagram generated by a mono-graph together with level-1 multiplicities;
+its form is read off which of those fields it has.
 Paths are tuples of edge ids from the root; two paths into the same
 vertex compare by the rank of their edges at the deepest level where they
 differ.  The successor of a path is the least strictly larger one, and
@@ -116,21 +117,26 @@ class _MonoField:
         vars(d)["mono"] = mono
 
 
+def _at(index: tuple, k: int) -> EdgeIndex:
+    """Edge level ``k >= 1`` of ``index``, its last entry serving every deeper level."""
+    return index[k - 1] if k <= len(index) else index[-1]
+
+
 @dataclass(frozen=True)
 class BratteliDiagram:
-    """An ordered Bratteli diagram.
+    """An ordered Bratteli diagram, its form read off its fields.
 
-    ``kind`` is ``stationary`` (mono-graph template plus per-vertex
-    level-1 multiplicities) or ``finite_prefix`` (explicit levels).  For
-    finite prefixes ``levels[n]`` lists the level-n vertices and
-    ``edge_levels[n - 1]`` maps the level-n edge ids to
-    ``(src, rng, rank)`` triples.  A stationary diagram may instead
-    carry the self-cover ``cover`` whose expansion walks give its
-    in-edges; its ``mono`` is then built from them when first read.  The
-    multiplicities and every edge table are read-only.
+    A stationary diagram has per-vertex level-1 ``multiplicities`` and a
+    mono-graph template ``mono`` that repeats at every deeper level; it
+    may instead carry the self-cover ``cover`` whose expansion walks give
+    its in-edges, and its ``mono`` is then built from them when first
+    read.  A finite prefix has no multiplicities: ``levels[n]`` lists its
+    level-n vertices and ``edge_levels[n - 1]`` maps the level-n edge ids
+    to ``(src, rng, rank)`` triples.  Like a truncated covering prefix it
+    stands for every diagram that extends it.  The multiplicities and
+    every edge table are read-only.
     """
 
-    kind: str
     mono: MonoGraph | None = _MonoField()
     multiplicities: Mapping | None = field(default=None, hash=False)
     levels: tuple[tuple[str, ...], ...] = ()
@@ -142,10 +148,13 @@ class BratteliDiagram:
         tables = tuple(map(graphs.read_only, self.edge_levels))
         object.__setattr__(self, "edge_levels", tables)
 
+    @property
+    def stationary(self) -> bool:
+        """Whether level-1 multiplicities and one repeated level make the diagram."""
+        return self.multiplicities is not None
+
     def depth(self) -> int | None:
-        if self.kind == "stationary":
-            return None
-        return len(self.levels) - 1
+        return None if self.multiplicities is not None else len(self.levels) - 1
 
     def _check_depth(self, n: int) -> None:
         limit = self.depth()
@@ -158,7 +167,7 @@ class BratteliDiagram:
 
     def _table(self, n: int) -> Mapping:
         """The level-n edge table read off the fields, without the index."""
-        if self.kind == "stationary":
+        if self.stationary:
             if n == 1:
                 return _first_level(self._vertices(), self.multiplicities).edges
             m = self.mono
@@ -168,7 +177,7 @@ class BratteliDiagram:
     @cached_property
     def _index(self) -> tuple[EdgeIndex, ...]:
         """One entry per edge level; the last one serves all deeper levels."""
-        if self.kind == "stationary":
+        if self.stationary:
             first = _first_level(self._vertices(), self.multiplicities)
             if self.cover is not None:
                 return (first, _walk_level(self.cover))
@@ -198,8 +207,7 @@ class BratteliDiagram:
         if n < 1:
             raise DepthOutOfRange("edge levels start at 1")
         self._check_depth(n)
-        index = self._index
-        return index[min(n, len(index)) - 1]
+        return _at(self._index, n)
 
     def _levels(self, lo: int, hi: int) -> list[EdgeIndex]:
         """The indexes of edge levels ``lo + 1`` to ``hi``, bottom first."""
@@ -209,7 +217,7 @@ class BratteliDiagram:
         self._check_depth(n)
         if n == 0:
             return [ROOT]
-        if self.kind == "stationary":
+        if self.stationary:
             return sorted(self._vertices())
         return sorted(self.levels[n])
 
@@ -226,9 +234,7 @@ class BratteliDiagram:
 
 
 def stationary_diagram(mono: MonoGraph, multiplicities: dict) -> BratteliDiagram:
-    return BratteliDiagram(
-        kind="stationary", mono=mono, multiplicities=multiplicities
-    )
+    return BratteliDiagram(mono=mono, multiplicities=multiplicities)
 
 
 def validate_diagram(d: BratteliDiagram) -> list[str]:
@@ -237,14 +243,14 @@ def validate_diagram(d: BratteliDiagram) -> list[str]:
     A stationary diagram is read at levels 1 and 2: level 2's table is the
     table of every deeper level.
     """
-    if d.kind == "stationary":
+    if d.stationary:
         missing = sorted(set(d.mono.vertices) - set(d.multiplicities))
         if missing:
             return [f"vertex {v} lacks a multiplicity" for v in missing]
     elif len(d.edge_levels) != len(d.levels) - 1:
         return ["need one edge table per level above the root"]
     problems = []
-    top = 2 if d.kind == "stationary" else d.depth()
+    top = 2 if d.stationary else d.depth()
     for n in range(1, top + 1):
         table = d._table(n)
         below = set(d.level_vertices(n - 1))
@@ -291,7 +297,7 @@ def _tower_heights(d: BratteliDiagram, n: int, vertices) -> list[dict]:
     while want:
         if k == 0:
             raise UnknownName(f"no vertex {min(want)!r} at level 0")
-        level = index[k - 1] if k <= len(index) else index[-1]
+        level = _at(index, k)
         cone.append((heights[k], level, want))
         edges, ranked, below = level.edges, level.ranked, heights[k - 1]
         try:
@@ -334,7 +340,7 @@ def _extreme_path(d: BratteliDiagram, v: str, n: int, last: bool) -> tuple[str, 
     here = v
     try:
         for k in range(n, 0, -1):
-            level = index[k - 1] if k <= len(index) else index[-1]
+            level = _at(index, k)
             e = level.ranked[here][pick]
             path[k - 1] = e
             here = level.edges[e][0]
@@ -364,12 +370,12 @@ def path_index(d: BratteliDiagram, p: tuple[str, ...]) -> int:
     d._check_depth(n)
     index = d._index
     try:
-        end = (index[n - 1] if n <= len(index) else index[-1]).edges[p[-1]][1]
+        end = _at(index, n).edges[p[-1]][1]
         heights = _tower_heights(d, n, (end,))
         floor = 0
         here = ROOT
         for k, e in enumerate(p, start=1):
-            level = index[k - 1] if k <= len(index) else index[-1]
+            level = _at(index, k)
             below = heights[k - 1]
             edges = level.edges
             s, r, _ = edges[e]
@@ -402,7 +408,7 @@ def path_at(d: BratteliDiagram, v: str, n: int, i: int) -> tuple[str, ...]:
     path = [""] * n
     here = v
     for k in range(n, 0, -1):
-        level = index[k - 1] if k <= len(index) else index[-1]
+        level = _at(index, k)
         edges, below = level.edges, heights[k - 1]
         for e in level.ranked[here]:
             h = below[edges[e][0]]
@@ -438,7 +444,7 @@ def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
     here = ROOT
     try:
         for k, e in enumerate(p, start=1):
-            level = index[k - 1] if k <= len(index) else index[-1]
+            level = _at(index, k)
             edges = level.edges
             s, here_next, _ = edges[e]
             if s != here:
@@ -447,10 +453,8 @@ def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
             siblings = level.ranked[here]
             i = level.position[e] + delta
             if 0 <= i < len(siblings):
-                if k < n:
-                    above = index[k] if k < len(index) else index[-1]
-                    if above.edges[p[k]][0] != here:
-                        raise _not_a_path(d, p)
+                if k < n and _at(index, k + 1).edges[p[k]][0] != here:
+                    raise _not_a_path(d, p)
                 f = siblings[i]
                 below = _extreme_path(d, edges[f][0], k - 1, last=delta < 0)
                 return below + (f,) + p[k:]
@@ -470,7 +474,7 @@ def vershik_predecessor(d: BratteliDiagram, p: tuple[str, ...]):
 
 
 def _continuity_psi(d: BratteliDiagram) -> dict:
-    if d.kind != "stationary":
+    if not d.stationary:
         raise HorizonExceeded("no successor beyond the prefix of a finite diagram")
     report = d._continuity
     if report.verdict != HOLDS:
@@ -557,7 +561,7 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
     consecutive cuts, ordered lexicographically.
     """
     cuts = coverings._checked_cuts(cut_points, d.depth())
-    if d.kind == "stationary":
+    if d.stationary:
         K = cuts[0]
         if all(c == K * (i + 1) for i, c in enumerate(cuts)):
             powered = stationary.mono_power(d.mono, K)
@@ -580,9 +584,7 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
             for i, w in enumerate(paths[v], start=1)
         })
         prev = cut
-    return BratteliDiagram(
-        kind="finite_prefix", levels=tuple(levels), edge_levels=tuple(edge_levels)
-    )
+    return BratteliDiagram(levels=tuple(levels), edge_levels=tuple(edge_levels))
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +658,8 @@ def clusters(d: BratteliDiagram, n: int) -> ClusterPartition:
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    straight = d.kind == "stationary" and stationary.is_straight(d.mono)
-    certainty = "DEPTH_LIMITED" if d.kind == "stationary" and not straight else "EXACT"
+    straight = d.stationary and stationary.is_straight(d.mono)
+    certainty = "DEPTH_LIMITED" if d.stationary and not straight else "EXACT"
     limit = d.depth()
     depth = n + 2 if limit is None else min(n + 2, limit)
     for v in verts:
@@ -728,13 +730,11 @@ def weighted_to_bv(p) -> BratteliDiagram:
     ``w<i``.  A stationary presentation gives a diagram that reads its
     in-edges off the expansion walks and names a vertex's edges when the
     vertex is first read, so a walk pays for what it touches.  Two
-    in-edges with one name raise NameCollision, and a finite prefix whose
-    last cover repeats has no diagram form and raises UnsupportedKind.
+    in-edges with one name raise NameCollision, and a longer prefix that
+    repeats a self-cover has no diagram form and raises UnsupportedKind.
     """
-    if p.kind == "stationary":
-        d = BratteliDiagram(
-            kind="stationary", multiplicities=p.multiplicities, cover=p.self_cover
-        )
+    if p.stationary:
+        d = BratteliDiagram(multiplicities=p.graphs[0].length, cover=p.self_cover)
         # an index whose ids a '>' in a name makes ambiguous is built whole
         # here, so that a name collision raises now
         d._index
@@ -754,9 +754,7 @@ def weighted_to_bv(p) -> BratteliDiagram:
         else:
             grammar = _walk_edges(coverings.cover_at(p, n).emap)
         edge_levels.append(walk_tables(g.edges, *grammar)[0])
-    return BratteliDiagram(
-        kind="finite_prefix", levels=tuple(levels), edge_levels=tuple(edge_levels)
-    )
+    return BratteliDiagram(levels=tuple(levels), edge_levels=tuple(edge_levels))
 
 
 def bv_to_weighted(d: BratteliDiagram):
@@ -771,7 +769,7 @@ def bv_to_weighted(d: BratteliDiagram):
     cluster of its own base to the cluster where the step past its tower
     top lands, as :func:`boundary_targets` decides it.
     """
-    if d.kind != "stationary":
+    if not d.stationary:
         raise UnsupportedKind(
             "only stationary diagrams convert back to covering presentations"
         )
@@ -817,7 +815,7 @@ def check_closing_bv(d: BratteliDiagram) -> Report:
     (nesting holds); without a conversion the verdict can still be HOLDS
     vacuously when no constant path exists, and is UNKNOWN otherwise.
     """
-    if d.kind != "stationary":
+    if not d.stationary:
         return Report(
             tag="closing",
             verdict=UNKNOWN,
@@ -848,7 +846,7 @@ def check_closing_bv(d: BratteliDiagram) -> Report:
 def check_regulated_bv(d: BratteliDiagram, l_seq, n_max: int) -> Report:
     """Periodicity regulation on the diagram side (see check_closing_bv)."""
     seq = coverings._checked_l_seq(l_seq, n_max)
-    if d.kind != "stationary":
+    if not d.stationary:
         return Report(
             tag="regulated",
             verdict=UNKNOWN,

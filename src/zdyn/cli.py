@@ -30,6 +30,11 @@ from .stationary import MonoGraph
 
 VERSION = "zdyn/1"
 
+# the ``tail`` of a finite-prefix covering document: it stops at its top
+# level, or its last cover repeats forever
+TRUNCATED = "truncated"
+REPEAT = "repeat_last_as_stationary"
+
 FAILING_VERDICTS = {FAILS, "AMBIGUOUS"}
 
 
@@ -172,13 +177,16 @@ def _load_covering(data):
             _named(data, "multiplicities", "covering", _integer),
         )
     if form == "finite_prefix":
-        tail = data.get("tail", coverings.TRUNCATED)
-        if tail not in (coverings.TRUNCATED, coverings.REPEAT):
+        tail = data.get("tail", TRUNCATED)
+        if tail not in (TRUNCATED, REPEAT):
             raise DocumentSemanticError(f"unknown covering tail: {tail!r}")
+        level_graphs = [_load_graph(g) for g in _list(data, "graphs", "covering")]
+        level_covers = [_load_cover(c) for c in _list(data, "covers", "covering")]
+        if tail == REPEAT and not level_covers and len(level_graphs) < 2:
+            # more levels without covers fail validation on their count
+            raise DocumentSemanticError("repeating tail needs at least one cover")
         return coverings.finite_prefix_presentation(
-            [_load_graph(g) for g in _list(data, "graphs", "covering")],
-            [_load_cover(c) for c in _list(data, "covers", "covering")],
-            tail=tail,
+            level_graphs, level_covers, tail == REPEAT and bool(level_covers)
         )
     raise DocumentSemanticError(f"unknown covering form: {form}")
 
@@ -200,7 +208,6 @@ def _load_bratteli(data) -> bratteli.BratteliDiagram:
         )
     if form == "finite_prefix":
         return bratteli.BratteliDiagram(
-            kind="finite_prefix",
             levels=tuple(
                 _names(vs, "bratteli levels")
                 for vs in _list(data, "levels", "bratteli")
@@ -343,24 +350,23 @@ def _payload(obj) -> dict:
             "emap": {e: list(obj.emap[e]) for e in sorted(obj.emap)},
         }
     if isinstance(obj, coverings.CoveringPresentation):
-        if obj.kind == "stationary":
+        if obj.stationary:
+            lengths = obj.graphs[0].length
             return {
                 "kind": "covering",
                 "form": "stationary",
                 "cover": _payload(obj.self_cover),
-                "multiplicities": {
-                    e: obj.multiplicities[e] for e in sorted(obj.multiplicities)
-                },
+                "multiplicities": {e: lengths[e] for e in sorted(lengths)},
             }
         return {
             "kind": "covering",
             "form": "finite_prefix",
             "graphs": [_payload(g) for g in obj.graphs],
             "covers": [_payload(c) for c in obj.covers],
-            "tail": obj.tail,
+            "tail": TRUNCATED if obj.self_cover is None else REPEAT,
         }
     if isinstance(obj, bratteli.BratteliDiagram):
-        if obj.kind == "stationary":
+        if obj.stationary:
             return {
                 "kind": "bratteli",
                 "form": "stationary",
@@ -449,12 +455,9 @@ def _emit_report(report: Report, fmt: str) -> int:
 def _mono_of(obj) -> MonoGraph:
     if isinstance(obj, MonoGraph):
         return obj
-    if isinstance(obj, bratteli.BratteliDiagram) and obj.kind == "stationary":
+    if isinstance(obj, bratteli.BratteliDiagram) and obj.stationary:
         return obj.mono
-    if (
-        isinstance(obj, coverings.CoveringPresentation)
-        and obj.kind == "stationary"
-    ):
+    if isinstance(obj, coverings.CoveringPresentation) and obj.stationary:
         return bratteli.weighted_to_bv(obj).mono
     raise UnsupportedKind("continuity needs a mono-graph or a stationary input")
 
@@ -462,10 +465,7 @@ def _mono_of(obj) -> MonoGraph:
 def _self_cover_of(obj, needs: str) -> Cover:
     if isinstance(obj, Cover):
         return obj
-    if (
-        isinstance(obj, coverings.CoveringPresentation)
-        and obj.kind == "stationary"
-    ):
+    if isinstance(obj, coverings.CoveringPresentation) and obj.stationary:
         return obj.self_cover
     raise UnsupportedKind(needs)
 

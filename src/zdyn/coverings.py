@@ -1,10 +1,14 @@
 """Covering presentations, their towers, and the closing/regulation checks.
 
 A covering is a sequence of weighted covers descending to the singleton
-graph.  Two presentations are supported: an explicit finite prefix of
-levels and a stationary presentation generated by a flexible self-cover
-together with level-1 multiplicities, from which weighted levels are
-expanded on demand by length propagation.
+graph, presented as one record: a finite prefix of weighted levels and
+covers, then optionally a self-cover of the top shape that repeats
+forever, the weighted levels above the top expanded on demand by length
+propagation.  A stationary presentation is the one-level prefix, weighted
+by the multiplicities, that repeats its self-cover from level 2 on.  A
+truncated prefix, with no repeated cover, stands for every covering
+sequence that extends it, so a check settles on it only what no deeper
+level can overturn and says UNKNOWN otherwise.
 
 A clopen set of the inverse limit lives in tower coordinates: a
 depth-D cylinder of the associated ordered Bratteli diagram is a
@@ -23,7 +27,6 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from types import MappingProxyType
 
@@ -40,36 +43,35 @@ from .errors import (
 from .graphs import Cover, Graph, singleton_graph
 from .reports import FAILS, HOLDS, UNKNOWN, Report
 
-TRUNCATED = "truncated"
-REPEAT = "repeat_last_as_stationary"
-
 
 @dataclass(frozen=True)
 class CoveringPresentation:
-    """A covering sequence, stationary or a finite prefix.
+    """A covering sequence: a finite prefix of levels, then perhaps a repeated cover.
 
-    Stationary: ``self_cover`` is a flexible self-cover and the read-only
-    ``multiplicities`` give the level-1 length of each edge.  Finite
-    prefix: ``graphs`` lists the weighted levels G1..GN and ``covers``
-    the weighted covers G2 -> G1, ..., GN -> GN-1; ``tail`` says whether
-    the sequence simply stops or repeats its last cover forever.
+    ``graphs`` lists the weighted levels G1..GN and ``covers`` the
+    weighted covers G2 -> G1, ..., GN -> GN-1.  ``self_cover``, a
+    self-cover of the top shape, maps each level above GN onto the one
+    below, forever, the lengths propagating along its walks.  When it is
+    None the prefix is truncated: it stands for every covering sequence
+    that extends it, so a check settles on it only what no continuation
+    can overturn and says UNKNOWN otherwise.  A stationary presentation
+    is the one-level prefix, its lengths the multiplicities, that repeats
+    its self-cover from level 2 on; a repeating tail repeats its last
+    cover.
     """
 
-    kind: str
-    self_cover: Cover | None = None
-    multiplicities: Mapping | None = field(default=None, hash=False)
     graphs: tuple = ()
     covers: tuple = ()
-    tail: str = TRUNCATED
+    self_cover: Cover | None = None
 
-    def __post_init__(self):
-        graphs.read_only_fields(self, "multiplicities")
+    @property
+    def stationary(self) -> bool:
+        """Whether this is one level followed by its self-cover forever."""
+        return self.self_cover is not None and len(self.graphs) == 1 and not self.covers
 
     def depth(self) -> int | None:
         """Largest materializable level, or None when unbounded."""
-        if self.kind == "stationary" or self.tail == REPEAT:
-            return None
-        return len(self.graphs)
+        return None if self.self_cover is not None else len(self.graphs)
 
     def _check_depth(self, n: int) -> None:
         limit = self.depth()
@@ -78,13 +80,7 @@ class CoveringPresentation:
 
     @functools.cached_property
     def _lengths(self) -> list:
-        """Edge lengths by level from the first repeated one, extended on demand.
-
-        A stationary presentation starts at level 1, a finite prefix whose
-        last cover repeats at its top level.
-        """
-        if self.kind == "stationary":
-            return [self.multiplicities]
+        """Edge lengths by level from the top one, extended on demand."""
         return [self.graphs[-1].length]
 
     @functools.cached_property
@@ -112,44 +108,45 @@ def _kept_on_presentation(fn):
 
 
 def stationary_presentation(cover: Cover, multiplicities: dict) -> CoveringPresentation:
+    """The level-1 shape of ``cover`` weighted by ``multiplicities``, then ``cover`` forever."""
     if cover.domain != cover.codomain:
         raise HomomorphismViolation("a stationary presentation needs a self-cover")
-    return CoveringPresentation(
-        kind="stationary", self_cover=cover, multiplicities=multiplicities
+    g = cover.domain
+    first = Graph(
+        vertices=g.vertices, edges=g.edges, src=g.src, rng=g.rng, length=multiplicities
     )
+    return CoveringPresentation(graphs=(first,), self_cover=cover)
 
 
 def finite_prefix_presentation(
-    level_graphs, level_covers, tail: str = TRUNCATED
+    level_graphs, level_covers, repeat: bool = False
 ) -> CoveringPresentation:
-    if tail not in (TRUNCATED, REPEAT):
-        raise ValueError(f"unknown tail {tail!r}")
-    return CoveringPresentation(
-        kind="finite_prefix",
-        graphs=tuple(level_graphs),
-        covers=tuple(level_covers),
-        tail=tail,
-    )
+    """The levels and covers of a prefix, its last cover repeated above the top if ``repeat``."""
+    covers = tuple(level_covers)
+    return CoveringPresentation(tuple(level_graphs), covers, covers[-1] if repeat else None)
 
 
 def validate_presentation(p: CoveringPresentation) -> list[str]:
     problems = []
-    if p.kind == "stationary":
-        problems.extend(graphs.cover_violations(p.self_cover))
-        if not problems and not graphs.cover_flags(p.self_cover).weighted:
+    cover = p.self_cover
+    if p.stationary:
+        g, shape = p.graphs[0], cover.domain
+        if (g.vertices, g.edges, g.src, g.rng) != (
+            shape.vertices, shape.edges, shape.src, shape.rng
+        ):
+            return ["level 1 does not have the self-cover's shape"]
+        problems.extend(graphs.cover_violations(cover))
+        if not problems and not graphs.cover_flags(cover).weighted:
             problems.append("self-cover is not +directional and edge-surjective")
-        for e in p.self_cover.domain.sorted_edges():
-            if p.multiplicities.get(e, 0) < 1:
+        for e in shape.sorted_edges():
+            if p.graphs[0].length.get(e, 0) < 1:
                 problems.append(f"edge {e} lacks a positive multiplicity")
         return problems
     if len(p.covers) != max(len(p.graphs) - 1, 0):
         problems.append("need exactly one cover between consecutive levels")
         return problems
-    if p.tail == REPEAT:
-        if not p.covers:
-            problems.append("repeating tail needs at least one cover")
-        elif p.covers[-1].domain.edges != p.covers[-1].codomain.edges:
-            problems.append("repeating tail needs a self-cover at the top")
+    if cover is not None and cover.domain.edges != cover.codomain.edges:
+        problems.append("repeating tail needs a self-cover at the top")
     for n in range(1, len(p.graphs) + 1):
         problems.extend(
             f"level {n}: {msg}" for msg in graphs.validate_graph(level_graph(p, n))
@@ -166,28 +163,12 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
 # levels and covers
 
 
-def _tail(p: CoveringPresentation) -> tuple[int, Cover | None]:
-    """``(top, cover)``: from level ``top`` on, ``cover`` maps each level onto the one below.
-
-    A stationary presentation repeats its self-cover from level 1 and a
-    repeating tail its last cover from its top level.  A truncated prefix
-    stops at its top level, and ``cover`` is None.
-    """
-    if p.kind == "stationary":
-        return 1, p.self_cover
-    return len(p.graphs), p.covers[-1] if p.tail == REPEAT else None
-
-
 def _stationary_lengths(p: CoveringPresentation, n: int):
-    """Level-n edge lengths where the covers repeat, read-only.
+    """Level-n edge lengths from the top level on, where the self-cover repeats.
 
-    That is every level of a stationary presentation, which repeats its
-    self-cover from level 1, and the levels above the top of a finite
-    prefix, which repeats its last cover.  Computed level by level and
-    kept on the presentation.
+    Read-only, computed level by level and kept on the presentation.
     """
-    base, cover = _tail(p)
-    emap = cover.emap
+    base, emap = len(p.graphs), p.self_cover.emap
     lengths = p._lengths
     while len(lengths) <= n - base:
         below = lengths[-1]
@@ -205,13 +186,10 @@ def level_graph(p: CoveringPresentation, n: int) -> Graph:
     p._check_depth(n)
     if n == 0:
         return singleton_graph()
-    if p.kind == "stationary":
-        g = p.self_cover.domain
-    elif n <= len(p.graphs):
+    if n <= len(p.graphs):
         return p.graphs[n - 1]
-    else:
-        # the repeating tail keeps the top shape
-        g = p.graphs[-1]
+    # the levels above the top keep its shape
+    g = p.graphs[-1]
     return Graph(
         vertices=g.vertices, edges=g.edges, src=g.src, rng=g.rng,
         length=_stationary_lengths(p, n),
@@ -234,8 +212,7 @@ def cover_at(p: CoveringPresentation, n: int) -> Cover:
             vmap=MappingProxyType({v: "v0" for v in dom.vertices}),
             emap=MappingProxyType({e: ("e0",) * dom.length[e] for e in dom.edges}),
         )
-    top, repeated = _tail(p)
-    base = p.covers[n - 2] if n <= top else repeated
+    base = p.covers[n - 2] if n <= len(p.graphs) else p.self_cover
     return Cover(
         domain=dom, codomain=level_graph(p, n - 1), vmap=base.vmap, emap=base.emap
     )
@@ -267,11 +244,11 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
     Stationary presentations with arithmetic cuts K, 2K, ... remain
     stationary (self-cover raised to the K-th power, level-K lengths as
     the new multiplicities).  Other cuts on a stationary input produce a
-    finite prefix whose last cover repeats; cuts on a finite prefix
-    produce a truncated finite prefix.
+    finite prefix that repeats its last cover; cuts on any other input
+    produce a truncated prefix.
     """
     cuts = _checked_cuts(cut_points, p.depth())
-    if p.kind == "stationary":
+    if p.stationary:
         K = cuts[0]
         if all(c == K * (i + 1) for i, c in enumerate(cuts)):
             return stationary_presentation(
@@ -281,8 +258,7 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
         raise DepthOutOfRange("non-arithmetic telescoping needs two cut points")
     level_graphs = [level_graph(p, c) for c in cuts]
     level_covers = [compose_range(p, a, b) for a, b in zip(cuts, cuts[1:])]
-    tail = REPEAT if p.kind == "stationary" else TRUNCATED
-    return finite_prefix_presentation(level_graphs, level_covers, tail)
+    return finite_prefix_presentation(level_graphs, level_covers, p.stationary)
 
 
 # ---------------------------------------------------------------------------
@@ -350,17 +326,15 @@ def find_constant_chains(p: CoveringPresentation) -> list[ConstantChain]:
     """All infinitely constantly covered level-1 edges with witnesses.
 
     A level-1 edge is covered when single-edge images lead down to it
-    from a top-level edge on a cycle of the repeated cover's single-image
-    relation (see :func:`_relation_cycles` and :func:`_tail`).  On a
-    truncated prefix every such descent from the top is returned as a
-    within-prefix witness only (``exact`` is False).
+    from a top-level edge on a cycle of the self-cover's single-image
+    relation (see :func:`_relation_cycles`).  On a truncated prefix every
+    such descent from the top is returned as a within-prefix witness only
+    (``exact`` is False).
     """
-    top, cover = _tail(p)
-    if cover is None and top < 2:
-        return []
-    # follow single-edge images downward from the top level; a chain
-    # lists its edges upward, from level 1 to the top
-    chains = {e: (e,) for e in sorted(level_graph(p, top).edges)}
+    cover = p.self_cover
+    # follow single-edge images downward from the top level, if any; a
+    # chain lists its edges upward, from level 1 to the top
+    chains = {e: (e,) for g in p.graphs[-1:] for e in sorted(g.edges)}
     for cov in reversed(p.covers):
         chains = {
             e: (cov.emap[c[0]][0], *c)
@@ -383,31 +357,30 @@ def _is_circuit_edge(g, e: str) -> bool:
 
 
 def _chain_is_circuits(p: CoveringPresentation, chain: ConstantChain) -> bool:
-    top, _ = _tail(p)
     placed = [(1, chain.edge)]
     placed += [(i + 2, e) for i, e in enumerate(chain.transient)]
-    placed += [(top, e) for e in chain.cycle]
+    placed += [(len(p.graphs), e) for e in chain.cycle]
     shape = {n: level_graph(p, n) for n in {n for n, _ in placed}}
     return all(_is_circuit_edge(shape[n], e) for n, e in placed)
 
 
 def check_closing(p: CoveringPresentation) -> Report:
-    """Every infinite constant covering must consist of circuits."""
+    """Every infinite constant covering must consist of circuits.
+
+    A truncated prefix settles this only when no chain reaches its top,
+    and an empty one never: a chain that does may die or go on in a
+    continuation.  Otherwise the verdict is UNKNOWN, with the
+    within-prefix chains through a non-circuit edge as its witnesses.
+    """
     chains = find_constant_chains(p)
     bad = [c for c in chains if not _chain_is_circuits(p, c)]
+    witnesses = tuple((c.edge, c.transient, c.cycle) for c in bad)
+    if p.self_cover is None and (chains or not p.graphs):
+        reason = "truncated prefix: chains not extendable"
+        return Report("closing", UNKNOWN, witnesses, {"reason": reason})
     if bad:
-        return Report(
-            tag="closing",
-            verdict=FAILS,
-            witnesses=tuple((c.edge, c.transient, c.cycle) for c in bad),
-            details={"reason": "constant chain through a non-circuit edge"},
-        )
-    if any(not c.exact for c in chains):
-        return Report(
-            tag="closing",
-            verdict=UNKNOWN,
-            details={"reason": "truncated prefix: chains not extendable"},
-        )
+        reason = "constant chain through a non-circuit edge"
+        return Report("closing", FAILS, witnesses, {"reason": reason})
     reason = "no constant chains" if not chains else "all chains are circuits"
     return Report(tag="closing", verdict=HOLDS, details={"reason": reason})
 
@@ -459,15 +432,15 @@ def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
     ``l_seq`` is the increasing threshold sequence, consulted at levels
     1..n_max.  A short edge passes when an all-circuit constant chain
     climbs from it to the top level and goes on forever under the
-    repeated cover; on a truncated prefix a chain to the top leaves the
-    level UNKNOWN.  For stationary presentations the report also carries
-    an asymptotic verdict about the edges of bounded length, which stay
-    short forever; edges of unbounded length are listed as undecided
+    self-cover; on a truncated prefix a chain to the top leaves the level
+    UNKNOWN.  When a self-cover repeats, the report also carries an
+    asymptotic verdict about the edges of bounded length under it, which
+    stay short forever; edges of unbounded length are listed as undecided
     since a finite threshold sequence cannot constrain their tail.
     """
     seq = _checked_l_seq(l_seq, n_max)
     p._check_depth(n_max)
-    _, cover = _tail(p)
+    cover = p.self_cover
     good = set() if cover is None else _circuit_chain_edges(cover)
     levels = []
     overall = HOLDS
@@ -501,16 +474,14 @@ def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
         elif verdict == UNKNOWN and overall == HOLDS:
             overall = UNKNOWN
     details = {"levels": levels}
-    if p.kind == "stationary":
-        growing = growing_symbols(p.self_cover.emap)
-        stray = sorted(p.self_cover.emap.keys() - growing - good)
+    if cover is not None:
+        growing = growing_symbols(cover.emap)
+        stray = sorted(cover.emap.keys() - growing - good)
         details["asymptotic"] = {
             "verdict": FAILS if stray else HOLDS,
             "witnesses": tuple(stray),
             "undecided": sorted(
-                e
-                for e in p.self_cover.domain.edges
-                if e in growing and e not in good
+                e for e in cover.domain.edges if e in growing and e not in good
             ),
         }
         if stray:
@@ -559,7 +530,7 @@ def _orbit_tables(p: CoveringPresentation, n: int):
         if step == e:
             steps[e] = (*ends, k)
         support.setdefault(step, []).append(e)
-    good = _circuit_chain_edges(p.self_cover) if p.kind == "stationary" else set()
+    good = _circuit_chain_edges(p.self_cover) if p.stationary else set()
     return graphs.weighted(g.vertices, steps), support, good
 
 
@@ -1156,15 +1127,15 @@ def _colouring(p: CoveringPresentation, q: CoveringPresentation) -> _Colouring |
     colour; None when the edge colours do not match between the sides.
     """
     sides = (p, q)
-    edge_ids = [s.self_cover.domain.sorted_edges() for s in sides]
-    vertex_ids = [sorted(s.self_cover.domain.vertices) for s in sides]
+    edge_ids = [s.graphs[0].sorted_edges() for s in sides]
+    vertex_ids = [sorted(s.graphs[0].vertices) for s in sides]
     n_edges, n_vertices = len(edge_ids[0]), len(vertex_ids[0])
     size = 2 * (n_edges + n_vertices)
     links = [[] for _ in range(size)]
     in_q = [0] * n_edges + [1] * n_edges + [0] * n_vertices + [1] * n_vertices
     start = {}
     for k, s in enumerate(sides):
-        g, walks = s.self_cover.domain, s.self_cover.emap
+        g, walks = s.graphs[0], s.self_cover.emap
         edge = {e: k * n_edges + i for i, e in enumerate(edge_ids[k])}
         first = 2 * n_edges + k * n_vertices
         vertex = {v: first + i for i, v in enumerate(vertex_ids[k])}
@@ -1177,7 +1148,7 @@ def _colouring(p: CoveringPresentation, q: CoveringPresentation) -> _Colouring |
             links[x] += ((src, 2), (rng, 3))
             links[src].append((x, 2))
             links[rng].append((x, 3))
-            start.setdefault((s.multiplicities[e], len(walks[e])), []).append(x)
+            start.setdefault((g.length[e], len(walks[e])), []).append(x)
     root = _Colouring(
         links,
         in_q,
@@ -1196,9 +1167,9 @@ def _structure_map(p: CoveringPresentation, q: CoveringPresentation, emap: dict)
     None unless ``emap`` carries multiplicities, sources, ranges and the
     expansion walks and the vertex map it induces is injective.
     """
-    g1, g2 = p.self_cover.domain, q.self_cover.domain
+    g1, g2 = p.graphs[0], q.graphs[0]
     edges1 = g1.sorted_edges()
-    if any(p.multiplicities[e] != q.multiplicities[emap[e]] for e in edges1):
+    if any(g1.length[e] != g2.length[emap[e]] for e in edges1):
         return None
     vmap = {}
     for e in edges1:
@@ -1240,9 +1211,9 @@ def find_cover_isomorphism(p: CoveringPresentation, q: CoveringPresentation):
     structure check is the isomorphism whose edge map, read in the id
     order of ``p``, is lexicographically least.
     """
-    if p.kind != "stationary" or q.kind != "stationary":
+    if not (p.stationary and q.stationary):
         raise UnsupportedKind("cover isomorphism needs two stationary presentations")
-    g1, g2 = p.self_cover.domain, q.self_cover.domain
+    g1, g2 = p.graphs[0], q.graphs[0]
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
     root = _colouring(p, q)

@@ -329,7 +329,7 @@ def check_recoding(p, n: int, radius: int, max_passes: int = 16) -> Report:
     pass that adds no word means DETERMINED; running out of passes means
     UNKNOWN.
     """
-    if p.kind != "stationary":
+    if not p.stationary:
         raise UnsupportedKind("recoding analysis needs a stationary presentation")
     if n < 1:
         raise DepthOutOfRange(f"recoding reads level 1 and above, got {n}")

@@ -6,13 +6,17 @@ as a self-cover repeated from level 1.  Here a stationary presentation
 takes its own branch, the covered edges are closed upward from the
 cycles until nothing changes, and a chain's witness climbs to its cycle
 through the least preimage at each step.
+
+On a truncated prefix the oracle keeps the within-prefix rule: a chain
+from the top through a non-circuit edge fails closing.  The library
+leaves such a prefix UNKNOWN instead, since a continuation may end the
+chain; the tests compare the two through that translation.
 """
 
 from types import MappingProxyType
 
 from zdyn import graphs
 from zdyn.coverings import (
-    REPEAT,
     ConstantChain,
     _checked_l_seq,
     _single_image_relation,
@@ -36,7 +40,7 @@ def cover_at(p, n):
             vmap=MappingProxyType({v: "v0" for v in dom.vertices}),
             emap=MappingProxyType({e: ("e0",) * dom.length[e] for e in dom.edges}),
         )
-    if p.kind == "stationary":
+    if p.stationary:
         base = p.self_cover
     elif n <= len(p.graphs):
         base = p.covers[n - 2]
@@ -91,7 +95,7 @@ def chain_description(rel, cycles, covered, e):
 
 
 def find_constant_chains(p):
-    if p.kind == "stationary":
+    if p.stationary:
         rel = _single_image_relation(p.self_cover)
         cycles = relation_cycles(rel)
         covered = icc_edges(rel, cycles)
@@ -100,8 +104,6 @@ def find_constant_chains(p):
             for e in sorted(covered)
         ]
     top = len(p.graphs)
-    if top < 2:
-        return []
     descents = {e: [e] for e in sorted(level_graph(p, top).edges)}
     for n in range(top, 1, -1):
         cov = cover_at(p, n)
@@ -111,7 +113,7 @@ def find_constant_chains(p):
             if len(cov.emap[chain[-1]]) == 1
         }
     chains = []
-    if p.tail == REPEAT:
+    if p.self_cover is not None:
         rel = _single_image_relation(p.covers[-1])
         cycles = relation_cycles(rel)
         covered = icc_edges(rel, cycles)
@@ -138,7 +140,7 @@ def is_circuit_edge(g, e):
 
 
 def chain_is_circuits(p, chain):
-    if p.kind == "stationary":
+    if p.stationary:
         g = p.self_cover.domain
         edges = {chain.edge, *chain.transient, *chain.cycle}
         return all(is_circuit_edge(g, e) for e in edges)
@@ -194,7 +196,7 @@ def prefix_chain_support(p, n):
             for e2 in gk.edges
             if cov.emap[e2] == (e,) and is_circuit_edge(gk, e2)
         }
-    if p.tail == REPEAT:
+    if p.self_cover is not None:
         good_top = circuit_chain_edges(p.covers[-1])
         return {alive[e] for e in alive if e in good_top}, set()
     return set(), set(alive.values())
@@ -203,14 +205,14 @@ def prefix_chain_support(p, n):
 def check_regulated(p, l_seq, n_max):
     seq = _checked_l_seq(l_seq, n_max)
     p._check_depth(n_max)
-    if p.kind == "stationary":
+    if p.stationary:
         good = circuit_chain_edges(p.self_cover)
     levels = []
     overall = HOLDS
     for n in range(1, n_max + 1):
         g = level_graph(p, n)
         short = sorted(e for e in g.edges if g.length[e] <= seq[n - 1])
-        if p.kind == "stationary":
+        if p.stationary:
             bad = [e for e in short if e not in good]
             verdict = FAILS if bad else HOLDS
         else:
@@ -228,15 +230,18 @@ def check_regulated(p, l_seq, n_max):
         elif verdict == UNKNOWN and overall == HOLDS:
             overall = UNKNOWN
     details = {"levels": levels}
-    if p.kind == "stationary":
-        growing = growing_symbols(p.self_cover.emap)
-        stray = sorted(p.self_cover.emap.keys() - growing - good)
+    if p.self_cover is not None:
+        # bounded edges stay short forever under the cover that repeats
+        repeated = p.self_cover if p.stationary else p.covers[-1]
+        good = circuit_chain_edges(repeated)
+        growing = growing_symbols(repeated.emap)
+        stray = sorted(repeated.emap.keys() - growing - good)
         details["asymptotic"] = {
             "verdict": FAILS if stray else HOLDS,
             "witnesses": tuple(stray),
             "undecided": sorted(
                 e
-                for e in p.self_cover.domain.edges
+                for e in repeated.domain.edges
                 if e in growing and e not in good
             ),
         }

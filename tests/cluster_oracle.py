@@ -71,7 +71,7 @@ def clusters(d, n):
         return x
 
     minpaths = {v: minimal_path(d, v, n) for v in verts}
-    straight = d.kind == "stationary" and stationary.is_straight(d.mono)
+    straight = d.stationary and stationary.is_straight(d.mono)
     certainty = "EXACT"
     for v in verts:
         projections, exact = top_images(d, v, n, straight)
@@ -85,7 +85,7 @@ def clusters(d, n):
     groups = {}
     for v in verts:
         groups.setdefault(find(v), set()).add(v)
-    if d.kind == "stationary" and not straight:
+    if d.stationary and not straight:
         certainty = "DEPTH_LIMITED"
     ordered = tuple(frozenset(groups[root]) for root in sorted(groups))
     return ClusterPartition(level=n, clusters=ordered, certainty=certainty)
@@ -118,7 +118,7 @@ def check_nesting(d, n):
 
 def bv_to_weighted(d):
     """The back-conversion on the searched clusters, checked at levels 1-3."""
-    if d.kind != "stationary":
+    if not d.stationary:
         raise UnsupportedKind(
             "only stationary diagrams convert back to covering presentations"
         )

@@ -1,13 +1,17 @@
 """Recorded CLI outputs of the closing, regulation, nesting, conversion and Krieger commands.
 
-``golden/outputs.json`` keeps, for every document under ``data/``, the
-stdout and exit code of each command in :func:`commands`, in both
-output formats where the command has them; ``krieger`` runs in the human
-format at levels 0-3, windows 1-2 and horizons one to three past the
-level.  ``test_golden.py`` runs the
-commands again and compares.  To record the snapshot afresh, from the
+``golden/outputs.json`` keeps, for every document under ``data/`` and
+``golden/prefixes/``, the stdout and exit code of each command in
+:func:`commands`, in both output formats where the command has them;
+``krieger`` runs in the human format at levels 0-3, windows 1-2 and
+horizons one to three past the level.  ``golden/prefixes/`` holds two
+finite forms of each stationary covering under ``data/``: its truncated
+prefix of levels 1-3 and its telescope along the cuts 1, 3, whose last
+cover repeats.  ``test_golden.py`` runs the commands again and compares.
+To write the prefixes and record the snapshot afresh, from the
 repository root::
 
+    PYTHONPATH=src python tests/golden.py --prefixes
     PYTHONPATH=src python tests/golden.py > tests/golden/outputs.json
 """
 
@@ -18,15 +22,22 @@ import json
 import sys
 from pathlib import Path
 
-from zdyn import cli
+from zdyn import cli, coverings
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = Path(__file__).parent / "golden" / "outputs.json"
+PREFIXES = SNAPSHOT.parent / "prefixes"
+
+
+def documents() -> dict:
+    """The recorded documents by file name."""
+    paths = [*DATA.glob("*.json"), *PREFIXES.glob("*.json")]
+    return {p.name: p for p in sorted(paths, key=lambda p: p.name)}
 
 
 def commands():
     """Each recorded command line, with the document by its file name."""
-    for name in sorted(p.name for p in DATA.glob("*.json")):
+    for name in documents():
         for fmt in ("human", "json"):
             yield ["check", "closing", name, "--format", fmt]
             yield ["check", "regulated", name, "--l-seq", "1,2,3", "--format", fmt]
@@ -43,7 +54,8 @@ def commands():
 
 def run(argv):
     """The exit code and stdout of ``zdyn`` on ``argv``; stderr is dropped."""
-    argv = [str(DATA / a) if a.endswith(".json") else a for a in argv]
+    paths = documents()
+    argv = [str(paths[a]) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
@@ -54,6 +66,25 @@ def record() -> dict:
     return {" ".join(argv): run(argv) for argv in commands()}
 
 
+def write_prefixes() -> None:
+    """Write the two finite forms of each stationary covering under ``data/``."""
+    PREFIXES.mkdir(exist_ok=True)
+    for path in sorted(DATA.glob("*_covering.json")):
+        p = cli.read_document(path)
+        levels = [coverings.level_graph(p, n) for n in (1, 2, 3)]
+        covers = [coverings.cover_at(p, n) for n in (2, 3)]
+        forms = {
+            "prefix3": coverings.finite_prefix_presentation(levels, covers),
+            "tail13": coverings.telescope(p, [1, 3]),
+        }
+        for form, q in forms.items():
+            text = cli.dump_document(q) + "\n"
+            (PREFIXES / f"{path.stem}_{form}.json").write_text(text)
+
+
 if __name__ == "__main__":
-    json.dump(record(), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    if sys.argv[1:] == ["--prefixes"]:
+        write_prefixes()
+    else:
+        json.dump(record(), sys.stdout, indent=1, sort_keys=True)
+        sys.stdout.write("\n")

@@ -152,7 +152,6 @@ def non_nesting_diagram():
     from zdyn import bratteli
 
     return bratteli.BratteliDiagram(
-        kind="finite_prefix",
         levels=(("v0",), ("x", "y"), ("p", "q"), ("z1", "z2", "z3")),
         edge_levels=(
             {"x<1": ("v0", "x", 1), "y<1": ("v0", "y", 1)},

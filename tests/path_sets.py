@@ -173,7 +173,7 @@ def basic_periodic_orbits(p, n, max_period):
         for a, b in zip(chain, chain[1:]):
             step_support.setdefault((a, b), set()).add(e)
     good = (
-        coverings._circuit_chain_edges(p.self_cover) if p.kind == "stationary" else set()
+        coverings._circuit_chain_edges(p.self_cover) if p.stationary else set()
     )
     basic = exp.graph
     flex = graphs.flexible(basic.vertices, {f"{u}>{w}": (u, w) for u, w in basic.edges})

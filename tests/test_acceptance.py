@@ -100,7 +100,7 @@ def test_criterion_05_conversion_round_trip():
         for e in g1.edges:
             assert vmap[g1.src[e]] == g2.src[emap[e]]
             assert vmap[g1.rng[e]] == g2.rng[emap[e]]
-            assert p.multiplicities[e] == q.multiplicities[emap[e]]
+            assert p.graphs[0].length[e] == q.graphs[0].length[emap[e]]
             assert (
                 tuple(emap[x] for x in p.self_cover.emap[e])
                 == q.self_cover.emap[emap[e]]

@@ -49,7 +49,6 @@ def test_validate_diagram_accepts_fixtures():
 
 def test_validate_diagram_flags_rank_gaps():
     d = bratteli.BratteliDiagram(
-        kind="finite_prefix",
         levels=(("v0",), ("u",)),
         edge_levels=({"u<2": ("v0", "u", 2)},),
     )
@@ -146,7 +145,7 @@ def test_min_max_flags_on_example2():
 def test_arithmetic_telescope_bv_stays_stationary():
     d = ex1_bv()
     t = bratteli.telescope_bv(d, [2, 4])
-    assert t.kind == "stationary"
+    assert t.stationary
     assert t.multiplicities == {
         "e_a": 1, "e_b": 4, "e_c": 4, "e_d": 4, "e_e": 2, "e_f": 1,
     }
@@ -157,7 +156,7 @@ def test_arithmetic_telescope_bv_stays_stationary():
 def test_non_arithmetic_telescope_bv_preserves_counts():
     d = ex1_bv()
     t = bratteli.telescope_bv(d, [1, 3])
-    assert t.kind == "finite_prefix"
+    assert not t.stationary
     assert bratteli.validate_diagram(t) == []
     for v in d.level_vertices(3):
         assert bratteli.path_count(t, v, 2) == bratteli.path_count(d, v, 3)

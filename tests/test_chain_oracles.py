@@ -4,14 +4,21 @@ The library reads an infinitely constantly covered edge as one on a
 cycle of the single-image relation and runs a stationary presentation
 as a self-cover repeated from level 1.  The oracle, ``chain_oracle``,
 closes the covered set upward from the cycles and gives a stationary
-presentation its own branch.  Both must give the same chains, closing
-and regulation reports and covers, on stationary presentations and on
-their repeating and truncated telescopes.
+presentation its own branch.  Both must give the same chains,
+regulation reports and covers, on stationary presentations and on their
+repeating and truncated telescopes, and the same closing reports but on
+a truncated prefix, where the oracle's within-prefix FAILS is the
+library's UNKNOWN with the same witnesses.
 
 The pinned cases at the top reach the paths no fixture reaches: a cycle
 of two edges, a repeating tail whose top edge lies on no cycle, a
-one-level prefix and regulation on truncated prefixes.
+one-level prefix, a within-prefix chain that one more level ends and
+regulation on truncated prefixes.  The continuation test at the end
+checks that a verdict settled on a truncated prefix holds for every
+continuation that the fixtures offer.
 """
+
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -34,11 +41,6 @@ from test_properties import loop_presentations
 import chain_oracle
 
 CUTS = ([1, 3], [2, 3], [1, 2, 4], [2, 5], [1, 4])
-
-CHECKS = (
-    (coverings.find_constant_chains, chain_oracle.find_constant_chains),
-    (coverings.check_closing, chain_oracle.check_closing),
-)
 
 THRESHOLDS = ([1, 2, 3], [2, 4, 8, 16], [1, 2, 3, 4, 5, 6])
 
@@ -68,9 +70,31 @@ def feeder_cover():
     )
 
 
+def dying_chain_cover():
+    """Level 2 maps t onto x alone, but no edge maps onto t alone."""
+    g = flexible(
+        {"u", "w"},
+        {"x": ("u", "w"), "t": ("u", "w"), "y": ("w", "u"), "l": ("u", "u")},
+    )
+    return Cover(
+        domain=g,
+        codomain=g,
+        vmap={"u": "u", "w": "w"},
+        emap={"x": ("x", "y", "t"), "t": ("x",), "y": ("y", "l"), "l": ("x", "y")},
+    )
+
+
 def truncated(p, cuts):
     q = coverings.telescope(p, cuts)
-    return coverings.finite_prefix_presentation(q.graphs, q.covers, coverings.TRUNCATED)
+    return coverings.finite_prefix_presentation(q.graphs, q.covers)
+
+
+def prefix(p, k):
+    """The truncated prefix of the levels 1 to ``k`` of ``p``."""
+    return coverings.finite_prefix_presentation(
+        [coverings.level_graph(p, n) for n in range(1, k + 1)],
+        [coverings.cover_at(p, n) for n in range(2, k + 1)],
+    )
 
 
 def levels(report):
@@ -82,7 +106,7 @@ def levels(report):
 
 
 def test_the_pinned_covers_are_valid():
-    for c in (swap_cover(), feeder_cover()):
+    for c in (swap_cover(), feeder_cover(), dying_chain_cover()):
         assert coverings.validate_presentation(unit_presentation(c)) == []
 
 
@@ -118,15 +142,32 @@ def test_a_repeating_tail_skips_a_top_edge_off_every_cycle():
     assert levels(report) == [(1, FAILS, ("a", "c")), (2, FAILS, ("a",)), (3, FAILS, ("a",))]
 
 
-def test_a_one_level_prefix_has_no_chains():
-    one = coverings.finite_prefix_presentation(
-        [coverings.level_graph(example2_weighted(), 1)], []
-    )
-    assert coverings.find_constant_chains(one) == []
-    assert coverings.check_closing(one).details == {"reason": "no constant chains"}
+def test_a_one_level_prefix_leaves_closing_unknown():
+    one = prefix(example2_weighted(), 1)
+    # every level-1 edge reaches the top
+    assert coverings.find_constant_chains(one) == [
+        ConstantChain(e, (), (), exact=False)
+        for e in ("e_a", "e_b", "e_c", "e_d", "e_e", "e_f")
+    ]
+    report = coverings.check_closing(one)
+    assert report.verdict == UNKNOWN
+    assert report.witnesses == tuple((e, (), ()) for e in ("e_b", "e_c", "e_d", "e_e"))
+    assert report.details == {"reason": "truncated prefix: chains not extendable"}
+    empty = coverings.finite_prefix_presentation([], [])
+    assert coverings.check_closing(empty).verdict == UNKNOWN
     report = coverings.check_regulated(one, [1], 1)
     assert report.verdict == UNKNOWN
     assert levels(report) == [(1, UNKNOWN, ())]
+
+
+def test_a_chain_that_one_more_level_ends_settles_nothing():
+    p = unit_presentation(dying_chain_cover())
+    assert coverings.check_closing(p).details == {"reason": "no constant chains"}
+    reports = [coverings.check_closing(prefix(p, k)) for k in (1, 2, 3)]
+    assert [r.verdict for r in reports] == [UNKNOWN, UNKNOWN, HOLDS]
+    # the within-prefix chain t -> x dies at level 3
+    assert reports[1].witnesses == (("x", ("t",), ()),)
+    assert reports[2].details == {"reason": "no constant chains"}
 
 
 def test_regulation_on_truncated_prefixes():
@@ -150,9 +191,20 @@ def cover_maps(c):
     return c.domain, c.codomain, dict(c.vmap), dict(c.emap)
 
 
+def within_prefix(report):
+    """The oracle's closing report as the library gives it on a truncated prefix."""
+    if report.verdict == HOLDS:
+        return report
+    reason = "truncated prefix: chains not extendable"
+    return replace(report, verdict=UNKNOWN, details={"reason": reason})
+
+
 def assert_matches_the_oracle(p):
-    for fn, oracle in CHECKS:
-        assert outcome(fn, p) == outcome(oracle, p)
+    assert outcome(coverings.find_constant_chains, p) == chain_oracle.find_constant_chains(p)
+    closing = chain_oracle.check_closing(p)
+    if p.self_cover is None:
+        closing = within_prefix(closing)
+    assert outcome(coverings.check_closing, p) == closing
     depth = p.depth()
     for seq in THRESHOLDS:
         n_max = len(seq) if depth is None else min(len(seq), depth)
@@ -189,7 +241,7 @@ def fixture_presentations():
 
 def test_fixture_chains_match_the_oracle():
     for p in fixture_presentations():
-        assert p.kind == "stationary"
+        assert p.stationary
         assert_telescopes_match_the_oracle(p)
 
 
@@ -248,3 +300,70 @@ def test_generated_chains_match_the_oracle(cover, data):
     mults = {e: data.draw(st.integers(1, 2)) for e in cover.domain.sorted_edges()}
     assert_telescopes_match_the_oracle(coverings.stationary_presentation(cover, mults))
 
+
+
+# ---------------------------------------------------------------------------
+# continuation: a verdict settled on a truncated prefix holds for every
+# continuation, here the source and the prefix one level deeper
+
+TAIL_CUTS = ([1, 3], [2, 5], [1, 2, 4])
+
+
+def source_level(cuts, i):
+    """The level of the source under level ``i`` of its telescope along ``cuts``."""
+    if i <= len(cuts):
+        return cuts[i - 1]
+    # the repeated cover spans the last gap
+    return cuts[-1] + (i - len(cuts)) * (cuts[-1] - cuts[-2])
+
+
+def verdicts(p, thresholds):
+    """The closing verdict and the per-level regulation verdicts of ``p``."""
+    report = coverings.check_regulated(p, thresholds, len(thresholds))
+    levels = [x["verdict"] for x in report.details["levels"]]
+    return coverings.check_closing(p).verdict, levels
+
+
+def assert_settled_agree(got, want):
+    """Every settled verdict in ``got`` equals the one in ``want`` at its place."""
+    (closing, levels), (closing_w, levels_w) = got, want
+    assert closing in (UNKNOWN, closing_w)
+    for verdict, verdict_w in zip(levels, levels_w):
+        assert verdict in (UNKNOWN, verdict_w)
+
+
+def assert_prefixes_continue(p, thresholds):
+    """The prefixes of levels 1 to 5 of ``p`` against ``p`` and each other."""
+    source = verdicts(p, thresholds)
+    deeper = verdicts(prefix(p, 6), thresholds[:6])
+    for k in range(5, 0, -1):
+        here = verdicts(prefix(p, k), thresholds[:k])
+        assert_settled_agree(here, source)
+        assert_settled_agree(here, deeper)
+        deeper = here
+
+
+def assert_continuations_agree(p):
+    """Prefixes of ``p`` and of its repeating tails, and the tails themselves."""
+    assert_prefixes_continue(p, list(range(1, 7)))
+    regulated = coverings.check_regulated(p, range(1, 30), 29)
+    for cuts in TAIL_CUTS:
+        q = coverings.telescope(p, cuts)
+        thresholds = [source_level(cuts, i) for i in range(1, 7)]
+        want = [regulated.details["levels"][n - 1]["verdict"] for n in thresholds]
+        # a repeating tail settles everything, each level as its source level
+        assert verdicts(q, thresholds) == (coverings.check_closing(p).verdict, want)
+        report = coverings.check_regulated(q, thresholds, 6)
+        assert report.details["asymptotic"] == regulated.details["asymptotic"]
+        assert_prefixes_continue(q, thresholds)
+
+
+def test_fixture_prefixes_settle_only_what_holds_on():
+    for p in [*fixture_presentations(), unit_presentation(dying_chain_cover())]:
+        assert_continuations_agree(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(loop_presentations())
+def test_loop_prefixes_settle_only_what_holds_on(p):
+    assert_continuations_agree(p)

@@ -209,8 +209,8 @@ def test_convert_round_trip_preserves_verdicts(tmp_path, capsys):
 def test_telescope_cli(capsys):
     assert run("telescope", DATA / "example2_covering.json", "2,4") == 0
     q = cli.parse_document(capsys.readouterr().out)
-    assert q.kind == "stationary"
-    assert q.multiplicities["e_b"] == 4
+    assert q.stationary
+    assert q.graphs[0].length["e_b"] == 4
 
 
 def test_straighten_cli(capsys):
@@ -386,6 +386,12 @@ def test_a_window_longer_than_the_towers_gives_a_report(capsys):
     assert report["details"]["outside_towers"] == ["e_a", "e_b"]
 
 
+def test_a_repeating_tail_document_round_trips():
+    p = coverings.telescope(cli.read_document(DATA / "fib_covering.json"), [1, 3])
+    assert p.self_cover == p.covers[-1]
+    assert cli.parse_document(cli.dump_document(p)) == p
+
+
 def test_a_repeating_tail_has_no_diagram_form(tmp_path, capsys):
     assert run("telescope", DATA / "example2_covering.json", "1,3") == 0
     doc = tmp_path / "tail.json"
@@ -398,6 +404,10 @@ def test_a_repeating_tail_has_no_diagram_form(tmp_path, capsys):
 
 def graph_document(kind, edges):
     return {"version": "zdyn/1", "kind": kind, "vertices": ["v"], "edges": edges}
+
+
+# a repeating tail: two Fibonacci levels, the cover between them repeated
+TAIL = "../golden/prefixes/fib_covering_tail13.json"
 
 
 def edited(name, edit):
@@ -461,8 +471,23 @@ def test_malformed_graph_entries_exit_2(doc, named, tmp_path, capsys):
             edited("non_nesting_bratteli.json", lambda d: d["edge_levels"].pop()),
             "need one edge table per level above the root",
         ),
+        (
+            edited(TAIL, lambda d: d.update(graphs=d["graphs"][:1], covers=[])),
+            "repeating tail needs at least one cover",
+        ),
+        (
+            edited(TAIL, lambda d: d.update(covers=[])),
+            "need exactly one cover between consecutive levels",
+        ),
+        (
+            edited(TAIL, lambda d: d.update(graphs=d["graphs"][:1])),
+            "need exactly one cover between consecutive levels",
+        ),
     ],
-    ids=["vertex-not-in-vmap", "missing-multiplicity", "missing-edge-table"],
+    ids=[
+        "vertex-not-in-vmap", "missing-multiplicity", "missing-edge-table",
+        "repeat-without-cover", "levels-without-covers", "one-level-with-a-cover",
+    ],
 )
 def test_unknown_names_are_reported_not_raised(doc, problem, tmp_path, capsys):
     path = tmp_path / "bad.json"

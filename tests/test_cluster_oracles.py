@@ -18,7 +18,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from zdyn import bratteli, cli, stationary
+from zdyn import bratteli, cli, coverings, stationary
 from zdyn.bratteli import ClusterPartition
 from zdyn.errors import ZdynError
 
@@ -74,7 +74,7 @@ def outcome(fn, *args):
 def document(fn, d):
     """The document of a converted presentation, or the error."""
     q = outcome(fn, d)
-    return cli.to_document(q) if hasattr(q, "kind") else q
+    return cli.to_document(q) if isinstance(q, coverings.CoveringPresentation) else q
 
 
 def assert_matches_the_search(d):
@@ -195,11 +195,11 @@ def renamed(value, table):
 def converted(d):
     """The self-cover and multiplicities of the conversion, or the error."""
     q = outcome(bratteli.bv_to_weighted, d)
-    if not hasattr(q, "kind"):
+    if not isinstance(q, coverings.CoveringPresentation):
         return q
     c = q.self_cover
     edges = {e: (c.domain.src[e], c.domain.rng[e]) for e in c.domain.edges}
-    return c.domain.vertices, edges, dict(c.vmap), dict(c.emap), dict(q.multiplicities)
+    return c.domain.vertices, edges, dict(c.vmap), dict(c.emap), dict(q.graphs[0].length)
 
 
 def readings(d):

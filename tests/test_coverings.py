@@ -103,11 +103,24 @@ def test_missing_multiplicity_is_flagged():
     assert any("e_b" in msg for msg in coverings.validate_presentation(p))
 
 
+def test_one_repeated_level_is_checked_against_its_self_cover():
+    p = fib_presentation()
+    other = coverings.level_graph(skew_presentation(), 1)
+    q = coverings.CoveringPresentation((other,), (), p.self_cover)
+    assert q.stationary
+    assert coverings.validate_presentation(q) == [
+        "level 1 does not have the self-cover's shape"
+    ]
+    r = coverings.CoveringPresentation(p.graphs, (p.self_cover,), p.self_cover)
+    assert not r.stationary
+    assert coverings.validate_presentation(r) == [
+        "need exactly one cover between consecutive levels"
+    ]
+
+
 def test_depth_guard_on_finite_prefix():
     p = coverings.telescope(example2_unit(), [1, 3])
-    q = coverings.finite_prefix_presentation(
-        p.graphs, p.covers, tail=coverings.TRUNCATED
-    )
+    q = coverings.finite_prefix_presentation(p.graphs, p.covers)
     assert q.depth() == 2
     with pytest.raises(DepthOutOfRange):
         coverings.level_graph(q, 3)
@@ -159,7 +172,7 @@ def test_multiplicities_cannot_change_after_a_read():
     p = cli.read_document(DATA / "example2_covering.json")
     assert coverings.level_graph(p, 2).length["e_b"] == 4
     with pytest.raises(TypeError):
-        p.multiplicities["e_b"] = 7
+        p.graphs[0].length["e_b"] = 7
     assert coverings.level_graph(p, 3).length["e_b"] == 11
 
 
@@ -208,17 +221,17 @@ def test_compose_range_matches_cover_power():
 def test_arithmetic_telescope_stays_stationary():
     p = example2_unit()
     q = coverings.telescope(p, [2, 4, 6])
-    assert q.kind == "stationary"
+    assert q.stationary and not q.covers
     assert q.self_cover.emap == graphs.cover_power(p.self_cover, 2).emap
-    assert q.multiplicities == lengths_at(p, 2)
+    assert q.graphs[0].length == lengths_at(p, 2)
     assert coverings.validate_presentation(q) == []
 
 
 def test_non_arithmetic_telescope_repeats_last_cover():
     p = example2_unit()
     q = coverings.telescope(p, [1, 3])
-    assert q.kind == "finite_prefix"
-    assert q.tail == coverings.REPEAT
+    assert not q.stationary
+    assert q.self_cover is q.covers[-1]
     assert q.depth() is None
     assert coverings.validate_presentation(q) == []
     assert lengths_at(q, 1) == lengths_at(p, 1)
@@ -255,8 +268,8 @@ def test_telescope_preserves_closing_verdicts():
 
 def test_single_cut_on_stationary_is_arithmetic():
     q = coverings.telescope(fib_presentation(), [3])
-    assert q.kind == "stationary"
-    assert q.multiplicities == {"e_a": 8, "e_b": 5}
+    assert q.stationary
+    assert q.graphs[0].length == {"e_a": 8, "e_b": 5}
 
 
 def test_telescope_rejects_bad_cuts():
@@ -301,9 +314,7 @@ def test_closing_fails_on_non_circuit_fixed_edge():
 
 def test_closing_is_unknown_on_truncated_prefix_with_chains():
     p = coverings.telescope(example2_unit(), [1, 3])
-    q = coverings.finite_prefix_presentation(
-        p.graphs, p.covers, tail=coverings.TRUNCATED
-    )
+    q = coverings.finite_prefix_presentation(p.graphs, p.covers)
     assert coverings.check_closing(q).verdict == UNKNOWN
 
 
@@ -352,10 +363,12 @@ def test_regulation_on_repeat_prefix_decides_each_level():
     p = example2_weighted()
     q = coverings.telescope(p, [1, 3])
     report = coverings.check_regulated(q, [1, 2], 2)
-    # each materialized level holds, but the tail keeps the overall
-    # verdict at UNKNOWN because no asymptotic claim is available
-    assert report.verdict == UNKNOWN
+    # each materialized level holds, and the repeated cover settles the
+    # asymptotic claim as the stationary source does
+    assert report.verdict == HOLDS
     assert all(entry["verdict"] == HOLDS for entry in report.details["levels"])
+    source = coverings.check_regulated(p, [1, 3], 2)
+    assert report.details["asymptotic"] == source.details["asymptotic"]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ DIAGRAM_FIXTURES = COVERING_FIXTURES + ("fib_bratteli.json", "non_nesting_bratte
 
 def raw_table(d, n):
     """The level-n edge table, read off the diagram's fields."""
-    if d.kind == "stationary":
+    if d.stationary:
         if n == 1:
             return {
                 f"{v}<{i}": (ROOT, v, i)
@@ -194,7 +194,7 @@ def test_stationary_index_matches_the_scans(d, depth):
 @given(stationary_diagrams(), non_arithmetic_cuts())
 def test_finite_prefix_index_matches_the_scans(d, cuts):
     t = bratteli.telescope_bv(d, cuts)
-    assert t.kind == "finite_prefix"
+    assert not t.stationary
     assert_matches_oracles(t, t.depth())
 
 
@@ -540,12 +540,12 @@ def eager_tables(p):
     This is the builder the walk-read index replaced: level 1 (for a
     stationary ``p``) and then each deeper level, in sorted vertex order.
     """
-    if p.kind == "stationary":
-        g, walks = p.self_cover.domain, p.self_cover.emap
+    if p.stationary:
+        g, walks = p.graphs[0], p.self_cover.emap
         first = {
             f"{v}<{i}": (ROOT, v, i)
             for v in sorted(g.edges)
-            for i in range(1, p.multiplicities[v] + 1)
+            for i in range(1, g.length[v] + 1)
         }
         deeper = {}
         for w in sorted(g.edges):
@@ -613,7 +613,7 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
         d = bratteli.weighted_to_bv(p)
     tables = eager_tables(p)
     oracles = [graphs.index_edges(table) for table in tables]
-    if p.kind == "stationary":
+    if p.stationary:
         separator = any(">" in w for w in p.self_cover.domain.edges)
         assert (filled(d._index[0].ranked) == 0) == lazy
         assert (filled(d._index[1].ranked) == 0) == (lazy and not separator)
@@ -640,7 +640,7 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
         else:
             with pytest.raises(KeyError):
                 index.edges[x]
-    vertices = sorted(p.self_cover.domain.edges) if p.kind == "stationary" else None
+    vertices = sorted(p.self_cover.domain.edges) if p.stationary else None
 
     def whole_reads(index, want, table):
         yield lambda: len(index.edges) == len(table) and len(index.ranked) == len(want.ranked)
@@ -661,7 +661,7 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
     checks.append(lambda: dict(d._table(1)) == tables[0])
     if vertices is not None:
         eager = bratteli.stationary_diagram(
-            stationary.mono_graph(vertices, tables[1]), p.multiplicities
+            stationary.mono_graph(vertices, tables[1]), p.graphs[0].length
         )
         checks += [
             lambda: d.mono == eager.mono and d.mono._index is d._index[1],
@@ -698,7 +698,7 @@ def test_walk_index_matches_the_eager_tables_on_loop_presentations(p, rng, lazy)
 @pytest.mark.parametrize("seed", range(3))
 def test_finite_prefix_tables_match_the_eager_builder(seed):
     p = coverings.telescope(example2_unit(), [1, 3])
-    q = coverings.finite_prefix_presentation(p.graphs, p.covers, tail=coverings.TRUNCATED)
+    q = coverings.finite_prefix_presentation(p.graphs, p.covers)
     assert_walk_index_matches_the_eager_tables(q, random.Random(seed), False)
 
 

@@ -42,7 +42,7 @@ def scan_isomorphism(p, q):
     edges1 = g1.sorted_edges()
     for perm in itertools.permutations(g2.sorted_edges()):
         emap = dict(zip(edges1, perm))
-        if any(p.multiplicities[e] != q.multiplicities[emap[e]] for e in edges1):
+        if any(p.graphs[0].length[e] != q.graphs[0].length[emap[e]] for e in edges1):
             continue
         vmap = {}
         ok = True
@@ -73,7 +73,7 @@ def is_structure_bijection(p, q, vmap, emap):
     return all(
         vmap[g1.src[e]] == g2.src[f]
         and vmap[g1.rng[e]] == g2.rng[f]
-        and p.multiplicities[e] == q.multiplicities[f]
+        and p.graphs[0].length[e] == q.graphs[0].length[f]
         and tuple(emap[x] for x in p.self_cover.emap[e]) == tuple(q.self_cover.emap[f])
         for e, f in emap.items()
     )
@@ -111,7 +111,7 @@ def renamed(p, edge_name, vertex_name=lambda v: "w" + v):
             edge_name(e): tuple(edge_name(x) for x in w)
             for e, w in p.self_cover.emap.items()
         },
-        {edge_name(e): m for e, m in p.multiplicities.items()},
+        {edge_name(e): m for e, m in p.graphs[0].length.items()},
     )
 
 
@@ -164,7 +164,7 @@ def perturbed_pairs(draw):
     p, q = draw(renamed_pairs())
     edges = q.self_cover.domain.sorted_edges()
     e = draw(st.sampled_from(edges))
-    walks, mults = dict(q.self_cover.emap), dict(q.multiplicities)
+    walks, mults = dict(q.self_cover.emap), dict(q.graphs[0].length)
     if draw(st.booleans()):
         mults[e] = 3 - mults[e]
     else:
@@ -292,7 +292,7 @@ def test_refinement_alone_settles_the_512_loop_pairs():
 
 def test_finite_prefixes_are_not_guessed():
     t = coverings.telescope(example2_unit(), [1, 3])
-    assert t.kind == "finite_prefix"
+    assert not t.stationary
     with pytest.raises(UnsupportedKind):
         coverings.find_cover_isomorphism(t, t)
     with pytest.raises(UnsupportedKind):

@@ -124,7 +124,7 @@ def assert_fibers_match(d, depth):
 
 def assert_telescope_matches(d, cuts):
     t = bratteli.telescope_bv(d, cuts)
-    if t.kind == "stationary":
+    if t.stationary:
         K = cuts[0]
         assert t.mono == oracle_mono_power(d.mono, K)
         return
@@ -169,7 +169,7 @@ def test_telescoped_prefixes_match_both_oracles(name, d):
             assert_telescope_matches(t, [1, t.depth()])
 
 
-@pytest.mark.parametrize("name, d", [(n, d) for n, d in FIXTURES if d.kind == "stationary"])
+@pytest.mark.parametrize("name, d", [(n, d) for n, d in FIXTURES if d.stationary])
 def test_mono_powers_match_the_sorted_walks_on_the_documents(name, d):
     for K in range(1, 5):
         assert stationary.mono_power(d.mono, K) == oracle_mono_power(d.mono, K)

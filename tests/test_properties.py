@@ -137,7 +137,7 @@ def test_every_map_of_a_graph_cover_and_mono_graph_is_read_only(p, n):
         assert_maps_read_only(c, ("vmap", "emap"))
     d = bratteli.weighted_to_bv(p)
     assert_maps_read_only(d.mono, ("src", "rng", "rank"))
-    assert_maps_read_only(p, ("multiplicities",))
+    assert_maps_read_only(p.graphs[0], ("length",))
     assert_maps_read_only(d, ("multiplicities",))
     prefix = bratteli.telescope_bv(d, [n, n + 2, n + 3])
     assert len(prefix.edge_levels) == 3
@@ -148,26 +148,24 @@ def test_every_map_of_a_graph_cover_and_mono_graph_is_read_only(p, n):
 
 def test_records_share_no_dict_with_their_caller():
     p = example2_unit()
-    mults = dict(p.multiplicities)
+    mults = dict(p.graphs[0].length)
     q = coverings.stationary_presentation(p.self_cover, mults)
     d = bratteli.weighted_to_bv(q)
     vertex_mults = dict(d.multiplicities)
     e = bratteli.stationary_diagram(d.mono, vertex_mults)
     tables = [dict(t) for t in non_nesting_diagram().edge_levels]
-    f = bratteli.BratteliDiagram(
-        kind="finite_prefix", levels=non_nesting_diagram().levels, edge_levels=tables
-    )
+    f = bratteli.BratteliDiagram(levels=non_nesting_diagram().levels, edge_levels=tables)
     mults["e_b"] = 7
     vertex_mults["e_b"] = 7
     tables[0]["intruder"] = ("v0", "x", 2)
-    assert q.multiplicities["e_b"] == 1 and e.multiplicities["e_b"] == 1
+    assert q.graphs[0].length["e_b"] == 1 and e.multiplicities["e_b"] == 1
     assert "intruder" not in f.edge_levels[0]
     assert coverings.level_graph(q, 3).length["e_b"] == 11
 
 
 def test_a_diagram_shares_the_read_only_multiplicities_of_its_covering():
     p = example2_unit()
-    assert bratteli.weighted_to_bv(p).multiplicities is p.multiplicities
+    assert bratteli.weighted_to_bv(p).multiplicities is p.graphs[0].length
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,7 @@ def test_lengths_satisfy_the_expansion_recursion(p, n):
 @given(loop_presentations())
 def test_arithmetic_telescoping_reindexes_lengths(p):
     q = coverings.telescope(p, [2, 4])
-    assert q.kind == "stationary"
+    assert q.stationary
     for n in (1, 2):
         assert (
             coverings.level_graph(q, n).length
@@ -268,7 +266,7 @@ def test_a_diagram_is_freed_without_the_garbage_collector(whole):
         assert bratteli.vershik_successor(d, q) != MAXIMAL
         if whole:
             assert d.mono.vertices == p.self_cover.domain.edges
-            assert d._index[1].out and len(d.level_edges(1)) == len(p.multiplicities)
+            assert d._index[1].out and len(d.level_edges(1)) == len(p.graphs[0].length)
             assert dict(d._index[1].ranked) and dict(d._index[0].position)
         ref = weakref.ref(d)
         del d
