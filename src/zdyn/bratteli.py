@@ -1,23 +1,25 @@
 """Ordered Bratteli diagrams, the lexicographic successor, and the
 conversions between diagrams and covering presentations.
 
-A diagram is either a finite prefix given level by level or a stationary
-diagram generated by a mono-graph together with level-1 multiplicities;
-its form is read off which of those fields it has.
+A diagram is one record, as a covering presentation is: the vertex sets
+of levels 0..N, the edge tables of levels 1..N, and perhaps an edge level
+repeated above the top, forever.  A stationary diagram is the one-level
+prefix, its root edges read off the multiplicities, that repeats its
+mono-graph; a repeating tail repeats its last edge level; a truncated
+prefix repeats nothing.
 Paths are tuples of edge ids from the root; two paths into the same
 vertex compare by the rank of their edges at the deepest level where they
 differ.  The successor of a path is the least strictly larger one, and
 iterating it from the minimal path enumerates the whole fiber.
 
 Every adjacency read goes through one index per diagram, built on first
-use and kept on the diagram: per edge level, the edge table, the ranked
-in-edges of each vertex and the position of each edge among its
+use and kept on the diagram: per distinct edge table, the edges, the
+ranked in-edges of each vertex and the position of each edge among its
 siblings, all read-only; the id-ordered out-edges are built on first
-read.  A stationary diagram indexes level 1 and one deeper level, which
-serves all the others.  Its level 1 is read off the multiplicities, and
-the deeper levels of a diagram made by :func:`weighted_to_bv` off the
-expansion walks of its self-cover: each vertex is named and entered on
-first read, and its mono-graph is built only when asked for.  Tower
+read.  The repeated level's entry serves every level above the top.  A
+diagram made by :func:`weighted_to_bv` reads each level off the walks of
+its covering: each vertex is named and entered on first read, and the
+mono-graph of its repeated level is built only when asked for.  Tower
 heights are kept on the diagram as well, filled over the backward cone
 of the vertices asked for: the vertex and every vertex beneath it, and
 nothing else.  So a Vershik step costs the depth of its carry, and
@@ -84,13 +86,8 @@ def _split_walk_edge(e: str):
     return head.partition(">")[2], i
 
 
-def _first_level(vertices, multiplicities: Mapping) -> EdgeIndex:
-    """Level 1 of a stationary diagram, read off its multiplicities."""
-    return walk_index(vertices, *_root_edges(multiplicities), _split_root_edge)
-
-
 def _walk_level(cover: Cover) -> EdgeIndex:
-    """The deeper levels of a diagram read off a self-cover's walks.
+    """An edge level read off a cover's walks, its vertices the cover's edges.
 
     An id splits at its last ``:`` and then at its first ``>``, which is
     unique while no covering edge has ``>`` in its name; otherwise every
@@ -101,22 +98,6 @@ def _walk_level(cover: Cover) -> EdgeIndex:
     return walk_index(vertices, *_walk_edges(cover.emap), split)
 
 
-class _MonoField:
-    """The ``mono`` field: as given, or built from ``cover`` on first read."""
-
-    def __get__(self, d, owner=None):
-        if d is None:
-            return None
-        mono = vars(d)["mono"]
-        if mono is None and d.cover is not None:
-            mono = stationary.indexed_mono(d.cover.domain.edges, d._index[1])
-            vars(d)["mono"] = mono
-        return mono
-
-    def __set__(self, d, mono):
-        vars(d)["mono"] = mono
-
-
 def _at(index: tuple, k: int) -> EdgeIndex:
     """Edge level ``k >= 1`` of ``index``, its last entry serving every deeper level."""
     return index[k - 1] if k <= len(index) else index[-1]
@@ -124,65 +105,61 @@ def _at(index: tuple, k: int) -> EdgeIndex:
 
 @dataclass(frozen=True)
 class BratteliDiagram:
-    """An ordered Bratteli diagram, its form read off its fields.
+    """An ordered diagram: a finite prefix of edge levels, then perhaps a repeated one.
 
-    A stationary diagram has per-vertex level-1 ``multiplicities`` and a
-    mono-graph template ``mono`` that repeats at every deeper level; it
-    may instead carry the self-cover ``cover`` whose expansion walks give
-    its in-edges, and its ``mono`` is then built from them when first
-    read.  A finite prefix has no multiplicities: ``levels[n]`` lists its
-    level-n vertices and ``edge_levels[n - 1]`` maps the level-n edge ids
-    to ``(src, rng, rank)`` triples.  Like a truncated covering prefix it
-    stands for every diagram that extends it.  The multiplicities and
-    every edge table are read-only.
+    ``levels[n]`` is the set of level-n vertices, n = 0..N, and
+    ``edge_levels[n - 1]`` maps the level-n edge ids to ``(src, rng,
+    rank)`` triples.  ``repeat``, an edge table from the top vertices to
+    themselves, makes every level above N.  A repeating tail repeats its
+    last edge level, the same table; a stationary diagram repeats its
+    mono-graph above the root edges of level 1, which carry the
+    multiplicities.  When ``repeat`` is None the prefix is truncated:
+    like a truncated covering prefix it stands for every diagram that
+    extends it.  Every table is read-only.
     """
 
-    mono: MonoGraph | None = _MonoField()
-    multiplicities: Mapping | None = field(default=None, hash=False)
-    levels: tuple[tuple[str, ...], ...] = ()
+    levels: tuple[frozenset, ...] = ()
     edge_levels: tuple[Mapping, ...] = field(default=(), hash=False)
-    cover: Cover | None = field(default=None, compare=False, repr=False)
+    repeat: Mapping | None = field(default=None, hash=False)
 
     def __post_init__(self):
-        graphs.read_only_fields(self, "multiplicities")
         tables = tuple(map(graphs.read_only, self.edge_levels))
+        last = self.repeat is not None and self.repeat is self.edge_levels[-1]
+        object.__setattr__(self, "levels", tuple(map(frozenset, self.levels)))
         object.__setattr__(self, "edge_levels", tables)
+        repeat = tables[-1] if last else graphs.read_only(self.repeat)
+        object.__setattr__(self, "repeat", repeat)
 
     @property
     def stationary(self) -> bool:
-        """Whether level-1 multiplicities and one repeated level make the diagram."""
-        return self.multiplicities is not None
+        """Whether one level of root edges and one repeated level make the diagram."""
+        return self.repeat is not None and len(self.edge_levels) == 1
 
     def depth(self) -> int | None:
-        return None if self.multiplicities is not None else len(self.levels) - 1
+        return None if self.repeat is not None else len(self.levels) - 1
 
     def _check_depth(self, n: int) -> None:
         limit = self.depth()
         if n < 0 or (limit is not None and n > limit):
             raise DepthOutOfRange(f"level {n} not materializable")
 
-    def _vertices(self) -> frozenset:
-        """The vertices of every level >= 1 of a stationary diagram."""
-        return self.mono.vertices if self.cover is None else self.cover.domain.edges
-
-    def _table(self, n: int) -> Mapping:
-        """The level-n edge table read off the fields, without the index."""
-        if self.stationary:
-            if n == 1:
-                return _first_level(self._vertices(), self.multiplicities).edges
-            m = self.mono
-            return {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
-        return self.edge_levels[n - 1]
+    def _tables(self) -> tuple:
+        """The distinct edge tables, bottom first; the last makes every deeper level."""
+        if self.repeat is None or self.repeat is self.edge_levels[-1]:
+            return self.edge_levels
+        return (*self.edge_levels, self.repeat)
 
     @cached_property
     def _index(self) -> tuple[EdgeIndex, ...]:
-        """One entry per edge level; the last one serves all deeper levels."""
-        if self.stationary:
-            first = _first_level(self._vertices(), self.multiplicities)
-            if self.cover is not None:
-                return (first, _walk_level(self.cover))
-            return (first, self.mono._index)
-        return tuple(index_edges(table) for table in self.edge_levels)
+        """One entry per distinct edge table; the last one serves all deeper levels."""
+        return tuple(map(index_edges, self._tables()))
+
+    @cached_property
+    def mono(self) -> MonoGraph | None:
+        """The repeated level as a mono-graph sharing its index, or None."""
+        if self.repeat is None:
+            return None
+        return stationary.indexed_mono(self.levels[-1], self._index[-1])
 
     @cached_property
     def _continuity(self) -> Report:
@@ -215,11 +192,7 @@ class BratteliDiagram:
 
     def level_vertices(self, n: int) -> list[str]:
         self._check_depth(n)
-        if n == 0:
-            return [ROOT]
-        if self.stationary:
-            return sorted(self._vertices())
-        return sorted(self.levels[n])
+        return sorted(self.levels[min(n, len(self.levels) - 1)])
 
     def level_edges(self, n: int) -> Mapping:
         """Level-n edges, read-only, as ``id -> (src, rng, rank)``; n >= 1."""
@@ -233,26 +206,25 @@ class BratteliDiagram:
         return self._level(n).edges[e][1]
 
 
-def stationary_diagram(mono: MonoGraph, multiplicities: dict) -> BratteliDiagram:
-    return BratteliDiagram(mono=mono, multiplicities=multiplicities)
+def stationary_diagram(mono: MonoGraph, multiplicities: Mapping) -> BratteliDiagram:
+    """Root edges ``v<1``, ``v<2``, ... by ``multiplicities``, then ``mono`` forever."""
+    vertices = mono.vertices
+    first = walk_tables(vertices, *_root_edges(multiplicities))[0]
+    table = {e: (mono.src[e], mono.rng[e], mono.rank[e]) for e in mono.edges}
+    return BratteliDiagram(levels=({ROOT}, vertices), edge_levels=(first,), repeat=table)
 
 
 def validate_diagram(d: BratteliDiagram) -> list[str]:
     """Invariant problems, read off the raw tables so loading stays index-free.
 
-    A stationary diagram is read at levels 1 and 2: level 2's table is the
-    table of every deeper level.
+    A repeated level is read once: its table is the table of every
+    deeper level.
     """
-    if d.stationary:
-        missing = sorted(set(d.mono.vertices) - set(d.multiplicities))
-        if missing:
-            return [f"vertex {v} lacks a multiplicity" for v in missing]
-    elif len(d.edge_levels) != len(d.levels) - 1:
+    if len(d.edge_levels) != len(d.levels) - 1:
         return ["need one edge table per level above the root"]
     problems = []
-    top = 2 if d.stationary else d.depth()
-    for n in range(1, top + 1):
-        table = d._table(n)
+    tables = d._tables()
+    for n, table in enumerate(tables, start=1):
         below = set(d.level_vertices(n - 1))
         here = set(d.level_vertices(n))
         targets = {}
@@ -268,8 +240,8 @@ def validate_diagram(d: BratteliDiagram) -> list[str]:
                 problems.append(f"no incoming edge at {v} (level {n})")
             elif ranks != list(range(1, len(ranks) + 1)):
                 problems.append(f"rank gap at vertex {v} (level {n})")
-        if n < top:
-            srcs = {s for (s, _, _) in d._table(n + 1).values()}
+        if n < len(tables):
+            srcs = {s for (s, _, _) in tables[n].values()}
             for v in sorted(here - srcs):
                 problems.append(f"no outgoing edge at {v} (level {n})")
     return problems
@@ -475,7 +447,7 @@ def vershik_predecessor(d: BratteliDiagram, p: tuple[str, ...]):
 
 def _continuity_psi(d: BratteliDiagram) -> dict:
     if not d.stationary:
-        raise HorizonExceeded("no successor beyond the prefix of a finite diagram")
+        raise HorizonExceeded("no tower-end successor beyond the prefix of this diagram")
     report = d._continuity
     if report.verdict != HOLDS:
         raise UndefinedVershik("no continuous successor map exists")
@@ -556,26 +528,26 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
     """Telescope a diagram along increasing cut points.
 
     Stationary diagrams with arithmetic cuts K, 2K, ... stay stationary
-    with the K-step power of the mono-graph; any other cut list yields a
-    finite prefix whose level-i edges are the old paths between
-    consecutive cuts, ordered lexicographically.
+    with the K-step power of the mono-graph.  Any other cut list yields a
+    prefix whose level-i edges are the old paths between consecutive
+    cuts, ordered lexicographically.  Its last level repeats, as
+    :func:`coverings.telescope` repeats its last cover, when ``d``
+    repeats a level and the last two cuts lie where that level repeats:
+    the paths between them are then the paths of every later gap.
     """
     cuts = coverings._checked_cuts(cut_points, d.depth())
     if d.stationary:
         K = cuts[0]
         if all(c == K * (i + 1) for i, c in enumerate(cuts)):
-            powered = stationary.mono_power(d.mono, K)
-            mult = {
-                v: path_count(d, v, K) for v in d.mono.vertices
-            }
-            return stationary_diagram(powered, mult)
+            mult = {v: path_count(d, v, K) for v in d.mono.vertices}
+            return stationary_diagram(stationary.mono_power(d.mono, K), mult)
 
     levels = [(ROOT,)]
     edge_levels = []
     prev = 0
     for cut in cuts:
         tops = d.level_vertices(cut)
-        levels.append(tuple(tops))
+        levels.append(tops)
         first = d._level(prev + 1).edges
         paths = graphs.paths_into(d._levels(prev, cut), tops)
         edge_levels.append({
@@ -584,7 +556,12 @@ def telescope_bv(d: BratteliDiagram, cut_points: list[int]) -> BratteliDiagram:
             for i, w in enumerate(paths[v], start=1)
         })
         prev = cut
-    return BratteliDiagram(levels=tuple(levels), edge_levels=tuple(edge_levels))
+    repeats = d.repeat is not None and len(cuts) > 1 and cuts[-2] >= len(d._tables()) - 1
+    return BratteliDiagram(
+        levels=tuple(levels),
+        edge_levels=tuple(edge_levels),
+        repeat=edge_levels[-1] if repeats else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -596,12 +573,6 @@ class ClusterPartition:
     level: int
     clusters: tuple[frozenset, ...]
     certainty: str  # EXACT or DEPTH_LIMITED
-
-    def cluster_of(self, v: str) -> frozenset:
-        for c in self.clusters:
-            if v in c:
-                return c
-        raise KeyError(v)
 
 
 def _successor_projections(
@@ -636,10 +607,10 @@ def clusters(d: BratteliDiagram, n: int) -> ClusterPartition:
 
     Two bases join when the successor image of some tower top meets both.
     On a straight stationary diagram the image is read off
-    :func:`boundary_targets` and the partition is EXACT.  A finite prefix
-    or a bent stationary diagram probes the extensions of each top two
-    levels deep, or to the end of the prefix; an extension still maximal
-    there makes the partition DEPTH_LIMITED, and so does a bent diagram.
+    :func:`boundary_targets` and the partition is EXACT.  Any other
+    diagram probes the extensions of each top two levels deep, or to the
+    end of a truncated prefix; an extension still maximal there makes the
+    partition DEPTH_LIMITED, and so does a bent stationary diagram.
     Level 0 is the root alone.
     """
     verts = d.level_vertices(n)
@@ -677,9 +648,7 @@ def clusters(d: BratteliDiagram, n: int) -> ClusterPartition:
     groups: dict[str, set] = {}
     for v in verts:
         groups.setdefault(find(v), set()).add(v)
-    ordered = tuple(
-        frozenset(groups[root]) for root in sorted(groups)
-    )
+    ordered = tuple(frozenset(groups[root]) for root in sorted(groups))
     return ClusterPartition(level=n, clusters=ordered, certainty=certainty)
 
 
@@ -727,34 +696,36 @@ def weighted_to_bv(p) -> BratteliDiagram:
     gets one in-edge per position of its expansion walk, ranked by
     position, so tower heights equal edge lengths.  The i-th in-edge of
     ``w`` is named ``q>w:i`` after its source ``q``, and at level 1
-    ``w<i``.  A stationary presentation gives a diagram that reads its
-    in-edges off the expansion walks and names a vertex's edges when the
-    vertex is first read, so a walk pays for what it touches.  Two
-    in-edges with one name raise NameCollision, and a longer prefix that
-    repeats a self-cover has no diagram form and raises UnsupportedKind.
+    ``w<i``.  Every level is read off the walks when a vertex is first
+    read, so a walk pays for what it touches.  A repeating tail repeats
+    its last edge level and a stationary presentation the walks of its
+    self-cover; a truncated prefix repeats nothing.  Two in-edges with
+    one name raise NameCollision.
     """
-    if p.stationary:
-        d = BratteliDiagram(multiplicities=p.graphs[0].length, cover=p.self_cover)
-        # an index whose ids a '>' in a name makes ambiguous is built whole
-        # here, so that a name collision raises now
-        d._index
-        return d
-    top = p.depth()
-    if top is None:
-        raise UnsupportedKind(
-            "no diagram form for a covering whose last cover repeats"
-        )
     levels = [(ROOT,)]
-    edge_levels = []
-    for n in range(1, top + 1):
+    indexes = []
+    for n in range(1, len(p.graphs) + 1):
         g = coverings.level_graph(p, n)
-        levels.append(tuple(sorted(g.edges)))
+        levels.append(g.edges)
         if n == 1:
-            grammar = _root_edges(g.length)
+            level = walk_index(g.edges, *_root_edges(g.length), _split_root_edge)
         else:
-            grammar = _walk_edges(coverings.cover_at(p, n).emap)
-        edge_levels.append(walk_tables(g.edges, *grammar)[0])
-    return BratteliDiagram(levels=tuple(levels), edge_levels=tuple(edge_levels))
+            level = _walk_level(coverings.cover_at(p, n))
+        indexes.append(level)
+    repeat = None
+    if p.self_cover is not None:
+        # a tail repeats its last cover, a stationary presentation its self-cover
+        if not p.covers:
+            indexes.append(_walk_level(p.self_cover))
+        repeat = indexes[-1].edges
+    d = BratteliDiagram(
+        levels=tuple(levels),
+        edge_levels=tuple(level.edges for level in indexes[: len(p.graphs)]),
+        repeat=repeat,
+    )
+    # the walk indexes fill as they are read, so the diagram keeps them
+    vars(d)["_index"] = tuple(indexes)
+    return d
 
 
 def bv_to_weighted(d: BratteliDiagram):

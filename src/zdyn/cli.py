@@ -30,8 +30,8 @@ from .stationary import MonoGraph
 
 VERSION = "zdyn/1"
 
-# the ``tail`` of a finite-prefix covering document: it stops at its top
-# level, or its last cover repeats forever
+# the ``tail`` of a finite-prefix covering or diagram document: it stops at
+# its top level, or its last cover or edge level repeats forever
 TRUNCATED = "truncated"
 REPEAT = "repeat_last_as_stationary"
 
@@ -169,6 +169,14 @@ def _load_cover(data) -> Cover:
     )
 
 
+def _repeats(data, context: str) -> bool:
+    """Whether a finite-prefix document repeats its last level, read off its ``tail``."""
+    tail = data.get("tail", TRUNCATED)
+    if tail not in (TRUNCATED, REPEAT):
+        raise DocumentSemanticError(f"unknown {context} tail: {tail!r}")
+    return tail == REPEAT
+
+
 def _load_covering(data):
     form = _need(data, "form", "covering")
     if form == "stationary":
@@ -177,16 +185,14 @@ def _load_covering(data):
             _named(data, "multiplicities", "covering", _integer),
         )
     if form == "finite_prefix":
-        tail = data.get("tail", TRUNCATED)
-        if tail not in (TRUNCATED, REPEAT):
-            raise DocumentSemanticError(f"unknown covering tail: {tail!r}")
+        repeat = _repeats(data, "covering")
         level_graphs = [_load_graph(g) for g in _list(data, "graphs", "covering")]
         level_covers = [_load_cover(c) for c in _list(data, "covers", "covering")]
-        if tail == REPEAT and not level_covers and len(level_graphs) < 2:
+        if repeat and not level_covers and len(level_graphs) < 2:
             # more levels without covers fail validation on their count
             raise DocumentSemanticError("repeating tail needs at least one cover")
         return coverings.finite_prefix_presentation(
-            level_graphs, level_covers, tail == REPEAT and bool(level_covers)
+            level_graphs, level_covers, repeat and bool(level_covers)
         )
     raise DocumentSemanticError(f"unknown covering form: {form}")
 
@@ -202,20 +208,29 @@ def _load_mono(data) -> MonoGraph:
 def _load_bratteli(data) -> bratteli.BratteliDiagram:
     form = _need(data, "form", "bratteli")
     if form == "stationary":
-        return bratteli.stationary_diagram(
-            _load_mono(_need(data, "mono", "bratteli")),
-            _named(data, "multiplicities", "bratteli", _integer),
-        )
+        mono = _load_mono(_need(data, "mono", "bratteli"))
+        multiplicities = _named(data, "multiplicities", "bratteli", _integer)
+        missing = sorted(mono.vertices - multiplicities.keys())
+        if missing:
+            raise DocumentSemanticError(f"vertex {missing[0]} lacks a multiplicity")
+        return bratteli.stationary_diagram(mono, multiplicities)
     if form == "finite_prefix":
+        repeat = _repeats(data, "bratteli")
+        levels = [_names(vs, "bratteli levels") for vs in _list(data, "levels", "bratteli")]
+        tables = [
+            _edge_table(table, "mono_graph")
+            for table in _list(data, "edge_levels", "bratteli")
+        ]
+        if repeat and len(tables) < 2:
+            raise DocumentSemanticError("repeating tail needs at least two edge levels")
+        if repeat and len(levels) > 2 and set(levels[-1]) != set(levels[-2]):
+            raise DocumentSemanticError(
+                "repeating tail needs the same vertices on its top two levels"
+            )
         return bratteli.BratteliDiagram(
-            levels=tuple(
-                _names(vs, "bratteli levels")
-                for vs in _list(data, "levels", "bratteli")
-            ),
-            edge_levels=tuple(
-                _edge_table(table, "mono_graph")
-                for table in _list(data, "edge_levels", "bratteli")
-            ),
+            levels=tuple(levels),
+            edge_levels=tuple(tables),
+            repeat=tables[-1] if repeat else None,
         )
     raise DocumentSemanticError(f"unknown bratteli form: {form}")
 
@@ -372,18 +387,21 @@ def _payload(obj) -> dict:
                 "form": "stationary",
                 "mono": _payload(obj.mono),
                 "multiplicities": {
-                    v: obj.multiplicities[v] for v in sorted(obj.multiplicities)
+                    v: len(obj.in_edges(1, v)) for v in obj.level_vertices(1)
                 },
             }
-        return {
+        doc = {
             "kind": "bratteli",
             "form": "finite_prefix",
-            "levels": [list(vs) for vs in obj.levels],
+            "levels": [sorted(vs) for vs in obj.levels],
             "edge_levels": [
                 {e: list(t) for e, t in sorted(table.items())}
                 for table in obj.edge_levels
             ],
         }
+        if obj.repeat is not None:
+            doc["tail"] = REPEAT
+        return doc
     if isinstance(obj, substitution.Substitution):
         return {
             "kind": "substitution",
@@ -419,8 +437,9 @@ def export_dot(obj) -> str:
             label = ":".join(str(x) for x in (e, *rest))
             lines.append(f'  "{s}" -> "{r}" [label="{label}"];')
     elif isinstance(obj, bratteli.BratteliDiagram):
+        # an unbounded diagram is drawn one level past its prefix, to level 3 at least
         limit = obj.depth()
-        top = limit if limit is not None else 3
+        top = limit if limit is not None else max(3, len(obj.levels))
         for n in range(top + 1):
             names = [f"L{n}_{v}" for v in obj.level_vertices(n)]
             ranked = "; ".join(f'"{name}"' for name in names)

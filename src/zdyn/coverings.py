@@ -243,9 +243,11 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
 
     Stationary presentations with arithmetic cuts K, 2K, ... remain
     stationary (self-cover raised to the K-th power, level-K lengths as
-    the new multiplicities).  Other cuts on a stationary input produce a
-    finite prefix that repeats its last cover; cuts on any other input
-    produce a truncated prefix.
+    the new multiplicities).  Other cuts produce a finite prefix.  Its
+    last cover repeats when ``p`` repeats a cover and the last two cuts
+    lie where it repeats, at or above level N - 1 of an N-level prefix:
+    every cover between them is then the repeated one, and so is every
+    cover of each later gap.  Otherwise the prefix is truncated.
     """
     cuts = _checked_cuts(cut_points, p.depth())
     if p.stationary:
@@ -258,7 +260,8 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
         raise DepthOutOfRange("non-arithmetic telescoping needs two cut points")
     level_graphs = [level_graph(p, c) for c in cuts]
     level_covers = [compose_range(p, a, b) for a, b in zip(cuts, cuts[1:])]
-    return finite_prefix_presentation(level_graphs, level_covers, p.stationary)
+    repeats = p.self_cover is not None and cuts[-2] >= len(p.graphs) - 1
+    return finite_prefix_presentation(level_graphs, level_covers, repeats)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +521,9 @@ def _orbit_tables(p: CoveringPresentation, n: int):
     takes, and the edges infinitely constantly covered by circuits.  A
     step is one edge, except that parallel length-1 edges make one step,
     named by the least of them: they take the same relation step of the
-    basic graph.
+    basic graph.  The covered edges are read off the repeated cover at a
+    level n >= 1 that only it covers from above, n >= N - 1 on an
+    N-level prefix; at any other level none is certified.
     """
     g = level_graph(p, n)
     steps: dict[str, tuple] = {}
@@ -530,7 +535,9 @@ def _orbit_tables(p: CoveringPresentation, n: int):
         if step == e:
             steps[e] = (*ends, k)
         support.setdefault(step, []).append(e)
-    good = _circuit_chain_edges(p.self_cover) if p.stationary else set()
+    cover = p.self_cover
+    repeated = cover is not None and n >= max(1, len(p.graphs) - 1)
+    good = _circuit_chain_edges(cover) if repeated else set()
     return graphs.weighted(g.vertices, steps), support, good
 
 

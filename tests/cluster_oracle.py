@@ -116,6 +116,14 @@ def check_nesting(d, n):
     )
 
 
+def cluster_of(part, v):
+    """The cluster of ``part`` that holds ``v``."""
+    for c in part.clusters:
+        if v in c:
+            return c
+    raise KeyError(v)
+
+
 def bv_to_weighted(d):
     """The back-conversion on the searched clusters, checked at levels 1-3."""
     if not d.stationary:
@@ -145,16 +153,16 @@ def bv_to_weighted(d):
         hits = {w for w in m.vertices if minpaths[w] in projections}
         if not hits:
             raise NestingViolation(f"tower top of {v} escapes every base")
-        hosts = {cluster_name(part.cluster_of(w)) for w in hits}
+        hosts = {cluster_name(cluster_of(part, w)) for w in hits}
         if len(hosts) > 1:
             raise NestingViolation(f"tower top of {v} lands in two clusters")
-        edge_table[v] = (cluster_name(part.cluster_of(v)), hosts.pop())
+        edge_table[v] = (cluster_name(cluster_of(part, v)), hosts.pop())
     g = graphs.flexible({cluster_name(c) for c in partition}, edge_table)
     emap = {v: tuple(m.src[e] for e in m.in_edges(v)) for v in m.vertices}
     vmap = {}
     for c in partition:
         host = path_rng(d, minimal_path(d, sorted(c)[0], 2)[:1])
-        vmap[cluster_name(c)] = cluster_name(part.cluster_of(host))
+        vmap[cluster_name(c)] = cluster_name(cluster_of(part, host))
     cover = graphs.Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
     problems = graphs.cover_violations(cover)
     if problems or not graphs.cover_flags(cover).weighted:

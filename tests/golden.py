@@ -5,9 +5,11 @@
 :func:`commands`, in both output formats where the command has them;
 ``krieger`` runs in the human format at levels 0-3, windows 1-2 and
 horizons one to three past the level.  ``golden/prefixes/`` holds two
-finite forms of each stationary covering under ``data/``: its truncated
-prefix of levels 1-3 and its telescope along the cuts 1, 3, whose last
-cover repeats.  ``test_golden.py`` runs the commands again and compares.
+finite forms of each stationary covering under ``data/`` and of
+``fib_bratteli.json``: the truncated prefix of levels 1-3 and the
+telescope along the cuts 1, 3, whose last cover or edge level repeats.
+``test_golden.py`` runs the commands again and compares, and writes the
+prefixes afresh to check that they are up to date.
 To write the prefixes and record the snapshot afresh, from the
 repository root::
 
@@ -22,7 +24,7 @@ import json
 import sys
 from pathlib import Path
 
-from zdyn import cli, coverings
+from zdyn import bratteli, cli, coverings
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = Path(__file__).parent / "golden" / "outputs.json"
@@ -66,20 +68,31 @@ def record() -> dict:
     return {" ".join(argv): run(argv) for argv in commands()}
 
 
-def write_prefixes() -> None:
-    """Write the two finite forms of each stationary covering under ``data/``."""
-    PREFIXES.mkdir(exist_ok=True)
-    for path in sorted(DATA.glob("*_covering.json")):
-        p = cli.read_document(path)
-        levels = [coverings.level_graph(p, n) for n in (1, 2, 3)]
-        covers = [coverings.cover_at(p, n) for n in (2, 3)]
-        forms = {
-            "prefix3": coverings.finite_prefix_presentation(levels, covers),
-            "tail13": coverings.telescope(p, [1, 3]),
-        }
-        for form, q in forms.items():
-            text = cli.dump_document(q) + "\n"
-            (PREFIXES / f"{path.stem}_{form}.json").write_text(text)
+def finite_forms(path) -> dict:
+    """The truncated prefix of levels 1-3 of a stationary document, and its telescope along 1, 3."""
+    obj = cli.read_document(path)
+    if isinstance(obj, bratteli.BratteliDiagram):
+        prefix = bratteli.BratteliDiagram(
+            levels=[obj.level_vertices(n) for n in range(4)],
+            edge_levels=[obj.level_edges(n) for n in (1, 2, 3)],
+        )
+        return {"prefix3": prefix, "tail13": bratteli.telescope_bv(obj, [1, 3])}
+    levels = [coverings.level_graph(obj, n) for n in (1, 2, 3)]
+    covers = [coverings.cover_at(obj, n) for n in (2, 3)]
+    return {
+        "prefix3": coverings.finite_prefix_presentation(levels, covers),
+        "tail13": coverings.telescope(obj, [1, 3]),
+    }
+
+
+def write_prefixes(directory: Path = PREFIXES) -> None:
+    """Write the two finite forms of each stationary covering or diagram under ``data/``."""
+    directory.mkdir(exist_ok=True)
+    paths = [*DATA.glob("*_covering.json"), DATA / "fib_bratteli.json"]
+    for path in sorted(paths):
+        for form, obj in finite_forms(path).items():
+            text = cli.dump_document(obj) + "\n"
+            (directory / f"{path.stem}_{form}.json").write_text(text)
 
 
 if __name__ == "__main__":

@@ -171,3 +171,8 @@ def non_nesting_diagram():
             },
         ),
     )
+
+
+def multiplicities(d):
+    """The number of root edges into each level-1 vertex of a diagram."""
+    return {v: len(d.in_edges(1, v)) for v in d.level_vertices(1)}

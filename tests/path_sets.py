@@ -172,9 +172,9 @@ def basic_periodic_orbits(p, n, max_period):
     for e, chain in exp.chains.items():
         for a, b in zip(chain, chain[1:]):
             step_support.setdefault((a, b), set()).add(e)
-    good = (
-        coverings._circuit_chain_edges(p.self_cover) if p.stationary else set()
-    )
+    # an edge is certified at a level n >= 1 that only the repeated cover covers
+    repeated = p.self_cover is not None and n >= max(1, len(p.graphs) - 1)
+    good = coverings._circuit_chain_edges(p.self_cover) if repeated else set()
     basic = exp.graph
     flex = graphs.flexible(basic.vertices, {f"{u}>{w}": (u, w) for u, w in basic.edges})
     orbits = []

@@ -13,9 +13,10 @@ library's UNKNOWN with the same witnesses.
 The pinned cases at the top reach the paths no fixture reaches: a cycle
 of two edges, a repeating tail whose top edge lies on no cycle, a
 one-level prefix, a within-prefix chain that one more level ends and
-regulation on truncated prefixes.  The continuation test at the end
-checks that a verdict settled on a truncated prefix holds for every
-continuation that the fixtures offer.
+regulation on truncated prefixes.  The continuation tests at the end
+check that a verdict settled on a truncated prefix holds for every
+continuation that the fixtures offer, on the covering side and on the
+diagram side.
 """
 
 from dataclasses import replace
@@ -25,7 +26,7 @@ from hypothesis import given, settings, strategies as st
 from zdyn import bratteli, cli, coverings
 from zdyn.coverings import ConstantChain
 from zdyn.graphs import Cover, flexible
-from zdyn.reports import FAILS, HOLDS, UNKNOWN
+from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
 
 from helpers import (
     example2_unit,
@@ -356,6 +357,15 @@ def assert_continuations_agree(p):
         report = coverings.check_regulated(q, thresholds, 6)
         assert report.details["asymptotic"] == regulated.details["asymptotic"]
         assert_prefixes_continue(q, thresholds)
+        # a telescope of the tail keeps its repeated cover and its verdicts
+        r = coverings.telescope(q, [2, 4])
+        deeper = [thresholds[source_level([2, 4], i) - 1] for i in range(1, 4)]
+        want = [regulated.details["levels"][n - 1]["verdict"] for n in deeper]
+        assert r.self_cover is r.covers[-1]
+        assert verdicts(r, deeper) == (coverings.check_closing(p).verdict, want)
+        report = coverings.check_regulated(r, deeper, 3)
+        assert report.details["asymptotic"] == regulated.details["asymptotic"]
+        assert_prefixes_continue(r, deeper)
 
 
 def test_fixture_prefixes_settle_only_what_holds_on():
@@ -367,3 +377,68 @@ def test_fixture_prefixes_settle_only_what_holds_on():
 @given(loop_presentations())
 def test_loop_prefixes_settle_only_what_holds_on(p):
     assert_continuations_agree(p)
+
+
+# ---------------------------------------------------------------------------
+# continuation on the diagram side: nesting, closing and regulation of the
+# diagram of a truncated prefix
+
+
+def diagram_verdicts(d):
+    """Nesting at levels 0-4, then closing and regulation, of the diagram ``d``.
+
+    A verdict is None where the check stops with an error: nesting past
+    the top of a prefix, or on a stationary diagram without a continuous
+    successor.
+    """
+    def verdict(fn, *args):
+        report = outcome(fn, d, *args)
+        return report.verdict if isinstance(report, Report) else None
+
+    nesting = [verdict(bratteli.check_nesting, n) for n in range(5)]
+    regulated = verdict(bratteli.check_regulated_bv, [1, 2, 3], 3)
+    return [*nesting, verdict(bratteli.check_closing_bv), regulated]
+
+
+def assert_diagram_prefixes_continue(p):
+    """Every settled verdict on the diagram of P_k equals the source's and P_(k+1)'s.
+
+    Returns the number of settled verdicts met.
+    """
+    source = diagram_verdicts(bratteli.weighted_to_bv(p))
+    deeper = diagram_verdicts(bratteli.weighted_to_bv(prefix(p, 6)))
+    settled = 0
+    for k in range(5, 0, -1):
+        here = diagram_verdicts(bratteli.weighted_to_bv(prefix(p, k)))
+        for verdict, deep, want in zip(here, deeper, source):
+            if verdict not in (UNKNOWN, None):
+                settled += 1
+                assert deep == verdict and want in (verdict, None)
+        deeper = here
+    return settled
+
+
+def assert_diagram_continuations_agree(p):
+    """The diagram prefixes of ``p`` and of its repeating tails."""
+    settled = assert_diagram_prefixes_continue(p)
+    for cuts in TAIL_CUTS:
+        settled += assert_diagram_prefixes_continue(coverings.telescope(p, cuts))
+    return settled
+
+
+def test_fixture_diagram_prefixes_settle_only_what_holds_on():
+    for p in [*fixture_presentations(), unit_presentation(dying_chain_cover())]:
+        assert_diagram_continuations_agree(p)
+
+
+def test_loop_diagram_prefixes_settle_only_what_holds_on():
+    settled = []
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(loop_presentations())
+    def continue_prefixes(p):
+        settled.append(assert_diagram_continuations_agree(p))
+
+    continue_prefixes()
+    # the gate means something only if some prefix settles a verdict
+    assert sum(settled) > 0

@@ -28,6 +28,8 @@ GOLDENS = [
     "fib_substitution.json",
     "ex2_seed.json",
     "fib_weighted_level2.json",
+    "../golden/prefixes/fib_bratteli_prefix3.json",
+    "../golden/prefixes/fib_bratteli_tail13.json",
 ]
 
 
@@ -98,6 +100,21 @@ def test_validate_reports_each_problem_of_a_stationary_diagram_once(tmp_path, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: rank gap at vertex a (level 2)\n"
+
+
+def test_validate_reads_a_repeated_edge_level_once(tmp_path, capsys):
+    def gap(doc):
+        table = doc["edge_levels"][-1]
+        table[min(table)][2] += 10
+
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps(edited(BV_TAIL, gap)))
+    assert run("validate", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line for line in err.splitlines() if "rank gap" in line] == [
+        "error: rank gap at vertex e_a (level 2)"
+    ]
 
 
 def test_check_closing_matches_the_library(capsys):
@@ -392,14 +409,26 @@ def test_a_repeating_tail_document_round_trips():
     assert cli.parse_document(cli.dump_document(p)) == p
 
 
-def test_a_repeating_tail_has_no_diagram_form(tmp_path, capsys):
+def test_a_repeating_tail_converts_to_a_diagram_that_repeats(tmp_path, capsys):
     assert run("telescope", DATA / "example2_covering.json", "1,3") == 0
     doc = tmp_path / "tail.json"
     doc.write_text(capsys.readouterr().out)
-    assert run("convert", "to-bv", doc) == 2
+    assert run("convert", "to-bv", doc) == 0
     out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error:")
+    assert err == ""
+    data = json.loads(out)
+    assert (data["form"], data["tail"]) == ("finite_prefix", "repeat_last_as_stationary")
+    d = cli.parse_document(out)
+    assert d.depth() is None and d.repeat is d.edge_levels[-1]
+    assert cli.dump_document(d) + "\n" == out
+    # the telescope of the converted source along the same cuts
+    source = bratteli.weighted_to_bv(cli.read_document(DATA / "example2_covering.json"))
+    t = bratteli.telescope_bv(source, [1, 3])
+    for n in (1, 2, 3):
+        for v in d.level_vertices(n):
+            assert [d.level_edges(n)[e][0] for e in d.in_edges(n, v)] == [
+                t.level_edges(n)[e][0] for e in t.in_edges(n, v)
+            ]
 
 
 def graph_document(kind, edges):
@@ -408,6 +437,8 @@ def graph_document(kind, edges):
 
 # a repeating tail: two Fibonacci levels, the cover between them repeated
 TAIL = "../golden/prefixes/fib_covering_tail13.json"
+# its diagram: two edge levels, the second repeated
+BV_TAIL = "../golden/prefixes/fib_bratteli_tail13.json"
 
 
 def edited(name, edit):
@@ -483,10 +514,34 @@ def test_malformed_graph_entries_exit_2(doc, named, tmp_path, capsys):
             edited(TAIL, lambda d: d.update(graphs=d["graphs"][:1])),
             "need exactly one cover between consecutive levels",
         ),
+        (
+            edited(TAIL, lambda d: d.update(tail="forever")),
+            "unknown covering tail: 'forever'",
+        ),
+        (
+            edited(BV_TAIL, lambda d: d.update(tail="forever")),
+            "unknown bratteli tail: 'forever'",
+        ),
+        (
+            edited(BV_TAIL, lambda d: d.update(
+                levels=d["levels"][:2], edge_levels=d["edge_levels"][:1]
+            )),
+            "repeating tail needs at least two edge levels",
+        ),
+        (
+            edited(BV_TAIL, lambda d: d["levels"][2].append("e_c")),
+            "repeating tail needs the same vertices on its top two levels",
+        ),
+        (
+            edited(BV_TAIL, lambda d: d["levels"].pop()),
+            "need one edge table per level above the root",
+        ),
     ],
     ids=[
         "vertex-not-in-vmap", "missing-multiplicity", "missing-edge-table",
         "repeat-without-cover", "levels-without-covers", "one-level-with-a-cover",
+        "unknown-covering-tail", "unknown-diagram-tail", "repeat-of-the-root-edges",
+        "repeat-between-two-vertex-sets", "repeat-without-its-top-level",
     ],
 )
 def test_unknown_names_are_reported_not_raised(doc, problem, tmp_path, capsys):

@@ -238,6 +238,26 @@ def test_non_arithmetic_telescope_repeats_last_cover():
     assert lengths_at(q, 2) == lengths_at(p, 3)
 
 
+def test_telescoping_a_tail_keeps_its_repeated_cover():
+    skew = skew_presentation()
+    tail = coverings.telescope(skew, [1, 3])
+    t = coverings.telescope(tail, [1, 2])
+    assert t.self_cover is t.covers[-1]
+    for q in (skew, t):
+        closing = coverings.check_closing(q)
+        assert (closing.verdict, closing.witnesses) == (FAILS, (("x", (), ("x",)),))
+        asymptotic = coverings.check_regulated(q, [1, 2, 3], 3).details["asymptotic"]
+        assert (asymptotic["verdict"], asymptotic["witnesses"]) == (FAILS, ("x",))
+    # the cover of a three-level tail repeats from level 3 on, so the last
+    # two cuts must lie at or above level 2
+    deep = coverings.telescope(skew, [1, 2, 4])
+    cases = [(tail, [1, 2], True), (deep, [1, 2], False), (deep, [2, 3], True)]
+    for q, cuts, repeats in cases:
+        assert (coverings.telescope(q, cuts).self_cover is not None) == repeats
+        d = bratteli.telescope_bv(bratteli.weighted_to_bv(q), cuts)
+        assert (d.repeat is not None) == repeats
+
+
 def propagated_lengths(q, n):
     """Level-n lengths of a repeating tail, propagated from the top graph."""
     g, emap = q.graphs[-1], q.covers[-1].emap

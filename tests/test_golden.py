@@ -1,4 +1,9 @@
-"""The closing, regulation, nesting, conversion and Krieger commands keep their recorded outputs."""
+"""The closing, regulation, nesting, conversion and Krieger commands keep their recorded outputs.
+
+The finite forms under ``golden/prefixes/`` are written again and must
+match the committed files, so a change to telescoping or to the document
+writer cannot leave them stale.
+"""
 
 import json
 
@@ -16,3 +21,11 @@ def test_the_snapshot_covers_every_command():
 @pytest.mark.parametrize("argv", list(golden.commands()), ids=" ".join)
 def test_output_matches_the_snapshot(argv):
     assert golden.run(argv) == SNAPSHOT[" ".join(argv)]
+
+
+def test_the_prefix_documents_are_up_to_date(tmp_path):
+    golden.write_prefixes(tmp_path)
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == sorted(path.name for path in golden.PREFIXES.iterdir())
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (golden.PREFIXES / name).read_bytes(), name

@@ -1,7 +1,7 @@
 """The adjacency index against brute-force scans of the raw tables.
 
-The oracles here read ``mono.src/rng/rank`` and ``edge_levels`` directly
-and never touch the index: in-edges by scanning and sorting a level,
+The oracles here read ``edge_levels`` and ``repeat`` directly and never
+touch the index: in-edges by scanning and sorting a level,
 out-edges by scanning and sorting the sources, tower heights by
 recursion or by filling whole levels, and path fibers by recursive
 enumeration.  The index read off the expansion walks is checked against
@@ -40,16 +40,7 @@ DIAGRAM_FIXTURES = COVERING_FIXTURES + ("fib_bratteli.json", "non_nesting_bratte
 
 def raw_table(d, n):
     """The level-n edge table, read off the diagram's fields."""
-    if d.stationary:
-        if n == 1:
-            return {
-                f"{v}<{i}": (ROOT, v, i)
-                for v in sorted(d.mono.vertices)
-                for i in range(1, d.multiplicities[v] + 1)
-            }
-        m = d.mono
-        return {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
-    return d.edge_levels[n - 1]
+    return d.edge_levels[n - 1] if n <= len(d.edge_levels) else d.repeat
 
 
 def scan_in_edges(d, n, v):
@@ -195,7 +186,7 @@ def test_stationary_index_matches_the_scans(d, depth):
 def test_finite_prefix_index_matches_the_scans(d, cuts):
     t = bratteli.telescope_bv(d, cuts)
     assert not t.stationary
-    assert_matches_oracles(t, t.depth())
+    assert_matches_oracles(t, t.depth() or len(t.levels))
 
 
 def test_fixture_diagrams_match_the_scans():
@@ -219,10 +210,9 @@ def test_level_edges_are_read_only(name):
 
 def test_loading_builds_no_index():
     d = cli.read_document(DATA / "fib_bratteli.json")
-    assert "_index" not in vars(d)
-    assert "_index" not in vars(d.mono)
+    assert "_index" not in vars(d) and "mono" not in vars(d)
     d.in_edges(2, "e_a")
-    assert "_index" in vars(d)
+    assert "_index" in vars(d) and "mono" not in vars(d)
     # levels >= 2 of a stationary diagram share the mono-graph's entry
     assert d._index[1] is d.mono._index
 
@@ -333,7 +323,7 @@ def test_cone_fill_matches_whole_levels_on_stationary_diagrams(d, n):
 @given(stationary_diagrams(), non_arithmetic_cuts())
 def test_cone_fill_matches_whole_levels_on_finite_prefixes(d, cuts):
     t = bratteli.telescope_bv(d, cuts)
-    assert_cone_fill_matches(t, t.depth())
+    assert_cone_fill_matches(t, t.depth() or len(t.levels))
 
 
 @settings(max_examples=25, deadline=None)
@@ -423,7 +413,7 @@ def test_path_at_on_512_loops_fills_only_the_backward_cone():
     # e_i at level k has in-neighbours e_0, e_i and e_(i+1) at level k - 1
     for k in range(1, n + 1):
         assert len(d._heights[k]) <= 3 * (2 * (n - k) + 2), k
-    assert vars(d)["mono"] is None
+    assert "mono" not in vars(d)
 
 
 @pytest.mark.parametrize("name", DIAGRAM_FIXTURES)
@@ -658,7 +648,7 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
         lambda n=n: dict(d.level_edges(n)) == tables[min(n, len(tables)) - 1]
         for n in range(1, depth + 1)
     ]
-    checks.append(lambda: dict(d._table(1)) == tables[0])
+    checks.append(lambda: dict(d.edge_levels[0]) == tables[0])
     if vertices is not None:
         eager = bratteli.stationary_diagram(
             stationary.mono_graph(vertices, tables[1]), p.graphs[0].length
@@ -709,6 +699,16 @@ def test_only_a_large_level_is_read_vertex_by_vertex():
         assert all((filled(index.ranked) == 0) == lazy for index in d._index)
 
 
+def test_converting_a_stationary_presentation_reads_no_level():
+    p = loop_covering(512)
+    d = bratteli.weighted_to_bv(p)
+    # the vertex sets are the covering's own, unsorted, and no table is filled
+    assert d.levels[1] is p.graphs[0].edges and d.repeat is d._index[1].edges
+    assert "mono" not in vars(d)
+    for index in d._index:
+        assert filled(index.edges) == filled(index.ranked) == filled(index.position) == 0
+
+
 def test_a_walk_fills_only_the_vertices_it_reads():
     n = 9
     d = bratteli.weighted_to_bv(loop_covering(512))
@@ -720,7 +720,7 @@ def test_a_walk_fills_only_the_vertices_it_reads():
         q = bratteli.vershik_predecessor(d, q)
     assert bratteli.path_index(d, q) == 0
     assert q == bratteli.minimal_path(d, "e05", n)
-    assert vars(d)["mono"] is None
+    assert "mono" not in vars(d)
     for index in d._index:
         assert 1 <= filled(index.ranked) <= 2 * n + 2
         assert filled(index.edges) <= 3 * (2 * n + 2)

@@ -9,6 +9,7 @@ same orbits in the same order, with the same vertices, certainty and
 support, for every period bound.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from zdyn import cli, coverings, graphs
@@ -115,3 +116,54 @@ def test_deep_fibonacci_orbits_search_the_level_graph(monkeypatch):
     assert [g.vertices for g, _ in searched] == [coverings.level_graph(p, 10).vertices]
     assert len(orbits) == 2
     assert sorted(o.period for o in orbits) == [4181, 6765]
+
+
+# ---------------------------------------------------------------------------
+# where an orbit is certified
+
+
+def fixed_loop_presentation(name):
+    """A loop ``name`` of multiplicity 2 that the cover fixes, and a loop b that grows."""
+    g = graphs.flexible({"u"}, {name: ("u", "u"), "b": ("u", "u")})
+    emap = {name: (name,), "b": (name, "b")}
+    cover = graphs.Cover(domain=g, codomain=g, vmap={"u": "u"}, emap=emap)
+    return coverings.stationary_presentation(cover, {name: 2, "b": 1})
+
+
+def orbit_shapes(p, n, rename):
+    """The orbits of ``p`` at level ``n``, names above level 0 renamed, as comparable tuples."""
+    def name(x):
+        head, sep, floor = x.partition("#")
+        return rename.get(head, head) + sep + floor if n else x
+
+    return sorted(
+        (o.period, o.certainty, frozenset(map(name, o.vertices)), tuple(map(name, o.support)))
+        for o in coverings.periodic_orbits(p, n, 3)
+    )
+
+
+def test_a_covering_edge_named_like_the_root_loop_certifies_nothing_at_level_0():
+    # e0 is also the one edge of level 0, which has no fixed point here:
+    # e0 has length 2 at every level and b grows
+    p, q = fixed_loop_presentation("e0"), fixed_loop_presentation("x")
+    assert coverings.validate_presentation(p) == coverings.validate_presentation(q) == []
+    for n in range(4):
+        assert orbit_shapes(p, n, {"e0": "x"}) == orbit_shapes(q, n, {})
+    assert [o.certainty for o in coverings.periodic_orbits(p, 0, 3)] == ["POSSIBLE"]
+    assert ("CERTIFIED", frozenset({"u", "x#1"})) in [
+        (c, vs) for _, c, vs, _ in orbit_shapes(q, 1, {})
+    ]
+    for L in (1, 2):
+        for horizon in range(1, 5):
+            verdicts = {
+                coverings.krieger_coverage(r, 0, L, horizon=horizon).verdict for r in (p, q)
+            }
+            assert verdicts == {"FAILS"}, (L, horizon)
+
+
+@pytest.mark.parametrize("name", FIXTURES)
+def test_a_repeating_tail_certifies_the_orbits_of_its_source(name):
+    p = cli.read_document(DATA / name)
+    tail = coverings.telescope(p, [1, 3])
+    for n, m in ((1, 1), (2, 3), (3, 5)):
+        assert coverings.periodic_orbits(tail, n, 8) == coverings.periodic_orbits(p, m, 8)

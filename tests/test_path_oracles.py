@@ -129,8 +129,12 @@ def assert_telescope_matches(d, cuts):
         assert t.mono == oracle_mono_power(d.mono, K)
         return
     levels, tables = oracle_telescope(d, cuts)
-    assert t.levels == levels
+    assert t.levels == tuple(map(frozenset, levels))
     assert [dict(table) for table in t.edge_levels] == tables
+    if t.repeat is not None:
+        # the repeated level is the telescope of the next gap, ids and all
+        gap = cuts[-1] - cuts[-2]
+        assert dict(t.repeat) == oracle_telescope(d, [*cuts, cuts[-1] + gap])[1][-1]
 
 
 def fits(d, cuts):
@@ -165,8 +169,9 @@ def test_telescoped_prefixes_match_both_oracles(name, d):
     for cuts in ([1, 3], [2, 3], [1, 2, 4]):
         if fits(d, cuts):
             t = bratteli.telescope_bv(d, cuts)
-            assert_fibers_match(t, t.depth())
-            assert_telescope_matches(t, [1, t.depth()])
+            top = len(t.levels) - 1
+            assert_fibers_match(t, t.depth() or top + 1)
+            assert_telescope_matches(t, [1, top])
 
 
 @pytest.mark.parametrize("name, d", [(n, d) for n, d in FIXTURES if d.stationary])
@@ -196,7 +201,7 @@ def test_mono_powers_match_the_sorted_walks(m, K):
 def test_telescopes_of_random_diagrams_match(d, cuts):
     assert_telescope_matches(d, cuts)
     t = bratteli.telescope_bv(d, cuts)
-    assert_fibers_match(t, t.depth())
+    assert_fibers_match(t, t.depth() or len(t.levels))
 
 
 @settings(max_examples=30, deadline=None)

@@ -17,6 +17,7 @@ from helpers import (
     example2_unit,
     example2_weighted,
     fib_presentation,
+    multiplicities,
     non_nesting_diagram,
 )
 import path_sets
@@ -138,7 +139,7 @@ def test_every_map_of_a_graph_cover_and_mono_graph_is_read_only(p, n):
     d = bratteli.weighted_to_bv(p)
     assert_maps_read_only(d.mono, ("src", "rng", "rank"))
     assert_maps_read_only(p.graphs[0], ("length",))
-    assert_maps_read_only(d, ("multiplicities",))
+    assert_maps_read_only(d, ("repeat",))
     prefix = bratteli.telescope_bv(d, [n, n + 2, n + 3])
     assert len(prefix.edge_levels) == 3
     for table in prefix.edge_levels:
@@ -151,21 +152,27 @@ def test_records_share_no_dict_with_their_caller():
     mults = dict(p.graphs[0].length)
     q = coverings.stationary_presentation(p.self_cover, mults)
     d = bratteli.weighted_to_bv(q)
-    vertex_mults = dict(d.multiplicities)
+    vertex_mults = multiplicities(d)
     e = bratteli.stationary_diagram(d.mono, vertex_mults)
     tables = [dict(t) for t in non_nesting_diagram().edge_levels]
     f = bratteli.BratteliDiagram(levels=non_nesting_diagram().levels, edge_levels=tables)
     mults["e_b"] = 7
     vertex_mults["e_b"] = 7
     tables[0]["intruder"] = ("v0", "x", 2)
-    assert q.graphs[0].length["e_b"] == 1 and e.multiplicities["e_b"] == 1
+    assert q.graphs[0].length["e_b"] == 1 and multiplicities(e)["e_b"] == 1
     assert "intruder" not in f.edge_levels[0]
     assert coverings.level_graph(q, 3).length["e_b"] == 11
 
 
-def test_a_diagram_shares_the_read_only_multiplicities_of_its_covering():
+def test_a_diagram_shares_the_read_only_levels_of_its_covering():
     p = example2_unit()
-    assert bratteli.weighted_to_bv(p).multiplicities is p.graphs[0].length
+    d = bratteli.weighted_to_bv(p)
+    assert d.levels[1] is p.graphs[0].edges is p.self_cover.domain.edges
+    assert multiplicities(d) == p.graphs[0].length
+    tail = coverings.telescope(p, [1, 3])
+    d = bratteli.weighted_to_bv(tail)
+    assert [d.levels[n] for n in (1, 2)] == [g.edges for g in tail.graphs]
+    assert d.repeat is d.edge_levels[-1]
 
 
 # ---------------------------------------------------------------------------
