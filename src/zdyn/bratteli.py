@@ -764,7 +764,7 @@ def bv_to_weighted(d: BratteliDiagram):
         v: tuple(m.src[e] for e in m.in_edges(v)) for v in m.vertices
     }
     # a level-2 base sits over the level-1 base its minimal in-edge leaves
-    vmap = {name[v]: name[m.extreme_of(v, last=False)] for v in m.vertices}
+    vmap = {name[v]: name[u] for v, u in m.extreme_sources(last=False).items()}
     cover = graphs.Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
     problems = graphs.cover_violations(cover)
     if problems or not graphs.cover_flags(cover).weighted:
@@ -793,9 +793,12 @@ def check_closing_bv(d: BratteliDiagram) -> Report:
             details={"reason": "finite prefixes cannot certify closing"},
         )
     m = d.mono
-    # a constant path climbs edges that are the only in-edge of their range
-    unique = frozenset(e for e in m.edges if len(m.in_edges(m.rng[e])) == 1)
-    if not stationary._infinite_walk_vertices(m, unique):
+    # a constant path climbs edges that are the only in-edge of their range;
+    # read downward their sources form a map, and the path goes on forever
+    # only round one of its cycles
+    ins = {v: m.in_edges(v) for v in m.vertices}
+    below = {v: m.src[es[0]] for v, es in ins.items() if len(es) == 1}
+    if not graphs.map_cycles(below):
         return Report(
             tag="closing", verdict=HOLDS, details={"reason": "no constant paths"}
         )

@@ -135,8 +135,10 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
             shape.vertices, shape.edges, shape.src, shape.rng
         ):
             return ["level 1 does not have the self-cover's shape"]
-        problems.extend(graphs.cover_violations(cover))
-        if not problems and not graphs.cover_flags(cover).weighted:
+        problems.extend(f"level 1: {msg}" for msg in graphs.validate_graph(shape))
+        bad = graphs.cover_violations(cover)
+        problems.extend(bad)
+        if not bad and not graphs.cover_flags(cover).weighted:
             problems.append("self-cover is not +directional and edge-surjective")
         for e in shape.sorted_edges():
             if p.graphs[0].length.get(e, 0) < 1:
@@ -295,28 +297,6 @@ def _single_image_relation(cover: Cover) -> dict:
     }
 
 
-def _relation_cycles(rel: dict) -> set:
-    """Edges lying on a cycle of the (functional) relation.
-
-    These are exactly the edges with arbitrarily long constant chains
-    above them.  A chain that climbs forever through finitely many edges
-    meets some edge twice, and that edge lies on a cycle; the edges below
-    it on the chain are its images, and a function maps each of its
-    cycles onto itself.  An edge on a cycle has the cycle run backwards
-    above it.
-    """
-    on_cycle = set()
-    for start in rel:
-        seen = []
-        here = start
-        while here in rel and here not in seen:
-            seen.append(here)
-            here = rel[here]
-        if here in seen:
-            on_cycle.update(seen[seen.index(here):])
-    return on_cycle
-
-
 def _cycle_through(rel: dict, e: str) -> tuple[str, ...]:
     """The cycle of ``rel`` through ``e`` read upward, ending with ``e``."""
     cycle = [e]
@@ -330,9 +310,13 @@ def find_constant_chains(p: CoveringPresentation) -> list[ConstantChain]:
 
     A level-1 edge is covered when single-edge images lead down to it
     from a top-level edge on a cycle of the self-cover's single-image
-    relation (see :func:`_relation_cycles`).  On a truncated prefix every
-    such descent from the top is returned as a within-prefix witness only
-    (``exact`` is False).
+    relation.  Those are exactly the edges with arbitrarily long constant
+    chains above them: a chain that climbs forever through finitely many
+    edges meets some edge twice, and that edge lies on a cycle; the edges
+    below it on the chain are its images, and a function maps each of its
+    cycles onto itself.  An edge on a cycle has the cycle run backwards
+    above it.  On a truncated prefix every such descent from the top is
+    returned as a within-prefix witness only (``exact`` is False).
     """
     cover = p.self_cover
     # follow single-edge images downward from the top level, if any; a
@@ -347,7 +331,7 @@ def find_constant_chains(p: CoveringPresentation) -> list[ConstantChain]:
     if cover is None:
         return [ConstantChain(c[0], c[1:], (), exact=False) for c in chains.values()]
     rel = _single_image_relation(cover)
-    cycles = _relation_cycles(rel)
+    cycles = graphs.map_cycles(rel)
     return [
         ConstantChain(c[0], c[1:-1], _cycle_through(rel, e))
         for e, c in chains.items()
@@ -397,7 +381,7 @@ def _circuit_chain_edges(cover: Cover) -> set:
         for a, b in rel.items()
         if _is_circuit_edge(g, a) and _is_circuit_edge(g, b)
     }
-    return _relation_cycles(loop_rel)
+    return graphs.map_cycles(loop_rel)
 
 
 def growing_symbols(rules) -> frozenset:

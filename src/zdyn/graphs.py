@@ -436,6 +436,25 @@ def paths_into(levels, vertices) -> dict:
     return paths
 
 
+def map_cycles(f: Mapping) -> set:
+    """The elements on a cycle of the partial map ``f``.
+
+    Iterating ``f`` from any element either leaves its domain or runs
+    into a cycle, and a walk stops at the first element an earlier walk
+    settled, so each element is visited once.
+    """
+    on_cycle, done = set(), set()
+    for start in f:
+        walk, here = [], start
+        while here in f and here not in done:
+            done.add(here)
+            walk.append(here)
+            here = f[here]
+        if here in walk:
+            on_cycle.update(walk[walk.index(here):])
+    return on_cycle
+
+
 # ---------------------------------------------------------------------------
 # covers
 

@@ -58,12 +58,11 @@ class MonoGraph:
         """In-edges of ``v`` in rank order."""
         return list(self._index.ranked.get(v, ()))
 
-    def extreme_edge(self, v: str, last: bool) -> str:
-        """The maximal (``last``) or minimal in-edge of ``v``."""
-        return self._index.ranked.get(v, ())[-1 if last else 0]
-
-    def extreme_edges(self, last: bool) -> frozenset[str]:
-        return frozenset(self.extreme_edge(v, last) for v in self.vertices)
+    def extreme_sources(self, last: bool) -> dict:
+        """Each vertex to the source of its maximal (``last``) or minimal in-edge."""
+        end = -1 if last else 0
+        ranked = self._index.ranked
+        return {v: self.src[ranked[v][end]] for v in self.vertices}
 
     def serial(self, e: str) -> str | None:
         """The next-ranked in-edge after ``e``, or None for a maximal edge."""
@@ -71,18 +70,6 @@ class MonoGraph:
         ranked = index.ranked[self.rng[e]]
         i = index.position[e] + 1
         return ranked[i] if i < len(ranked) else None
-
-    def extreme_loop_vertices(self, last: bool) -> frozenset[str]:
-        """Sources of maximal (``last``) or minimal self-loops."""
-        return frozenset(
-            self.src[e]
-            for e in self.extreme_edges(last)
-            if self.src[e] == self.rng[e]
-        )
-
-    def extreme_of(self, v: str, last: bool) -> str:
-        """The source of the maximal (``last``) or minimal in-edge of ``v``."""
-        return self.src[self.extreme_edge(v, last)]
 
 
 def mono_graph(vertices, edge_table) -> MonoGraph:
@@ -130,47 +117,56 @@ def validate_mono(m: MonoGraph) -> list[str]:
 # straightness
 
 
-def _infinite_walk_vertices(m: MonoGraph, subgraph: frozenset[str]) -> set[str]:
-    """Vertices from which some infinite walk inside ``subgraph`` starts."""
-    alive = set(m.vertices)
-    changed = True
-    while changed:
-        changed = False
-        for v in list(alive):
-            if not any(
-                m.src[e] == v and m.rng[e] in alive for e in subgraph
-            ):
-                alive.discard(v)
-                changed = True
-    return alive
-
-
 def straightness_violations(m: MonoGraph) -> list[str]:
     """Empty iff the mono-graph is straight.
 
-    Straightness has two parts: every infinite walk of extreme (max or
-    min) edges must be constant, i.e. a repeated self-loop, and every
-    extreme in-edge must have its source at a vertex that already carries
-    an extreme self-loop.
+    Straight means that every extreme (max or min) in-edge starts at a
+    vertex carrying an extreme self-loop: the extreme-source maps
+    f_max and f_min of :meth:`MonoGraph.extreme_sources` are idempotent.
+    A forever walk of extreme edges runs round the cycle vertices of f,
+    which idempotence makes fixed, so it is a repeated loop.  For max,
+    then min, the problems name the extreme in-edges of cycle vertices
+    that are not loops, then the vertices whose extreme in-edge starts
+    outside the loop vertices.
     """
     problems = []
     for label, last in (("max", True), ("min", False)):
-        extreme = m.extreme_edges(last)
-        loops = m.extreme_loop_vertices(last)
-        alive = _infinite_walk_vertices(m, extreme)
-        for e in sorted(extreme):
-            if m.rng[e] in alive and m.src[e] != m.rng[e]:
-                problems.append(f"non-constant infinite {label} walk via {e}")
-        for v in sorted(m.vertices):
-            if m.src[m.extreme_edge(v, last)] not in loops:
-                problems.append(
-                    f"{label} in-edge of {v} starts outside the {label}-loop vertices"
-                )
+        f = m.extreme_sources(last)
+        walks = sorted(
+            m.in_edges(v)[-1 if last else 0]
+            for v in graphs.map_cycles(f)
+            if f[v] != v
+        )
+        problems += [f"non-constant infinite {label} walk via {e}" for e in walks]
+        problems += [
+            f"{label} in-edge of {v} starts outside the {label}-loop vertices"
+            for v in sorted(m.vertices)
+            if f[f[v]] != f[v]
+        ]
     return problems
 
 
 def is_straight(m: MonoGraph) -> bool:
-    return not straightness_violations(m)
+    return all(_idempotent(m.extreme_sources(last)) for last in (True, False))
+
+
+def _idempotent(f: Mapping) -> bool:
+    return all(f[y] == y for y in f.values())
+
+
+def _straight_power(maps, cap: int) -> tuple[int, list[dict]]:
+    """The least K <= ``cap`` whose K-th powers of ``maps`` are all idempotent.
+
+    Returns K and those powers.  Maps of a finite set into itself have
+    idempotent powers, so K exists; the cap only guards against runaway
+    search.
+    """
+    powers = [dict(f) for f in maps]
+    for K in range(1, cap + 1):
+        if all(map(_idempotent, powers)):
+            return K, powers
+        powers = [{x: f[y] for x, y in p.items()} for f, p in zip(maps, powers)]
+    raise NotStraight(f"no straight power found up to K={cap}")
 
 
 def mono_power(m: MonoGraph, K: int) -> MonoGraph:
@@ -195,17 +191,15 @@ def mono_power(m: MonoGraph, K: int) -> MonoGraph:
 
 
 def straighten_mono(m: MonoGraph) -> tuple[int, MonoGraph]:
-    """Smallest power K with ``mono_power(m, K)`` straight.
+    """Smallest power K with ``mono_power(m, K)`` straight, and that power.
 
-    Extreme-edge successor maps on a finite vertex set are eventually
-    periodic, so a straight power always exists; the cap of 24 only
-    guards against runaway search on adversarial inputs.
+    The maximal (minimal) walk of K steps into a vertex starts at the
+    K-th image of the vertex under f_max (f_min), so the extreme-source
+    maps of the K-th power are the K-th powers of those of ``m``; K is
+    found on the maps, up to 24, and only that power is built.
     """
-    for K in range(1, 25):
-        powered = mono_power(m, K)
-        if is_straight(powered):
-            return K, powered
-    raise NotStraight(f"no straight power found up to K=24")
+    K, _ = _straight_power([m.extreme_sources(last) for last in (True, False)], 24)
+    return K, mono_power(m, K)
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +217,16 @@ def check_continuity(m: MonoGraph) -> Report:
     """
     if not is_straight(m):
         raise NotStraight("; ".join(straightness_violations(m)))
-    vmax1 = m.extreme_loop_vertices(last=True)
-    vmin1 = m.extreme_loop_vertices(last=False)
+    f_max, f_min = m.extreme_sources(last=True), m.extreme_sources(last=False)
+    vmax1 = {v for v, u in f_max.items() if u == v}
+    vmin1 = {v for v, u in f_min.items() if u == v}
     psi: dict[str, str] = {}
     for e in sorted(m.edges):
         nxt = m.serial(e)
         if nxt is None:
             continue
-        key = m.extreme_of(m.src[e], last=True)
-        val = m.extreme_of(m.src[nxt], last=False)
+        key = f_max[m.src[e]]
+        val = f_min[m.src[nxt]]
         if key in psi and psi[key] != val:
             return Report(
                 tag="continuity",
@@ -297,17 +292,6 @@ class SelfCoverAnalysis:
         return frozenset(self.lim_l.values())
 
 
-def _idempotent_power(mapping: dict) -> bool:
-    return all(mapping[mapping[x]] == mapping[x] for x in mapping)
-
-
-def _power_map(mapping: dict, k: int) -> dict:
-    result = {x: x for x in mapping}
-    for _ in range(k):
-        result = {x: mapping[result[x]] for x in result}
-    return result
-
-
 def analyze_self_cover(cover: Cover) -> SelfCoverAnalysis:
     """Straighten a flexible self-cover.
 
@@ -320,22 +304,17 @@ def analyze_self_cover(cover: Cover) -> SelfCoverAnalysis:
         raise DomainMismatch("analyze_self_cover needs a self-cover")
     if not graphs.check_cover(cover).weighted:
         raise CoverViolation("not a flexible cover")
-    vmap = dict(cover.vmap)
     first = {e: cover.emap[e][0] for e in cover.domain.edges}
     last = {e: cover.emap[e][-1] for e in cover.domain.edges}
-    for K in range(1, 257):
-        if all(
-            _idempotent_power(_power_map(f, K)) for f in (vmap, first, last)
-        ):
-            return SelfCoverAnalysis(
-                base=cover,
-                exponent=K,
-                cover=cover_power(cover, K),
-                lim_v=_power_map(vmap, K),
-                lim_f=_power_map(first, K),
-                lim_l=_power_map(last, K),
-            )
-    raise NotStraight(f"no straight power found up to K=256")
+    K, (lim_v, lim_f, lim_l) = _straight_power((cover.vmap, first, last), 256)
+    return SelfCoverAnalysis(
+        base=cover,
+        exponent=K,
+        cover=cover_power(cover, K),
+        lim_v=lim_v,
+        lim_f=lim_f,
+        lim_l=lim_l,
+    )
 
 
 # ---------------------------------------------------------------------------

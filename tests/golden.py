@@ -1,4 +1,4 @@
-"""Recorded CLI outputs of the closing, regulation, nesting, conversion and Krieger commands.
+"""Recorded CLI outputs of the closing, regulation, nesting, continuity, overlap, conversion, straightening and Krieger commands.
 
 ``golden/outputs.json`` keeps, for every document under ``data/`` and
 ``golden/prefixes/``, the stdout and exit code of each command in
@@ -45,7 +45,10 @@ def commands():
             yield ["check", "regulated", name, "--l-seq", "1,2,3", "--format", fmt]
             for level in ("1", "2", "3"):
                 yield ["check", "nesting", name, "--level", level, "--format", fmt]
+            yield ["check", "continuity", name, "--format", fmt]
+            yield ["check", "overlap", name, "--format", fmt]
         yield ["convert", "to-covering", name]
+        yield ["straighten", name]
         for n, L in itertools.product(range(4), (1, 2)):
             for horizon in range(n + 1, n + 4):
                 yield [

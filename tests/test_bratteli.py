@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings
 
-from zdyn import bratteli, coverings, stationary
+from zdyn import bratteli, coverings, graphs
 from zdyn.bratteli import MAXIMAL, MINIMAL
 from zdyn.errors import InvalidSequence, UnsupportedKind
-from zdyn.reports import FAILS, HOLDS, UNKNOWN
+from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
 
 from helpers import (
     example2_unit,
@@ -16,8 +16,10 @@ from helpers import (
     non_nesting_diagram,
     skew_presentation,
 )
+from test_cluster_oracles import outcome
 from test_properties import mono_graphs
 import path_sets
+import straight_oracle
 
 
 def ex1_bv():
@@ -131,12 +133,16 @@ def test_successor_values_resolves_the_all_max_boundary():
 
 def test_min_max_flags_on_example2():
     m = ex1_bv().mono
+    f_min, f_max = m.extreme_sources(last=False), m.extreme_sources(last=True)
     # an all-minimal path into e_a goes on forever, along its minimal loop;
     # one into e_b has no minimal edge to go on along
-    extendable = stationary._infinite_walk_vertices(m, m.extreme_edges(last=False))
-    assert "e_a" in extendable and "e_a" in m.extreme_loop_vertices(last=False)
-    assert "e_b" not in extendable and "e_b" not in m.extreme_loop_vertices(last=False)
-    assert m.extreme_loop_vertices(last=True) == {"e_a", "e_e", "e_f"}
+    extendable = graphs.map_cycles(f_min)
+    assert extendable == straight_oracle.infinite_walk_vertices(
+        m, straight_oracle.extreme_edges(m, last=False)
+    )
+    assert "e_a" in extendable and f_min["e_a"] == "e_a"
+    assert "e_b" not in extendable and f_min["e_b"] != "e_b"
+    assert {v for v, u in f_max.items() if u == v} == {"e_a", "e_e", "e_f"}
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +305,13 @@ def unique_in_chain_heads(m):
 @settings(max_examples=200, deadline=None)
 @given(mono_graphs())
 def test_constant_path_heads_are_infinite_unique_in_walks(m):
-    unique = frozenset(e for e in m.edges if len(m.in_edges(m.rng[e])) == 1)
-    assert stationary._infinite_walk_vertices(m, unique) == unique_in_chain_heads(m)
+    heads = straight_oracle.infinite_walk_vertices(m, straight_oracle.unique_in_edges(m))
+    assert heads == unique_in_chain_heads(m)
+    # closing holds vacuously exactly when no constant path exists
+    d = bratteli.stationary_diagram(m, dict.fromkeys(m.vertices, 1))
+    report = outcome(bratteli.check_closing_bv, d)
+    vacuous = isinstance(report, Report) and report.details.get("reason") == "no constant paths"
+    assert vacuous == (not heads)
 
 
 def test_regulated_bv_matches_the_covering_side():

@@ -15,8 +15,8 @@ of two edges, a repeating tail whose top edge lies on no cycle, a
 one-level prefix, a within-prefix chain that one more level ends and
 regulation on truncated prefixes.  The continuation tests at the end
 check that a verdict settled on a truncated prefix holds for every
-continuation that the fixtures offer, on the covering side and on the
-diagram side.
+continuation that the fixtures and the catalogue of small self-covers
+offer, on the covering side and on the diagram side.
 """
 
 from dataclasses import replace
@@ -39,6 +39,7 @@ from helpers import (
 from test_cli import DATA
 from test_cluster_oracles import outcome
 from test_properties import loop_presentations
+import catalogue
 import chain_oracle
 
 CUTS = ([1, 3], [2, 3], [1, 2, 4], [2, 5], [1, 4])
@@ -373,6 +374,14 @@ def test_fixture_prefixes_settle_only_what_holds_on():
         assert_continuations_agree(p)
 
 
+def test_catalogue_prefixes_settle_only_what_holds_on():
+    presentations = catalogue.presentations()
+    assert len(presentations) == 186
+    for p in presentations:
+        assert coverings.validate_presentation(p) == []
+        assert_continuations_agree(p)
+
+
 @settings(max_examples=60, deadline=None)
 @given(loop_presentations())
 def test_loop_prefixes_settle_only_what_holds_on(p):
@@ -428,6 +437,11 @@ def assert_diagram_continuations_agree(p):
 
 def test_fixture_diagram_prefixes_settle_only_what_holds_on():
     for p in [*fixture_presentations(), unit_presentation(dying_chain_cover())]:
+        assert_diagram_continuations_agree(p)
+
+
+def test_catalogue_diagram_prefixes_settle_only_what_holds_on():
+    for p in catalogue.presentations():
         assert_diagram_continuations_agree(p)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import zdyn
-from zdyn import bratteli, cli, coverings
+from zdyn import bratteli, cli, coverings, graphs
 from zdyn.errors import DocumentSemanticError, DocumentSyntaxError, ZdynError
 
 DATA = Path(__file__).parent / "data"
@@ -114,6 +114,25 @@ def test_validate_reads_a_repeated_edge_level_once(tmp_path, capsys):
     assert out == ""
     assert [line for line in err.splitlines() if "rank gap" in line] == [
         "error: rank gap at vertex e_a (level 2)"
+    ]
+
+
+def test_validate_names_an_isolated_vertex_of_a_stationary_covering(tmp_path, capsys):
+    # the graph of the self-cover is level 1, so it must be a valid graph
+    # as it is in every telescope of the covering
+    g = graphs.flexible({"u0", "u1"}, {"e0a": ("u1", "u1")})
+    cover = graphs.Cover(
+        domain=g, codomain=g, vmap={"u0": "u0", "u1": "u1"}, emap={"e0a": ("e0a",)}
+    )
+    p = coverings.stationary_presentation(cover, {"e0a": 1})
+    path = tmp_path / "isolated.json"
+    path.write_text(cli.dump_document(p))
+    assert run("validate", path) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: level 1: no outgoing edge at u0",
+        "error: level 1: no incoming edge at u0",
     ]
 
 
