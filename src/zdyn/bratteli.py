@@ -13,9 +13,9 @@ differ.  The successor of a path is the least strictly larger one, and
 iterating it from the minimal path enumerates the whole fiber.
 
 Every adjacency read goes through one index per diagram, built on first
-use and kept on the diagram: per distinct edge table, the edges, the
-ranked in-edges of each vertex and the position of each edge among its
-siblings, all read-only; the id-ordered out-edges are built on first
+use and kept on the diagram: per distinct edge table, the edges and the
+ranked in-edges of each vertex, both read-only, an edge's rank being its
+place among its siblings; the id-ordered out-edges are built on first
 read.  The repeated level's entry serves every level above the top.  A
 diagram made by :func:`weighted_to_bv` reads each level off the walks of
 its covering: each vertex is named and entered on first read, and the
@@ -350,11 +350,11 @@ def path_index(d: BratteliDiagram, p: tuple[str, ...]) -> int:
             level = _at(index, k)
             below = heights[k - 1]
             edges = level.edges
-            s, r, _ = edges[e]
+            s, r, rank = edges[e]
             if s != here:
                 raise _not_a_path(d, p)
             here = r
-            for f in level.ranked[r][: level.position[e]]:
+            for f in level.ranked[r][: rank - 1]:
                 floor += below[edges[f][0]]
     except KeyError:
         raise _not_a_path(d, p) from None
@@ -418,12 +418,12 @@ def _step(d: BratteliDiagram, p: tuple[str, ...], delta: int):
         for k, e in enumerate(p, start=1):
             level = _at(index, k)
             edges = level.edges
-            s, here_next, _ = edges[e]
+            s, here_next, rank = edges[e]
             if s != here:
                 raise _not_a_path(d, p)
             here = here_next
             siblings = level.ranked[here]
-            i = level.position[e] + delta
+            i = rank - 1 + delta
             if 0 <= i < len(siblings):
                 if k < n and _at(index, k + 1).edges[p[k]][0] != here:
                     raise _not_a_path(d, p)
@@ -473,14 +473,14 @@ def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
     forward = delta > 0
     boundary, reset = (-1, 0) if forward else (0, -1)
     m = d.mono
-    ranked, position, out = m._index.ranked, m._index.position, m._index.out
+    edges, ranked, out = m._index.edges, m._index.ranked, m._index.out
     targets: set[str] = set()
     # each branch carries its own depth r and the vertices on its way up
     pending = [(v, 0, frozenset({v}))]
     while pending:
         here, r, seen = pending.pop()
         for e in out.get(here, ()):
-            w = m.rng[e]
+            _, w, rank = edges[e]
             if ranked[w][boundary] == e:
                 if w == here:
                     if forward:
@@ -490,7 +490,7 @@ def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
                 elif w not in seen:
                     pending.append((w, r + 1, seen | {w}))
             else:
-                u = m.src[ranked[w][position[e] + delta]]
+                u = m.src[ranked[w][rank - 1 + delta]]
                 for _ in range(r):
                     u = m.src[ranked[u][reset]]
                 targets.add(u)

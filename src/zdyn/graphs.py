@@ -48,17 +48,17 @@ def read_only_fields(record, *names: str) -> None:
 class EdgeIndex:
     """The ranked adjacency of one edge table, every part read-only.
 
-    ``edges`` maps edge id to ``(src, rng, rank)``; ``ranked`` maps a
-    vertex to its in-edges in rank order and ``position`` an edge to its
-    place among them.  ``out`` maps a vertex to its out-edges in id
-    order; it is built from ``edges`` when first read, since paths and
+    ``edges`` maps edge id to ``(src, rng, rank)``, the rank being the
+    edge's place, from 1, among the in-edges of its range; ``ranked``
+    maps a vertex to those in-edges in rank order, so an edge is
+    ``ranked[rng][rank - 1]``.  ``out`` maps a vertex to its out-edges in
+    id order; it is built from ``edges`` when first read, since paths and
     Vershik steps only go down the in-edges.  The maps of an index from
     :func:`walk_index` fill themselves as they are read.
     """
 
     edges: Mapping
     ranked: Mapping
-    position: Mapping
 
     @cached_property
     def out(self) -> Mapping:
@@ -71,22 +71,21 @@ class EdgeIndex:
 
 
 def index_edges(table) -> EdgeIndex:
-    """Index an ``id -> (src, rng, rank)`` table in one pass."""
+    """Index an ``id -> (src, rng, rank)`` table in one pass.
+
+    An edge's rank in the index is its place among the in-edges of its
+    range sorted by the table's ranks, which may have gaps.
+    """
     table = dict(table)
     ranked: dict[str, list[str]] = {}
     for e, (_, r, _) in table.items():
         ranked.setdefault(r, []).append(e)
-    position = {}
     for v, es in ranked.items():
         es.sort(key=lambda e: table[e][2])
         ranked[v] = es = tuple(es)
-        for i, e in enumerate(es):
-            position[e] = i
-    return EdgeIndex(
-        edges=MappingProxyType(table),
-        ranked=MappingProxyType(ranked),
-        position=MappingProxyType(position),
-    )
+        for i, e in enumerate(es, start=1):
+            table[e] = (table[e][0], v, i)
+    return EdgeIndex(edges=MappingProxyType(table), ranked=MappingProxyType(ranked))
 
 
 class _ReadThrough(dict):
@@ -173,25 +172,23 @@ class _ReadThrough(dict):
         return dict.__repr__(self._fill())
 
 
-def walk_tables(vertices, sources, names) -> tuple[dict, dict, dict]:
-    """The edge table, ranked in-edges and positions given by walks.
+def walk_tables(vertices, sources, names) -> tuple[dict, dict]:
+    """The edge table and ranked in-edges given by walks.
 
     The i-th in-edge of ``w`` comes from ``sources(w)[i - 1]`` and is
     named ``names(w)[i - 1]``.  One pass over the vertices in sorted
-    order builds ``id -> (src, rng, rank)``, ``w -> ids`` in rank order
-    and ``id -> i - 1``.  Two in-edges with one name raise
-    :class:`NameCollision`.
+    order builds ``id -> (src, rng, rank)`` and ``w -> ids`` in rank
+    order.  Two in-edges with one name raise :class:`NameCollision`.
     """
-    edges, ranked, position = {}, {}, {}
+    edges, ranked = {}, {}
     size = 0
     for w in sorted(vertices):
         ids = names(w)
         if ids:
             ranked[w] = ids
             size += len(ids)
-            for i, (q, e) in enumerate(zip(sources(w), ids)):
-                edges[e] = (q, w, i + 1)
-                position[e] = i
+            for i, (q, e) in enumerate(zip(sources(w), ids), start=1):
+                edges[e] = (q, w, i)
     if len(edges) < size:
         for w in sorted(vertices):
             for i, (q, e) in enumerate(zip(sources(w), names(w)), start=1):
@@ -199,7 +196,7 @@ def walk_tables(vertices, sources, names) -> tuple[dict, dict, dict]:
                     raise NameCollision(
                         f"edge id {e!r} names both {(q, w, i)} and {edges[e]}"
                     )
-    return edges, ranked, position
+    return edges, ranked
 
 
 # A level of at most this many vertices is indexed whole at once: a walk
@@ -212,14 +209,13 @@ def walk_index(vertices, sources, names, split=None) -> EdgeIndex:
     """The index of :func:`walk_tables`, filled one vertex at a time.
 
     The first read of ``ranked[w]`` enters the in-edges of ``w`` in
-    ``edges`` and ``position`` too.  An id read before its vertex is
-    resolved by ``split``, which cuts it into the strings ``(w, i)``; it
-    maps only if it is the i-th name of ``w``.  Each vertex is named
-    once, whichever map reads it first.  A whole read builds all three
-    tables in one pass, and the other two maps then fill whole at their
-    first miss.  Besides the walks, ``ranked`` refers to ``position``
-    and ``edges`` and ``position`` to ``edges``, never back, so an index
-    is freed without a garbage-collector pass.
+    ``edges`` too.  An id read before its vertex is resolved by
+    ``split``, which cuts it into the strings ``(w, i)``; it maps only if
+    it is the i-th name of ``w``.  Each vertex is named once, whichever
+    map reads it first.  A whole read builds both tables in one pass,
+    and the other map then fills whole at its first miss.  Besides the
+    walks, ``ranked`` refers to ``edges``, never back, so an index is
+    freed without a garbage-collector pass.
     Without ``split``, or for a small level, the index is built whole at
     once, which also detects a name collision.
     """
@@ -254,28 +250,19 @@ def walk_index(vertices, sources, names, split=None) -> EdgeIndex:
                 return sources(w)[i - 1], w, i
         raise KeyError(e)
 
-    def find_position(table, e):
-        return table._fill()[e] if built else edges[e][2] - 1
-
     def find_ranked(table, w):
         if built:
             return table._fill()[w]
         ids = ids_of(w) if w in vertices else ()
         if not ids:
             raise KeyError(w)
-        for i, (q, e) in enumerate(zip(sources(w), ids)):
-            dict.__setitem__(edges, e, (q, w, i + 1))
-            dict.__setitem__(position, e, i)
+        for i, (q, e) in enumerate(zip(sources(w), ids), start=1):
+            dict.__setitem__(edges, e, (q, w, i))
         return ids
 
     edges = _ReadThrough(find_edge, lambda: whole(0))
-    position = _ReadThrough(find_position, lambda: whole(2))
     ranked = _ReadThrough(find_ranked, lambda: whole(1))
-    return EdgeIndex(
-        edges=MappingProxyType(edges),
-        ranked=MappingProxyType(ranked),
-        position=MappingProxyType(position),
-    )
+    return EdgeIndex(edges=MappingProxyType(edges), ranked=MappingProxyType(ranked))
 
 
 @dataclass(frozen=True)
@@ -310,9 +297,6 @@ class Graph:
 
     def sorted_edges(self) -> list[str]:
         return sorted(self.edges)
-
-    def in_edges(self, v: str) -> list[str]:
-        return list(self._index.ranked.get(v, ()))
 
 
 def weighted(vertices, edge_table) -> Graph:

@@ -21,7 +21,7 @@ from functools import cached_property
 from types import MappingProxyType
 
 from . import graphs
-from .errors import CoverViolation, DomainMismatch, NotStraight
+from .errors import CoverViolation, DomainMismatch, InvalidParameter, NotStraight
 from .graphs import Cover, EdgeIndex, Graph, cover_power, index_edges, read_only_fields
 from .reports import FAILS, HOLDS, UNKNOWN, Report
 
@@ -66,10 +66,9 @@ class MonoGraph:
 
     def serial(self, e: str) -> str | None:
         """The next-ranked in-edge after ``e``, or None for a maximal edge."""
-        index = self._index
-        ranked = index.ranked[self.rng[e]]
-        i = index.position[e] + 1
-        return ranked[i] if i < len(ranked) else None
+        _, r, rank = self._index.edges[e]
+        ranked = self._index.ranked[r]
+        return ranked[rank] if rank < len(ranked) else None
 
 
 def mono_graph(vertices, edge_table) -> MonoGraph:
@@ -351,6 +350,8 @@ class ConstantSequenceReport:
 
 def constant_sequences(a: SelfCoverAnalysis, k_max: int) -> ConstantSequenceReport:
     """All constant sequences of length at most ``k_max``."""
+    if k_max < 1:
+        raise InvalidParameter(f"k_max must be at least 1, got {k_max}")
     g = a.graph
     fixed = frozenset(e for e in g.edges if a.cover.emap[e] == (e,))
     next_edge = {g.src[e]: e for e in fixed}
@@ -407,14 +408,24 @@ def check_overlap(
     Families over fixed cycles are certified by a strictly growing
     flanked run.  The overall verdict is BIJECTIVE only when everything
     is witnessed; the search never extrapolates beyond ``depth_max``.
+    The expansion at depth n is built when a search first reads it, each
+    word from the words of the depth before, so a shallow witness builds
+    no deeper word.
     """
+    if depth_max < 1:
+        raise InvalidParameter(f"depth_max must be at least 1, got {depth_max}")
     g = a.graph
     report = constant_sequences(a, k_max)
-    expansions: list[dict[str, tuple[str, ...]]] = []
-    power = a.cover
-    for _ in range(depth_max + 1):
-        expansions.append({e: tuple(power.emap[e]) for e in g.edges})
-        power = graphs.compose_covers(a.cover, power)
+    emap = a.cover.emap
+    expansions = [{e: tuple(emap[e]) for e in g.edges}]
+
+    def expansion(n: int) -> dict[str, tuple[str, ...]]:
+        while len(expansions) < n:
+            words = expansions[-1]
+            expansions.append(
+                {e: tuple(f for x in words[e] for f in emap[x]) for e in g.edges}
+            )
+        return expansions[n - 1]
 
     first_out = {}
     for e in sorted(a.lim_first):
@@ -430,7 +441,7 @@ def check_overlap(
             hit = None
             for n in range(1, depth_max + 1):
                 for e in sorted(g.edges):
-                    if _contains(expansions[n - 1][e], pattern):
+                    if _contains(expansion(n)[e], pattern):
                         hit = {"edge": e, "depth": n}
                         break
                 if hit:
@@ -456,10 +467,10 @@ def check_overlap(
             hit = None
             for n in range(1, depth_max):
                 for e in sorted(g.edges):
-                    run = _max_flanked_run(expansions[n - 1][e], e0, cycle, ek)
+                    run = _max_flanked_run(expansion(n)[e], e0, cycle, ek)
                     if run >= 2:
                         deeper = _max_flanked_run(
-                            expansions[n][e], e0, cycle, ek
+                            expansion(n + 1)[e], e0, cycle, ek
                         )
                         if deeper > run:
                             hit = {

@@ -1,11 +1,13 @@
-"""Recorded CLI outputs of the closing, regulation, nesting, continuity, overlap, conversion, straightening and Krieger commands.
+"""Recorded CLI outputs of the check, conversion, telescoping, straightening, Krieger, tower, path, Vershik and DOT commands.
 
 ``golden/outputs.json`` keeps, for every document under ``data/`` and
 ``golden/prefixes/``, the stdout and exit code of each command in
 :func:`commands`, in both output formats where the command has them;
 ``krieger`` runs in the human format at levels 0-3, windows 1-2 and
-horizons one to three past the level.  ``golden/prefixes/`` holds two
-finite forms of each stationary covering under ``data/`` and of
+horizons one to three past the level; ``vershik`` and ``paths`` start
+from the least level-2 vertex of the document's diagram, or from the
+root of a document that has none, which exits 2.  ``golden/prefixes/``
+holds two finite forms of each stationary covering under ``data/`` and of
 ``fib_bratteli.json``: the truncated prefix of levels 1-3 and the
 telescope along the cuts 1, 3, whose last cover or edge level repeats.
 ``test_golden.py`` runs the commands again and compares, and writes the
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 from zdyn import bratteli, cli, coverings
+from zdyn.errors import ZdynError
 
 DATA = Path(__file__).parent / "data"
 SNAPSHOT = Path(__file__).parent / "golden" / "outputs.json"
@@ -37,9 +40,17 @@ def documents() -> dict:
     return {p.name: p for p in sorted(paths, key=lambda p: p.name)}
 
 
+def level2_vertex(path) -> str:
+    """The least level-2 vertex of a document's diagram; the root when it has none."""
+    try:
+        return cli._diagram_of(cli.read_document(path)).level_vertices(2)[0]
+    except ZdynError:
+        return bratteli.ROOT
+
+
 def commands():
     """Each recorded command line, with the document by its file name."""
-    for name in documents():
+    for name, path in documents().items():
         for fmt in ("human", "json"):
             yield ["check", "closing", name, "--format", fmt]
             yield ["check", "regulated", name, "--l-seq", "1,2,3", "--format", fmt]
@@ -48,7 +59,15 @@ def commands():
             yield ["check", "continuity", name, "--format", fmt]
             yield ["check", "overlap", name, "--format", fmt]
         yield ["convert", "to-covering", name]
+        yield ["convert", "to-bv", name]
+        yield ["dot", name]
+        for cuts in ("1,3", "2"):
+            yield ["telescope", name, cuts]
         yield ["straighten", name]
+        yield ["towers", name, "--level", "1"]
+        vertex = level2_vertex(path)
+        yield ["vershik", name, vertex, "--level", "2", "--steps", "8"]
+        yield ["paths", name, vertex, "--level", "2"]
         for n, L in itertools.product(range(4), (1, 2)):
             for horizon in range(n + 1, n + 4):
                 yield [

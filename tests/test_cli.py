@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import random
+import resource
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import zdyn
-from zdyn import bratteli, cli, coverings, graphs
+from zdyn import bratteli, cli, coverings, graphs, stationary
 from zdyn.errors import DocumentSemanticError, DocumentSyntaxError, ZdynError
 
 DATA = Path(__file__).parent / "data"
@@ -225,6 +226,34 @@ def test_the_recoding_witness_does_not_depend_on_hash_order():
     assert report["details"]["window"] == [["e_d", True], ["e_e", True], ["e_d", True]]
 
 
+def test_a_shallow_overlap_witness_builds_no_deep_expansion(tmp_path):
+    # exponent 2, so the expansion at depth n has 9**n letters per edge,
+    # and the depth-1 expansions hold every witness
+    g = graphs.flexible({"v"}, {e: ("v", "v") for e in "abc"})
+    emap = {"a": ("a", "b", "c"), "b": ("a", "c", "b"), "c": ("a", "b", "b")}
+    cover = graphs.Cover(domain=g, codomain=g, vmap={"v": "v"}, emap=emap)
+    assert stationary.analyze_self_cover(cover).exponent == 2
+    path = tmp_path / "three_letters.json"
+    path.write_text(cli.dump_document(cover))
+    env = {**os.environ, "PYTHONPATH": str(Path(zdyn.__file__).parent.parent)}
+
+    def cap_the_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))
+
+    for depth in ("6", "7"):
+        argv = [
+            sys.executable, "-m", "zdyn.cli", "check", "overlap", str(path),
+            "--depth-max", depth,
+        ]
+        done = subprocess.run(
+            argv, env=env, capture_output=True, text=True, timeout=60,
+            preexec_fn=cap_the_address_space,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("overlap: BIJECTIVE")
+        assert "'depth': 1}" in done.stdout
+
+
 # ---------------------------------------------------------------------------
 # conversions and transforms through the CLI
 
@@ -352,9 +381,15 @@ def test_bad_arguments_exit_2_with_a_message(argv, capsys):
         ("subst", DATA / "example2_covering.json", "--depth", "0"),
         ("vershik", DATA / "example2_covering.json", "e_a", "--steps", "-5"),
         ("check", "nesting", DATA / "fib_bratteli.json", "--level", "-1"),
+        ("check", "overlap", DATA / "example2_covering.json", "--k-max", "0"),
+        ("check", "overlap", DATA / "example2_covering.json", "--k-max", "-1"),
+        ("check", "overlap", DATA / "example2_covering.json", "--depth-max", "0"),
+        ("check", "overlap", DATA / "example2_covering.json", "--depth-max", "-2"),
     ],
     ids=["recoding-level-0", "subst-depth-0", "subst-depth-minus-1",
-         "subst-covering-depth-0", "vershik-steps-minus-5", "nesting-level-minus-1"],
+         "subst-covering-depth-0", "vershik-steps-minus-5", "nesting-level-minus-1",
+         "overlap-k-max-0", "overlap-k-max-minus-1", "overlap-depth-max-0",
+         "overlap-depth-max-minus-2"],
 )
 def test_levels_and_depths_below_one_exit_2(argv, capsys):
     assert run(*argv) == 2

@@ -22,7 +22,9 @@ from zdyn.errors import InvalidParameter, NameCollision, UnknownName, ZdynError
 
 from helpers import example2_cover, example2_unit, skew_fixed_edge_cover
 from test_cli import DATA
+from test_cluster_oracles import outcome
 from test_properties import loop_covers, loop_presentations, mono_graphs
+import catalogue
 import path_sets
 
 COVERING_FIXTURES = (
@@ -222,7 +224,7 @@ def test_loading_builds_no_index():
 def test_graph_adjacency_matches_the_scans(g):
     assert "_index" not in vars(g)
     for v in sorted(g.vertices):
-        assert g.in_edges(v) == scan_graph_edges(g, v, "rng")
+        assert list(g._index.ranked.get(v, ())) == scan_graph_edges(g, v, "rng")
         assert g._index.out.get(v, ()) == tuple(scan_graph_edges(g, v, "src"))
 
 
@@ -611,7 +613,7 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
     singles = []
     for k, (_, want, table) in enumerate(levels):
         singles += [("ranked", k, v) for v in want.ranked]
-        singles += [(kind, k, e) for e in table for kind in ("edges", "position")]
+        singles += [(kind, k, e) for e in table for kind in ("edges", "place")]
         singles += [(kind, k, x) for x in stray_ids(table) for kind in ("get", "in", "[]")]
     rng.shuffle(singles)
     for kind, k, x in singles[: rng.randint(0, len(singles))]:
@@ -620,13 +622,14 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
             assert index.ranked[x] == want.ranked[x]
         elif kind == "edges":
             assert index.edges[x] == table[x]
-        elif kind == "position":
-            assert index.position[x] == want.position[x]
+        elif kind == "place":
+            _, r, rank = index.edges[x]
+            assert index.ranked[r][rank - 1] == x
         elif kind == "get":
             assert index.edges.get(x) is None
             assert index.ranked.get(x, ()) == want.ranked.get(x, ())
         elif kind == "in":
-            assert x not in index.edges and x not in index.position
+            assert x not in index.edges
         else:
             with pytest.raises(KeyError):
                 index.edges[x]
@@ -637,7 +640,9 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
         yield lambda: list(index.edges) == list(table)
         yield lambda: dict(index.edges.items()) == table and index.edges == table
         yield lambda: dict(index.ranked) == dict(want.ranked)
-        yield lambda: dict(index.position) == dict(want.position)
+        yield lambda: all(
+            index.ranked[r][rank - 1] == e for e, (_, r, rank) in index.edges.items()
+        )
         yield lambda: index.out == want.out
         yield lambda: all(index.edges.get(e) == t and e in index.edges for e, t in table.items())
         yield lambda: all(x not in index.edges for x in stray_ids(table))
@@ -667,7 +672,7 @@ def assert_walk_index_matches_the_eager_tables(p, rng, lazy):
     for index, want, table in levels:
         for e in rng.sample(sorted(table), min(5, len(table))):
             assert index.edges[e] == table[e]
-            assert index.position[e] == want.position[e]
+            assert index.ranked[table[e][1]][table[e][2] - 1] == e
             assert index.ranked[table[e][1]] == want.ranked[table[e][1]]
 
 
@@ -706,7 +711,7 @@ def test_converting_a_stationary_presentation_reads_no_level():
     assert d.levels[1] is p.graphs[0].edges and d.repeat is d._index[1].edges
     assert "mono" not in vars(d)
     for index in d._index:
-        assert filled(index.edges) == filled(index.ranked) == filled(index.position) == 0
+        assert filled(index.edges) == filled(index.ranked) == 0
 
 
 def test_a_walk_fills_only_the_vertices_it_reads():
@@ -814,3 +819,92 @@ def test_an_orbit_checks_its_start_once():
     with pytest.raises(UnknownName, match="'nope'"):
         bratteli.vershik_orbit(d, q[:2] + ("nope",), 3)
     assert bratteli.vershik_orbit(d, q, 2)[0] == q
+
+
+# ---------------------------------------------------------------------------
+# a rank is the edge's place among the in-edges of its range
+
+
+def gapped(table, rng):
+    """``table`` with its entries shuffled and each rank r moved into [10r, 10r + 9]."""
+    items = list(table.items())
+    rng.shuffle(items)
+    return {e: (s, r, 10 * rank + rng.randrange(10)) for e, (s, r, rank) in items}
+
+
+def test_index_edges_ranks_each_edge_by_its_place():
+    table = {
+        "a": ("u", "w", 7),
+        "b": ("w", "w", -2),
+        "c": ("u", "w", 30),
+        "d": ("w", "u", 5),
+    }
+    index = graphs.index_edges(table)
+    assert index.ranked == {"w": ("b", "a", "c"), "u": ("d",)}
+    assert index.edges == {
+        "a": ("u", "w", 2),
+        "b": ("w", "w", 1),
+        "c": ("u", "w", 3),
+        "d": ("w", "u", 1),
+    }
+    assert list(index.edges) == list(table)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mono_graphs(), st.randoms(use_true_random=False))
+def test_gapped_ranks_index_as_their_places(m, rng):
+    table = {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
+    index = graphs.index_edges(gapped(table, rng))
+    assert dict(index.edges) == table
+    assert dict(index.ranked) == dict(graphs.index_edges(table).ranked)
+    assert all(index.ranked[r][rank - 1] == e for e, (_, r, rank) in index.edges.items())
+
+
+def assert_gapped_twin_agrees(m, rng):
+    """A mono-graph and a diagram with gapped ranks act as their renumbered twins."""
+    table = {e: (m.src[e], m.rng[e], m.rank[e]) for e in m.edges}
+    g = stationary.mono_graph(m.vertices, gapped(table, rng))
+    assert all(g.serial(e) == m.serial(e) for e in m.edges)
+    for last in (True, False):
+        assert g.extreme_sources(last) == m.extreme_sources(last)
+    assert outcome(stationary.check_continuity, g) == outcome(stationary.check_continuity, m)
+    (K, power), (L, twin_power) = map(stationary.straighten_mono, (g, m))
+    assert K == L and power.src == twin_power.src
+    assert all(power.in_edges(v) == twin_power.in_edges(v) for v in m.vertices)
+    counts = {v: 1 + i % 2 for i, v in enumerate(sorted(m.vertices))}
+    twin = bratteli.stationary_diagram(m, counts)
+    d = bratteli.BratteliDiagram(
+        levels=twin.levels,
+        edge_levels=(gapped(twin.edge_levels[0], rng),),
+        repeat=gapped(table, rng),
+    )
+    for n in (1, 2, 3):
+        for v in d.level_vertices(n):
+            paths = bratteli.enumerate_paths(twin, v, n)
+            assert bratteli.enumerate_paths(d, v, n) == paths
+            for p in paths:
+                assert bratteli.path_index(d, p) == bratteli.path_index(twin, p)
+                for step in (bratteli.vershik_successor, bratteli.vershik_predecessor):
+                    assert step(d, p) == step(twin, p)
+    for v in sorted(m.vertices):
+        for delta in (1, -1):
+            assert outcome(bratteli.boundary_targets, d, v, delta) == outcome(
+                bratteli.boundary_targets, twin, v, delta
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(mono_graphs(), st.randoms(use_true_random=False))
+def test_gapped_mono_graphs_act_as_their_twins(m, rng):
+    assert_gapped_twin_agrees(m, rng)
+
+
+def test_gapped_fixture_and_catalogue_mono_graphs_act_as_their_twins():
+    monos = [
+        cli.read_document(DATA / "fib_bratteli.json").mono,
+        *(bratteli.weighted_to_bv(cli.read_document(DATA / name)).mono for name in COVERING_FIXTURES),
+        *(bratteli.weighted_to_bv(p).mono for p in catalogue.presentations()),
+    ]
+    rng = random.Random(0)
+    for m in monos:
+        assert_gapped_twin_agrees(m, rng)

@@ -274,7 +274,11 @@ def test_a_diagram_is_freed_without_the_garbage_collector(whole):
         if whole:
             assert d.mono.vertices == p.self_cover.domain.edges
             assert d._index[1].out and len(d.level_edges(1)) == len(p.graphs[0].length)
-            assert dict(d._index[1].ranked) and dict(d._index[0].position)
+            assert all(
+                index.ranked[r][rank - 1] == e
+                for index in d._index
+                for e, (_, r, rank) in index.edges.items()
+            )
         ref = weakref.ref(d)
         del d
         assert ref() is None

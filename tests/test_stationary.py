@@ -3,7 +3,7 @@
 import pytest
 
 from zdyn import bratteli, graphs, stationary
-from zdyn.errors import DomainMismatch, NotStraight
+from zdyn.errors import DomainMismatch, InvalidParameter, NotStraight
 from zdyn.reports import FAILS, HOLDS
 
 from helpers import (
@@ -12,7 +12,9 @@ from helpers import (
     fib_base_cover,
     fib_cover,
     fib_presentation,
+    skew_fixed_edge_cover,
 )
+import catalogue
 
 
 def fib_base_mono():
@@ -247,3 +249,63 @@ def test_overlap_is_unknown_when_depth_is_too_small():
     report = stationary.check_overlap(a, depth_max=2)
     assert report.verdict == "UNKNOWN"
     assert report.witnesses
+
+
+def first_hit(depths, edges, found):
+    """The first (depth, edge) in search order that ``found`` accepts, or None."""
+    return next(((n, e) for n in depths for e in edges if found(n, e)), None)
+
+
+def assert_overlap_matches_the_cover_powers(cover, k_max, depth_max):
+    """Each witness is the first in the words of the cover powers, composed eagerly."""
+    a = stationary.analyze_self_cover(cover)
+    report = stationary.check_overlap(a, k_max=k_max, depth_max=depth_max)
+    words = {n: graphs.cover_power(a.cover, n).emap for n in range(1, depth_max + 1)}
+    edges = sorted(a.graph.edges)
+    walks = {s.vertices: s.walk for s in stationary.constant_sequences(a, k_max).sequences}
+    for r in report.details["sequences"]:
+        pattern = (r["e0"], *walks[r["sequence"]], r["ek"])
+        hit = first_hit(
+            range(1, depth_max + 1), edges,
+            lambda n, e: stationary._contains(words[n][e], pattern),
+        )
+        assert r["witness"] == (hit and {"edge": hit[1], "depth": hit[0]})
+        assert r["verdict"] == ("OVERLAPPED" if hit else "UNKNOWN")
+    for r in report.details["families"]:
+        def run(n, e):
+            return stationary._max_flanked_run(words[n][e], r["e0"], r["cycle"], r["ek"])
+
+        hit = first_hit(
+            range(1, depth_max), edges, lambda n, e: 2 <= run(n, e) < run(n + 1, e)
+        )
+        assert r["witness"] == (hit and {
+            "edge": hit[1], "depth": hit[0], "run": run(*hit), "deeper_run": run(hit[0] + 1, hit[1]),
+        })
+        assert r["verdict"] == ("CERTIFIED" if hit else "UNKNOWN")
+    settled = all(r["witness"] for r in report.details["sequences"] + report.details["families"])
+    assert report.verdict == ("BIJECTIVE" if settled else "UNKNOWN")
+
+
+@pytest.mark.parametrize("depth_max", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "cover", [fib_base_cover(), example2_cover(), skew_fixed_edge_cover()],
+    ids=["fib", "example2", "skew"],
+)
+def test_overlap_witnesses_are_the_first_in_the_cover_powers(cover, depth_max):
+    assert_overlap_matches_the_cover_powers(cover, 4, depth_max)
+
+
+def test_catalogue_overlap_witnesses_are_the_first_in_the_cover_powers():
+    for cover in catalogue.COVERS:
+        for k_max, depth_max in ((1, 1), (2, 3), (3, 2), (4, 4)):
+            assert_overlap_matches_the_cover_powers(cover, k_max, depth_max)
+
+
+@pytest.mark.parametrize("bounds", [(0, 6), (-1, 6), (4, 0), (4, -2)])
+def test_overlap_bounds_below_one_are_rejected(bounds):
+    a = stationary.analyze_self_cover(example2_cover())
+    with pytest.raises(InvalidParameter, match=str(min(bounds))):
+        stationary.check_overlap(a, *bounds)
+    if bounds[0] < 1:
+        with pytest.raises(InvalidParameter, match=str(bounds[0])):
+            stationary.constant_sequences(a, bounds[0])
