@@ -1000,181 +1000,81 @@ def krieger_coverage(
 # isomorphism of stationary presentations
 
 
-class _Colouring:
-    """One colouring of the edges and vertices of two presentations.
+def _edge_colours(p: CoveringPresentation, q: CoveringPresentation):
+    """The coarsest stable colouring of the edges of ``p`` and ``q`` at once.
 
-    Objects are numbered: the edges of ``p`` in id order, then those of
-    ``q``, then the vertices of ``p`` and of ``q``, each in id order.
-    ``colour[x]`` names the cell of ``x`` and ``cells`` maps a cell to its
-    members, so one cell means the same thing on both sides; a cell is
-    balanced when it holds as many objects of ``p`` as of ``q``.
-    ``pending`` holds, in queue order, the cells that the others are not
-    yet stable against.
+    Colour refinement, as in McKay and Piperno, *Practical graph
+    isomorphism II* (2014), over the edges and vertices of both sides.
+    Edges start coloured by multiplicity and walk length, vertices alike.
+    A splitter cell sends each object linked to one of its members a
+    code: to an edge, each place of its walk that holds a member and
+    whether a member is its source or range; to an edge in a member's
+    walk, its place there; to a vertex, whether a member starts or ends
+    there.  Members of one cell that receive different code multisets
+    go to different cells, and only new cells are queued as splitters,
+    all but the largest piece unless the old cell was queued (Hopcroft).
+    An isomorphism keeps every colour, so None when a cell has more
+    members on one side; otherwise one map per side from edge to colour.
     """
-
-    def __init__(self, links, in_q, n_edges, colour, cells, pending, next_cell):
-        self.links, self.in_q, self.n_edges = links, in_q, n_edges
-        self.colour, self.cells = colour, cells
-        self.pending, self.next_cell = pending, next_cell
-        self.first_open = 0
-
-    def copy(self) -> "_Colouring":
-        twin = _Colouring(
-            self.links,
-            self.in_q,
-            self.n_edges,
-            list(self.colour),
-            {c: set(members) for c, members in self.cells.items()},
-            dict(self.pending),
-            self.next_cell,
-        )
-        twin.first_open = self.first_open
-        return twin
-
-    def split(self, c: int, groups: dict) -> bool:
-        """Move each group of cell ``c`` to a cell of its own.
-
-        ``groups`` maps a signature to the members of ``c`` that have it;
-        members in no group keep ``c``, and when there are none the
-        largest group keeps it.  The pieces are queued as splitters, all
-        but the largest unless ``c`` was still queued (Hopcroft).  False
-        when a piece is unbalanced: no isomorphism is left below.
-        """
-        cell = self.cells[c]
-        pieces = [groups[key] for key in sorted(groups)]
-        rest = len(cell) - sum(map(len, pieces))
-        if rest == 0:
-            if len(pieces) < 2:
-                return True
-            j = max(range(len(pieces)), key=lambda i: len(pieces[i]))
-            rest = len(pieces.pop(j))
-        in_q = self.in_q
-        for piece in pieces:
-            if 2 * sum(in_q[x] for x in piece) != len(piece):
-                return False
-        new = []
-        for piece in pieces:
-            d = self.next_cell
-            self.next_cell += 1
-            cell.difference_update(piece)
-            self.cells[d] = set(piece)
-            for x in piece:
-                self.colour[x] = d
-            new.append((len(piece), d))
-        if c not in self.pending:
-            new.append((rest, c))
-            new.remove(max(new, key=lambda t: t[0]))
-        self.pending.update((d, None) for _, d in new)
-        return True
-
-    def refine(self) -> bool:
-        """Split cells until every cell is stable against every other.
-
-        A splitter sends each object linked to one of its members a code:
-        the places of its letters in an edge's word, the places where an
-        edge occurs in its words, and the ends of its edges; or, for a
-        vertex cell, which edges start or end there.  Objects of one cell
-        with different code multisets are told apart.  False when the two
-        sides stop matching.
-        """
-        links, colour = self.links, self.colour
-        while self.pending:
-            s, _ = self.pending.popitem()
-            codes = {}
-            for x in self.cells[s]:
-                for y, code in links[x]:
-                    codes.setdefault(y, []).append(code)
-            touched = {}
-            for y, received in codes.items():
-                received.sort()
-                groups = touched.setdefault(colour[y], {})
-                groups.setdefault(tuple(received), []).append(y)
-            for c, groups in touched.items():
-                if not self.split(c, groups):
-                    return False
-        return True
-
-    def open_edge(self) -> int | None:
-        """The least edge of ``p`` whose image is not yet determined."""
-        colour, cells = self.colour, self.cells
-        while self.first_open < self.n_edges:
-            if len(cells[colour[self.first_open]]) > 2:
-                return self.first_open
-            self.first_open += 1
-        return None
-
-    def branches(self, x: int):
-        """Refined colourings that pair ``x`` with each candidate in turn."""
-        for y in sorted(y for y in self.cells[self.colour[x]] if self.in_q[y]):
-            child = self.copy()
-            if child.split(self.colour[x], {(): [x, y]}) and child.refine():
-                yield child
-
-
-def _colouring(p: CoveringPresentation, q: CoveringPresentation) -> _Colouring | None:
-    """The shared starting colouring of ``p`` and ``q``, every cell queued.
-
-    Edges are coloured by (multiplicity, word length) and vertices by one
-    colour; None when the edge colours do not match between the sides.
-    """
-    sides = (p, q)
-    edge_ids = [s.graphs[0].sorted_edges() for s in sides]
-    vertex_ids = [sorted(s.graphs[0].vertices) for s in sides]
-    n_edges, n_vertices = len(edge_ids[0]), len(vertex_ids[0])
-    size = 2 * (n_edges + n_vertices)
-    links = [[] for _ in range(size)]
-    in_q = [0] * n_edges + [1] * n_edges + [0] * n_vertices + [1] * n_vertices
-    start = {}
-    for k, s in enumerate(sides):
+    edge_index, links, in_q, colour, start = [], [], [], [], {}
+    for k, s in enumerate((p, q)):
         g, walks = s.graphs[0], s.self_cover.emap
-        edge = {e: k * n_edges + i for i, e in enumerate(edge_ids[k])}
-        first = 2 * n_edges + k * n_vertices
-        vertex = {v: first + i for i, v in enumerate(vertex_ids[k])}
+        n = len(links)
+        # vertices and edges are numbered apart: a vertex id may be an edge id
+        edge = {e: n + i for i, e in enumerate(g.edges)}
+        vertex = {v: n + len(edge) + i for i, v in enumerate(g.vertices)}
+        links += [[] for _ in range(len(edge) + len(vertex))]
+        in_q += [k] * (len(edge) + len(vertex))
+        colour += [start.setdefault((g.length[e], len(walks[e])), len(start)) for e in edge]
+        colour += [start.setdefault(None, len(start))] * len(vertex)
         for e, x in edge.items():
             for i, letter in enumerate(walks[e]):
-                y = edge[letter]
-                links[x].append((y, 4 * i + 1))  # y occurs at place i of x's word
-                links[y].append((x, 4 * i))  # x's word has y at place i
-            src, rng = vertex[g.src[e]], vertex[g.rng[e]]
-            links[x] += ((src, 2), (rng, 3))
-            links[src].append((x, 2))
-            links[rng].append((x, 3))
-            start.setdefault((g.length[e], len(walks[e])), []).append(x)
-    root = _Colouring(
-        links,
-        in_q,
-        n_edges,
-        [0] * (2 * n_edges) + [1] * (2 * n_vertices),
-        {0: set(range(2 * n_edges)), 1: set(range(2 * n_edges, size))},
-        {0: None, 1: None},
-        2,
-    )
-    return root if root.split(0, start) else None
+                links[x].append((edge[letter], 4 * i + 1))
+                links[edge[letter]].append((x, 4 * i))
+            for v, code in ((g.src[e], 2), (g.rng[e], 3)):
+                links[x].append((vertex[v], code))
+                links[vertex[v]].append((x, code))
+        edge_index.append(edge)
 
+    def balanced(members) -> bool:
+        return 2 * sum(in_q[x] for x in members) == len(members)
 
-def _structure_map(p: CoveringPresentation, q: CoveringPresentation, emap: dict):
-    """The vertex map that makes ``emap`` an isomorphism of ``p`` onto ``q``.
-
-    None unless ``emap`` carries multiplicities, sources, ranges and the
-    expansion walks and the vertex map it induces is injective.
-    """
-    g1, g2 = p.graphs[0], q.graphs[0]
-    edges1 = g1.sorted_edges()
-    if any(g1.length[e] != g2.length[emap[e]] for e in edges1):
+    cells = {}
+    for x, c in enumerate(colour):
+        cells.setdefault(c, set()).add(x)
+    if not all(map(balanced, cells.values())):
         return None
-    vmap = {}
-    for e in edges1:
-        for a, b in ((g1.src[e], g2.src[emap[e]]), (g1.rng[e], g2.rng[emap[e]])):
-            if vmap.setdefault(a, b) != b:
+    pending = set(cells)
+    while pending:
+        received = {}
+        for x in cells[pending.pop()]:
+            for y, code in links[x]:
+                received.setdefault(y, []).append(code)
+        touched = {}
+        for y, codes in received.items():
+            codes.sort()
+            touched.setdefault(colour[y], {}).setdefault(tuple(codes), []).append(y)
+        for c, groups in touched.items():
+            cell, pieces = cells[c], list(groups.values())
+            if len(pieces[0]) == len(cell):
+                continue
+            if sum(map(len, pieces)) == len(cell):
+                pieces.remove(max(pieces, key=len))  # the old cell keeps it
+            if not all(map(balanced, pieces)):
                 return None
-    if len(set(vmap.values())) != len(vmap):
-        return None
-    if all(
-        tuple(emap[x] for x in p.self_cover.emap[e]) == q.self_cover.emap[emap[e]]
-        for e in edges1
-    ):
-        return vmap
-    return None
+            new = []
+            for piece in pieces:
+                d = len(cells)
+                cells[d] = set(piece)
+                cell.difference_update(piece)
+                for x in piece:
+                    colour[x] = d
+                new.append(d)
+            if c not in pending:
+                new.append(c)
+                new.remove(max(new, key=lambda d: len(cells[d])))
+            pending.update(new)
+    return [{e: colour[x] for e, x in edge.items()} for edge in edge_index]
 
 
 def find_cover_isomorphism(p: CoveringPresentation, q: CoveringPresentation):
@@ -1185,46 +1085,73 @@ def find_cover_isomorphism(p: CoveringPresentation, q: CoveringPresentation):
     self-cover onto the other.  A finite prefix raises
     :class:`UnsupportedKind`: its levels cannot settle the question.
 
-    The search colours the edges and vertices of both presentations at
-    once (colour refinement, as in McKay and Piperno, *Practical graph
-    isomorphism II*, 2014).  Edges start coloured by multiplicity and
-    word length; an edge is then told apart by the colours of its ends,
-    of its word's letters place by place, and of the words it occurs in
-    with its places there, and a vertex by the colours of its out- and
-    in-edges.  Only cells that split are used to split others.  A colour
-    class with more members on one side ends the branch.  When the
-    colours are stable but do not pair every edge, the least edge of
-    ``p`` (in id order) with an undetermined image is paired with each
-    edge of ``q`` in its class, in id order, and the colours are refined
-    again.  An isomorphism keeps every colour, so refinement cuts only
-    branches without one; every edge of ``p`` before the paired one is
-    already determined, so the first complete pairing that passes the
-    structure check is the isomorphism whose edge map, read in the id
-    order of ``p``, is lexicographically least.
+    The substitution forces the answer: a map that sends edge ``e`` to
+    ``f`` sends the i-th letter of ``e``'s walk to the i-th letter of
+    ``f``'s.  Pairing one edge therefore pairs every edge its walks
+    reach, first in, first out, and the pairing fails at the first pair
+    whose colours (:func:`_edge_colours`) differ, whose ends disagree
+    with the vertex map, or that is not injective on edges or on
+    vertices.  When the forced pairs run out, the least edge of ``p`` (in
+    id order) with no image is paired with each edge of ``q`` that has
+    no preimage, in id order, and a failed branch is undone from the
+    trail.  Every edge of ``p`` before the branching one already has its
+    image, so the first complete pairing is the isomorphism whose edge
+    map, read in the id order of ``p``, is lexicographically least.  The
+    vertex map lists the sources and ranges of ``p``'s edges in that
+    order.
     """
     if not (p.stationary and q.stationary):
         raise UnsupportedKind("cover isomorphism needs two stationary presentations")
     g1, g2 = p.graphs[0], q.graphs[0]
     if len(g1.vertices) != len(g2.vertices) or len(g1.edges) != len(g2.edges):
         return None
-    root = _colouring(p, q)
-    if root is None or not root.refine():
+    walks1, walks2 = p.self_cover.emap, q.self_cover.emap
+    colours = _edge_colours(p, q)
+    if colours is None:
         return None
+    colour1, colour2 = colours
+    # vertices and edges have separate tables, as in the colouring
+    emap, eback, vmap, vback = {}, {}, {}, {}
+    trail = []  # (map, inverse, key) for each entry added, in order
+
+    def pair(e, f) -> bool:
+        forced = [(e, f)]
+        for e, f in forced:
+            if emap.get(e, f) != f or eback.get(f, e) != e:
+                return False
+            if e in emap:
+                continue
+            if colour1[e] != colour2[f]:
+                return False
+            for a, b in ((g1.src[e], g2.src[f]), (g1.rng[e], g2.rng[f])):
+                if vmap.get(a, b) != b or vback.get(b, a) != a:
+                    return False
+                if a not in vmap:
+                    vmap[a], vback[b] = b, a
+                    trail.append((vmap, vback, a))
+            emap[e], eback[f] = f, e
+            trail.append((emap, eback, e))
+            forced.extend(zip(walks1[e], walks2[f]))
+        return True
+
     edges1, edges2 = g1.sorted_edges(), g2.sorted_edges()
-    n = len(edges1)
-    stack = [iter([root])]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-            continue
-        x = node.open_edge()
-        if x is not None:
-            stack.append(node.branches(x))
-            continue
-        cells, colour = node.cells, node.colour
-        emap = {edges1[e]: edges2[max(cells[colour[e]]) - n] for e in range(n)}
-        vmap = _structure_map(p, q, emap)
-        if vmap is not None:
-            return vmap, emap
-    return None
+    stack = []  # (index of the branching edge, its candidates, trail mark)
+    i = 0
+    while True:
+        i = next((j for j in range(i, len(edges1)) if edges1[j] not in emap), None)
+        if i is None:
+            vorder = (v for e in edges1 for v in (g1.src[e], g1.rng[e]))
+            return {v: vmap[v] for v in vorder}, {e: emap[e] for e in edges1}
+        stack.append((i, (f for f in edges2 if f not in eback), len(trail)))
+        while stack:
+            i, candidates, mark = stack[-1]
+            while len(trail) > mark:
+                forward, backward, key = trail.pop()
+                del backward[forward.pop(key)]
+            f = next(candidates, None)
+            if f is None:
+                stack.pop()
+            elif pair(edges1[i], f):
+                break
+        else:
+            return None

@@ -372,27 +372,6 @@ def validate_graph(g: Graph | BasicGraph) -> list[str]:
 # walks
 
 
-def is_walk(g, edges: tuple[str, ...]) -> bool:
-    if not edges:
-        return False
-    if any(e not in g.edges for e in edges):
-        return False
-    return all(g.rng[a] == g.src[b] for a, b in zip(edges, edges[1:]))
-
-
-def walk_src(g, edges: tuple[str, ...]) -> str:
-    return g.src[edges[0]]
-
-
-def walk_rng(g, edges: tuple[str, ...]) -> str:
-    return g.rng[edges[-1]]
-
-
-def walk_length(g: Graph, edges: tuple[str, ...]) -> int:
-    """Total length of a walk in a weighted graph."""
-    return sum(g.length[e] for e in edges)
-
-
 def paths_into(levels, vertices) -> dict:
     """The paths through ``levels`` into each of ``vertices``, in path order.
 
@@ -482,17 +461,21 @@ def cover_violations(c: Cover) -> list[str]:
         if c.vmap.get(v) not in cod.vertices:
             problems.append(f"vertex {v} maps outside the codomain")
     for e in dom.sorted_edges():
-        w = c.emap.get(e)
-        if not w or not is_walk(cod, tuple(w)):
+        w = tuple(c.emap.get(e) or ())
+        # every letter is a codomain edge before its ends are read
+        if (
+            not w
+            or any(x not in cod.edges for x in w)
+            or any(cod.rng[a] != cod.src[b] for a, b in zip(w, w[1:]))
+        ):
             problems.append(f"edge {e} does not map to a walk")
             continue
-        w = tuple(w)
-        if c.vmap.get(dom.src[e]) != walk_src(cod, w):
+        if c.vmap.get(dom.src[e]) != cod.src[w[0]]:
             problems.append(f"edge {e}: source mismatch")
-        if c.vmap.get(dom.rng[e]) != walk_rng(cod, w):
+        if c.vmap.get(dom.rng[e]) != cod.rng[w[-1]]:
             problems.append(f"edge {e}: range mismatch")
         if dom.length is not None and cod.length is not None:
-            if walk_length(cod, w) != dom.length[e]:
+            if sum(cod.length[x] for x in w) != dom.length[e]:
                 problems.append(f"edge {e}: length not preserved")
     return problems
 

@@ -34,18 +34,6 @@ class Substitution:
     alphabet: tuple[str, ...]
     rules: dict = field(hash=False)
 
-    def apply(self, word) -> tuple[str, ...]:
-        out: list[str] = []
-        for letter in word:
-            out.extend(self.rules[letter])
-        return tuple(out)
-
-    def iterate(self, word, n: int) -> tuple[str, ...]:
-        current = tuple(word)
-        for _ in range(n):
-            current = self.apply(current)
-        return current
-
 
 def substitution(rules: dict) -> Substitution:
     """Build a substitution from ``letter -> word`` (words may be strings)."""
@@ -155,9 +143,6 @@ class NSymbol:
     edge: str
     rows: tuple[tuple[str, ...], ...]
 
-    def width(self) -> int:
-        return len(self.rows[0])
-
 
 def n_symbol(p, e: str, n: int) -> NSymbol:
     """Expand the level-n edge ``e`` of a covering presentation downward."""
@@ -206,9 +191,6 @@ class ArrayWindow:
     hi: int
     cells: dict = field(hash=False)
     cuts: dict = field(hash=False)
-
-    def row(self, k: int) -> tuple[str, ...]:
-        return tuple(self.cells[(k, c)] for c in range(self.lo, self.hi + 1))
 
 
 def _validate_seed(p, seed: SeedRow) -> None:

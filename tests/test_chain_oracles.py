@@ -12,11 +12,12 @@ library's UNKNOWN with the same witnesses.
 
 The pinned cases at the top reach the paths no fixture reaches: a cycle
 of two edges, a repeating tail whose top edge lies on no cycle, a
-one-level prefix, a within-prefix chain that one more level ends and
-regulation on truncated prefixes.  The continuation tests at the end
-check that a verdict settled on a truncated prefix holds for every
-continuation that the fixtures and the catalogue of small self-covers
-offer, on the covering side and on the diagram side.
+one-level prefix, a within-prefix chain that one more level ends, a
+vertex that no edge touches and regulation on truncated prefixes.  The
+continuation tests at the end check that a verdict settled on a
+truncated prefix holds for every continuation that the fixtures and the
+catalogue of small self-covers offer, on the covering side and on the
+diagram side.
 """
 
 from dataclasses import replace
@@ -84,6 +85,14 @@ def dying_chain_cover():
         vmap={"u": "u", "w": "w"},
         emap={"x": ("x", "y", "t"), "t": ("x",), "y": ("y", "l"), "l": ("x", "y")},
     )
+
+
+def isolated_cover():
+    """The swap cover with a vertex z that no edge touches, fixed by the vertex map."""
+    c = swap_cover()
+    g = c.domain
+    g = flexible(g.vertices | {"z"}, {e: (g.src[e], g.rng[e]) for e in g.edges})
+    return Cover(domain=g, codomain=g, vmap={**c.vmap, "z": "z"}, emap=c.emap)
 
 
 def truncated(p, cuts):
@@ -170,6 +179,16 @@ def test_a_chain_that_one_more_level_ends_settles_nothing():
     # the within-prefix chain t -> x dies at level 3
     assert reports[1].witnesses == (("x", ("t",), ()),)
     assert reports[2].details == {"reason": "no constant chains"}
+
+
+def test_an_isolated_vertex_matches_the_oracle():
+    # the generated self-covers touch every vertex, so this one is pinned
+    p = unit_presentation(isolated_cover())
+    assert "level 1: no outgoing edge at z" in coverings.validate_presentation(p)
+    assert_telescopes_match_the_oracle(p)
+    assert_telescopes_match_the_oracle(
+        coverings.stationary_presentation(p.self_cover, {"x": 1, "y": 2, "s": 2, "t": 1})
+    )
 
 
 def test_regulation_on_truncated_prefixes():
@@ -271,7 +290,9 @@ def self_covers(draw):
     """A self-cover on 1-3 vertices whose edge images are walks, often single edges.
 
     The edge set is closed under the vertex map, so every edge has a
-    one-edge image to draw; some edges take a longer walk instead.
+    one-edge image to draw; some edges take a longer walk instead.  Every
+    vertex is an end of an edge: the vertex that no edge touches is a
+    pinned case.
     """
     k = draw(st.integers(1, 3))
     vertices = [f"u{i}" for i in range(k)]
@@ -283,11 +304,14 @@ def self_covers(draw):
         if closed == pairs:
             break
         pairs = closed
+    # the closed pairs' ends are closed under vmap; other vertices are dropped
+    touched = {v for pair in pairs for v in pair}
+    vmap = {v: vmap[v] for v in touched}
     table = {}
     for i, pair in enumerate(sorted(pairs)):
         for j in range(draw(st.integers(1, 2))):
             table[f"e{i}{'ab'[j]}"] = pair
-    g = flexible(set(vertices), table)
+    g = flexible(touched, table)
     emap = {}
     for e in g.sorted_edges():
         a, b = vmap[g.src[e]], vmap[g.rng[e]]

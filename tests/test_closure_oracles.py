@@ -59,11 +59,16 @@ def oracle_bounded(cover):
     return set(cover.emap) - oracle_growing(cover.emap)
 
 
+def apply(s, w):
+    """``s(w)``: the images of the letters of ``w``, joined."""
+    return tuple(x for a in w for x in s.rules[a])
+
+
 def oracle_pass(s, words, max_len):
     """One full pass: every factor of every image of every known word."""
     grown = set(words)
     for w in words:
-        image = s.apply(w)
+        image = apply(s, w)
         for k in range(1, max_len + 1):
             grown.update(image[i : i + k] for i in range(len(image) - k + 1))
     return grown
@@ -201,7 +206,7 @@ def test_each_pass_adds_what_a_full_pass_adds():
 def test_only_spanning_factors_are_read():
     s = subs.read_substitution(example2_unit().self_cover)
     for w in subs.language(s, 6):
-        image = s.apply(w)
+        image = apply(s, w)
         head = len(s.rules[w[0]])
         tail = len(image) - len(s.rules[w[-1]])
         want = [

@@ -1,10 +1,14 @@
-"""Cover isomorphism by colour refinement against the permutation scan.
+"""Cover isomorphism by forced images against the permutation scan.
 
 ``scan_isomorphism`` is the search ``coverings.find_cover_isomorphism``
 used to run: it tries every permutation of the edges in lexicographic
 order and returns the first one that passes the structure check.  The
-refinement search must return exactly its answer, map for map, and must
-settle the large one-vertex loop pairs without branching.
+search, one colour refinement and then forced images, must return
+exactly its answer, map for map, in the same insertion order.  The
+refinement alone must settle the 512-loop successor pairs, and the
+large one-vertex loop pairs, whose automorphism groups are large, and
+the misfit pairs, whose loops pair in 12! ways, must each be settled in
+well under a second.
 """
 
 import itertools
@@ -207,7 +211,7 @@ def symmetric_pairs(draw):
 
 
 # ---------------------------------------------------------------------------
-# the refinement search returns the scan's answer
+# the search returns the scan's answer
 
 
 @settings(max_examples=120, deadline=None)
@@ -280,10 +284,79 @@ def test_512_loop_pairs_answer_in_under_a_second():
 
 def test_refinement_alone_settles_the_512_loop_pairs():
     # the successor cycle is read off where each edge occurs in the words
-    root = coverings._colouring(*relabelled_eloop(512, 2))
-    assert root.refine() and root.open_edge() is None
-    root = coverings._colouring(eloop(512), split_eloop(512))
-    assert not root.refine()
+    colours1, colours2 = coverings._edge_colours(*relabelled_eloop(512, 2))
+    assert len(set(colours1.values())) == 512
+    assert sorted(colours1.values()) == sorted(colours2.values())
+    assert coverings._edge_colours(eloop(512), split_eloop(512)) is None
+
+
+def prefix_loops(names, extra=None):
+    """One vertex, loops ``e_i -> e_0 e_i``, and the ``extra`` edges.
+
+    Without extra edges, every permutation fixing ``e_0`` is an automorphism.
+    """
+    walks = {**{e: (names[0], e) for e in names}, **(extra or {})}
+    return presentation(
+        {"v"}, {e: ("v", "v") for e in walks}, walks, {e: 1 for e in walks}
+    )
+
+
+def test_512_prefix_loops_answer_in_under_a_second():
+    p = prefix_loops([f"e{i:03d}" for i in range(512)])
+    order = list(range(512))
+    random.Random(3).shuffle(order)
+    q = prefix_loops([f"r{j}" for j in order])
+    for a, b in ((p, p), (p, q), (q, p)):
+        started = time.perf_counter()
+        iso = coverings.find_cover_isomorphism(a, b)
+        assert time.perf_counter() - started < 1.0
+        assert iso is not None and is_structure_bijection(a, b, *iso)
+    vmap, emap = coverings.find_cover_isomorphism(p, p)
+    assert vmap == {"v": "v"} and all(e == f for e, f in emap.items())
+
+
+@pytest.mark.parametrize(
+    "extra1, extra2",
+    [
+        ({"z": ("e00", "z", "z")}, {"z": ("e00", "z")}),  # walk lengths differ
+        ({"z": ("e00", "z", "e01")}, {"z": ("e00", "e01", "z")}),  # places differ
+        # equal multiplicities, walk lengths and places, told apart a step further
+        (
+            {"x": ("e00",), "y": ("x", "z"), "z": ("e00", "y")},
+            {"x": ("e00", "x"), "y": ("e00", "y"), "z": ("z",)},
+        ),
+    ],
+)
+def test_misfit_edges_after_many_loops_answer_none_in_under_a_second(extra1, extra2):
+    # the loops pair in 12! ways, and each way fails only at the misfits
+    names = [f"e{i:02d}" for i in range(13)]
+    p, q = prefix_loops(names, extra1), prefix_loops(names, extra2)
+    for a, b in ((p, q), (q, p)):
+        started = time.perf_counter()
+        assert coverings.find_cover_isomorphism(a, b) is None
+        assert time.perf_counter() - started < 1.0
+
+
+def test_vertex_ids_that_are_edge_ids_match_the_scan():
+    # on both sides the vertex ids are edge ids too, and the map pairs
+    # vertex "a" and edge "a" with different images
+    p = presentation(
+        {"a", "b"},
+        {"a": ("a", "b"), "b": ("b", "a"), "c": ("a", "a"), "d": ("b", "b")},
+        {"a": ("c", "a"), "b": ("d", "b"), "c": ("c",), "d": ("b", "c", "a")},
+        {"a": 1, "b": 1, "c": 1, "d": 2},
+    )
+    q = presentation(
+        {"b", "d"},
+        {"a": ("b", "b"), "b": ("d", "b"), "c": ("b", "d"), "d": ("d", "d")},
+        {"a": ("a",), "b": ("d", "b"), "c": ("a", "c"), "d": ("b", "a", "c")},
+        {"a": 1, "b": 1, "c": 1, "d": 2},
+    )
+    vmap, emap = assert_matches_scan(p, q)
+    assert list(vmap.items()) == [("a", "b"), ("b", "d")]
+    assert list(emap.items()) == [("a", "c"), ("b", "b"), ("c", "a"), ("d", "d")]
+    assert_matches_scan(q, p)
+    assert assert_matches_scan(p, p) is not None
 
 
 # ---------------------------------------------------------------------------

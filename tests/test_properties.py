@@ -340,7 +340,10 @@ def test_unit_lengths_count_substitution_letters(p, n):
         return
     g = coverings.level_graph(unit, n)
     for e in g.edges:
-        assert g.length[e] == len(s.iterate((e,), n - 1))
+        word = (e,)
+        for _ in range(n - 1):
+            word = tuple(x for a in word for x in s.rules[a])
+        assert g.length[e] == len(word)
 
 
 @settings(max_examples=30, deadline=None)

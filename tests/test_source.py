@@ -4,6 +4,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).parent.parent / "src" / "zdyn"
+CALLERS = [SRC, SRC.parent.parent / "perfbench"]
 
 
 def test_no_assert_guards_an_invariant():
@@ -15,3 +16,48 @@ def test_no_assert_guards_an_invariant():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_every_public_name_has_a_caller():
+    """Code that nothing but its own tests calls is deleted.
+
+    A public module-level name of ``src/zdyn`` must be read, as a name
+    or an attribute, somewhere in ``src/zdyn`` or ``perfbench`` besides
+    its own definition; a public method must be read as an attribute.
+    """
+    trees = {
+        path: ast.parse(path.read_text(), filename=str(path))
+        for root in CALLERS
+        for path in sorted(root.glob("*.py"))
+    }
+    names, attributes = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    read = names | attributes
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{path.stem}.{name}"
+                for name in defined
+                if not name.startswith("_") and name not in read
+            ]
+            if isinstance(node, ast.ClassDef):
+                unread += [
+                    f"{path.stem}.{node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in attributes
+                ]
+    assert unread == []

@@ -103,7 +103,7 @@ def test_n_symbol_of_example2_edge():
         ("e_a", "e_b", "e_d", "e_e"),
         ("e_b",),
     )
-    assert sym.width() == 4
+    assert len(sym.rows[0]) == 4
 
 
 def test_n_symbol_width_equals_level_length():
@@ -112,7 +112,7 @@ def test_n_symbol_width_equals_level_length():
         g = coverings.level_graph(p, n)
         for e in g.edges:
             sym = subs.n_symbol(p, e, n)
-            assert sym.width() == g.length[e]
+            assert len(sym.rows[0]) == g.length[e]
             widths = [len(row) for row in sym.rows]
             assert widths == sorted(widths, reverse=True)
 
@@ -133,17 +133,22 @@ def ex2_seed():
     )
 
 
+def row(w, k):
+    """Row ``k`` of an array window, its cells from ``lo`` to ``hi``."""
+    return tuple(w.cells[(k, c)] for c in range(w.lo, w.hi + 1))
+
+
 def test_array_window_rows_and_cuts():
     w = subs.array_window(example2_unit(), ex2_seed(), rows=2, cols=(-2, 8))
-    assert w.row(2) == (
+    assert row(w, 2) == (
         "e_a", "e_a", "e_b", "e_b", "e_b", "e_b",
         "e_d", "e_d", "e_d", "e_d", "e_f",
     )
-    assert w.row(1) == (
+    assert row(w, 1) == (
         "e_a", "e_a", "e_a", "e_b", "e_d", "e_e",
         "e_d", "e_e", "e_d", "e_f", "e_f",
     )
-    assert w.row(0) == ("e0",) * 11
+    assert row(w, 0) == ("e0",) * 11
     assert sorted(w.cuts[2]) == [-2, -1, 0, 4, 8]
     assert w.cuts[0] == frozenset(range(-2, 9))
 
