@@ -202,9 +202,6 @@ class BratteliDiagram:
         """Level-n edges into ``v``, in rank order."""
         return list(self._level(n).ranked.get(v, ()))
 
-    def edge_rng(self, n: int, e: str) -> str:
-        return self._level(n).edges[e][1]
-
 
 def stationary_diagram(mono: MonoGraph, multiplicities: Mapping) -> BratteliDiagram:
     """Root edges ``v<1``, ``v<2``, ... by ``multiplicities``, then ``mono`` forever."""
@@ -222,6 +219,8 @@ def validate_diagram(d: BratteliDiagram) -> list[str]:
     """
     if len(d.edge_levels) != len(d.levels) - 1:
         return ["need one edge table per level above the root"]
+    if d.levels[0] != {ROOT}:
+        return [f"level 0 must be the root {ROOT} alone"]
     problems = []
     tables = d._tables()
     for n, table in enumerate(tables, start=1):
@@ -297,12 +296,6 @@ def path_count(d: BratteliDiagram, v: str, n: int) -> int:
     return _tower_heights(d, n, (v,))[n][v]
 
 
-def path_rng(d: BratteliDiagram, p: tuple[str, ...]) -> str:
-    if not p:
-        return ROOT
-    return d.edge_rng(len(p), p[-1])
-
-
 def _extreme_path(d: BratteliDiagram, v: str, n: int, last: bool) -> tuple[str, ...]:
     """The least path to ``v`` at level ``n``, or the greatest when ``last``."""
     d._check_depth(n)
@@ -323,10 +316,6 @@ def _extreme_path(d: BratteliDiagram, v: str, n: int, last: bool) -> tuple[str, 
 
 def minimal_path(d: BratteliDiagram, v: str, n: int) -> tuple[str, ...]:
     return _extreme_path(d, v, n, last=False)
-
-
-def maximal_path(d: BratteliDiagram, v: str, n: int) -> tuple[str, ...]:
-    return _extreme_path(d, v, n, last=True)
 
 
 def path_index(d: BratteliDiagram, p: tuple[str, ...]) -> int:
@@ -454,47 +443,66 @@ def _continuity_psi(d: BratteliDiagram) -> dict:
     return report.details["psi"]
 
 
+def _tower_end(d: BratteliDiagram, v: str, n: int, delta: int, psi) -> tuple[set, int]:
+    """Where the step past the end of ``v``'s tower at level ``n`` lands.
+
+    The one search for it.  Climbs the extreme in-edges above ``v``, the
+    greatest for ``delta = 1`` and the least for -1, level by level.  An
+    out-edge that is not the extreme in-edge of its range is bumped to
+    its sibling on the ``delta`` side, and the descent from that
+    sibling's source along the opposite extreme in-edges back to level
+    ``n`` reaches a target.  With ``psi``, on a straight stationary
+    diagram, an extreme loop closes through psi (its preimages going
+    backwards); an extreme edge that is not a loop leaves a vertex with
+    no extreme out-edge, so every climb ends within two levels.  Without
+    ``psi`` a climb that reaches level ``n + 2``, or the top of a
+    truncated prefix, stays open.  Returns the targets and the number of
+    open climbs.
+    """
+    boundary, reset = (-1, 0) if delta > 0 else (0, -1)
+    limit = d.depth()
+    cap = n + 2 if limit is None else min(n + 2, limit)
+    targets: set[str] = set()
+    open_climbs = 0
+    # each vertex on a climb has one extreme in-edge, so one way up
+    pending = [(v, n)]
+    while pending:
+        here, k = pending.pop()
+        if psi is None and k >= cap:
+            open_climbs += 1
+            continue
+        level = d._level(k + 1)
+        edges, ranked = level.edges, level.ranked
+        for e in level.out.get(here, ()):
+            _, w, rank = edges[e]
+            if ranked[w][boundary] != e:
+                u = edges[ranked[w][rank - 1 + delta]][0]
+                for j in range(k, n, -1):
+                    below = d._level(j)
+                    u = below.edges[below.ranked[u][reset]][0]
+                targets.add(u)
+            elif psi is None or w != here:
+                pending.append((w, k + 1))
+            elif delta > 0:
+                targets.add(psi[here])
+            else:
+                targets.update(u for u, t in psi.items() if t == here)
+    return targets, open_climbs
+
+
 def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
     """Where the step past the end of ``v``'s tower lands, as vertices.
 
     For ``delta = 1`` the successors of the points over the maximal path
     into ``v`` start with the minimal paths into these vertices; for
     ``delta = -1`` the predecessors of the points over the minimal path
-    end with their maximal paths.  Each extension along the extreme edges
-    is bumped to its neighbour on the ``delta`` side at the first edge
-    that has one, with everything below reset to the opposite extreme; a
-    constant extreme column closes through psi (its preimages going
-    backwards).  Decided once per (vertex, direction), kept on the diagram.
+    end with their maximal paths.  :func:`_tower_end` decides it on the
+    straight stationary diagram, with psi closing a constant extreme
+    column.  Decided once per (vertex, direction), kept on the diagram.
     """
     memo = d._boundary
-    if (v, delta) in memo:
-        return memo[v, delta]
-    psi = _continuity_psi(d)
-    forward = delta > 0
-    boundary, reset = (-1, 0) if forward else (0, -1)
-    m = d.mono
-    edges, ranked, out = m._index.edges, m._index.ranked, m._index.out
-    targets: set[str] = set()
-    # each branch carries its own depth r and the vertices on its way up
-    pending = [(v, 0, frozenset({v}))]
-    while pending:
-        here, r, seen = pending.pop()
-        for e in out.get(here, ()):
-            _, w, rank = edges[e]
-            if ranked[w][boundary] == e:
-                if w == here:
-                    if forward:
-                        targets.add(psi[here])
-                    else:
-                        targets.update(u for u, t in psi.items() if t == here)
-                elif w not in seen:
-                    pending.append((w, r + 1, seen | {w}))
-            else:
-                u = m.src[ranked[w][rank - 1 + delta]]
-                for _ in range(r):
-                    u = m.src[ranked[u][reset]]
-                targets.add(u)
-    memo[v, delta] = frozenset(targets)
+    if (v, delta) not in memo:
+        memo[v, delta] = frozenset(_tower_end(d, v, 1, delta, _continuity_psi(d))[0])
     return memo[v, delta]
 
 
@@ -575,41 +583,14 @@ class ClusterPartition:
     certainty: str  # EXACT or DEPTH_LIMITED
 
 
-def _successor_projections(
-    d: BratteliDiagram, prefix: tuple[str, ...], n: int, depth: int
-) -> tuple[set, int]:
-    """Depth-n truncations of successors of all extensions of ``prefix``.
-
-    ``prefix`` must be all-maximal up to its own depth.  Returns the set
-    of resolved truncations plus the number of extensions still maximal
-    at ``depth``.
-    """
-    k = len(prefix)
-    if k >= depth:
-        return set(), 1
-    resolved = set()
-    unresolved = 0
-    level = d._level(k + 1)
-    for e in level.out.get(path_rng(d, prefix), ()):
-        ext = prefix + (e,)
-        if level.ranked[level.edges[e][1]][-1] == e:
-            deeper, stuck = _successor_projections(d, ext, n, depth)
-            resolved |= deeper
-            unresolved += stuck
-        else:
-            succ = vershik_successor(d, ext)
-            resolved.add(succ[:n])
-    return resolved, unresolved
-
-
 def clusters(d: BratteliDiagram, n: int) -> ClusterPartition:
     """The partition of level-n bases glued by successor images of tops.
 
     Two bases join when the successor image of some tower top meets both.
-    On a straight stationary diagram the image is read off
-    :func:`boundary_targets` and the partition is EXACT.  Any other
-    diagram probes the extensions of each top two levels deep, or to the
-    end of a truncated prefix; an extension still maximal there makes the
+    The image is where :func:`_tower_end` lands from the top.  On a
+    straight stationary diagram psi closes every climb and the partition
+    is EXACT.  On any other diagram a climb stops two levels up, or at
+    the top of a truncated prefix; a climb still open there makes the
     partition DEPTH_LIMITED, and so does a bent stationary diagram.
     Level 0 is the root alone.
     """
@@ -631,17 +612,11 @@ def clusters(d: BratteliDiagram, n: int) -> ClusterPartition:
 
     straight = d.stationary and stationary.is_straight(d.mono)
     certainty = "DEPTH_LIMITED" if d.stationary and not straight else "EXACT"
-    limit = d.depth()
-    depth = n + 2 if limit is None else min(n + 2, limit)
+    psi = _continuity_psi(d) if straight else None
     for v in verts:
-        if straight:
-            hits = boundary_targets(d, v, 1)
-        else:
-            top = maximal_path(d, v, n)
-            projections, unresolved = _successor_projections(d, top, n, depth)
-            if unresolved:
-                certainty = "DEPTH_LIMITED"
-            hits = {path_rng(d, q) for q in projections}
+        hits, open_climbs = _tower_end(d, v, n, 1, psi)
+        if open_climbs:
+            certainty = "DEPTH_LIMITED"
         hits = sorted(hits)
         for a, b in zip(hits, hits[1:]):
             union(a, b)
@@ -656,7 +631,7 @@ def check_nesting(d: BratteliDiagram, n: int) -> Report:
     """Does every level-(n+1) cluster sit inside one level-n base?
 
     The clusters come from :func:`clusters`: exact on a straight
-    stationary diagram, probed two levels deep otherwise.  A level-(n+1)
+    stationary diagram, climbed two levels up otherwise.  A level-(n+1)
     base projects to the minimal path into the source of its minimal
     in-edge, itself a level-n base, so a cluster sits inside one base
     exactly when its bases share that projection.

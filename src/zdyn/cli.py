@@ -148,22 +148,26 @@ def _load_basic_graph(data) -> BasicGraph:
     )
 
 
-def _load_graph(data) -> BasicGraph | Graph:
+# the graph kinds whose edges have names, which a cover's edge map reads
+_NAMED_EDGES = ("weighted_graph", "flexible_graph")
+
+
+def _load_graph(data, kinds=("basic_graph", *_NAMED_EDGES)) -> BasicGraph | Graph:
     kind = _need(_object(data, "graph"), "kind", "graph")
+    if kind not in kinds:
+        raise DocumentSemanticError(f"need a {' or '.join(kinds)}, not {kind!r}")
     if kind == "basic_graph":
         return _load_basic_graph(data)
-    if kind in ("weighted_graph", "flexible_graph"):
-        build = graphs.weighted if kind == "weighted_graph" else graphs.flexible
-        table = _edge_table(_need(data, "edges", kind), kind)
-        return build(_names(_need(data, "vertices", kind), f"{kind} vertices"), table)
-    raise DocumentSemanticError(f"not a graph kind: {kind}")
+    build = graphs.weighted if kind == "weighted_graph" else graphs.flexible
+    table = _edge_table(_need(data, "edges", kind), kind)
+    return build(_names(_need(data, "vertices", kind), f"{kind} vertices"), table)
 
 
 def _load_cover(data) -> Cover:
     data = _object(data, "cover")
     return Cover(
-        domain=_load_graph(_need(data, "domain", "cover")),
-        codomain=_load_graph(_need(data, "codomain", "cover")),
+        domain=_load_graph(_need(data, "domain", "cover"), _NAMED_EDGES),
+        codomain=_load_graph(_need(data, "codomain", "cover"), _NAMED_EDGES),
         vmap=_named(data, "vmap", "cover", _name),
         emap=_named(data, "emap", "cover", _names),
     )
@@ -186,7 +190,10 @@ def _load_covering(data):
         )
     if form == "finite_prefix":
         repeat = _repeats(data, "covering")
-        level_graphs = [_load_graph(g) for g in _list(data, "graphs", "covering")]
+        # a level has lengths
+        level_graphs = [
+            _load_graph(g, ("weighted_graph",)) for g in _list(data, "graphs", "covering")
+        ]
         level_covers = [_load_cover(c) for c in _list(data, "covers", "covering")]
         if repeat and not level_covers and len(level_graphs) < 2:
             # more levels without covers fail validation on their count

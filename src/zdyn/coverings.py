@@ -126,14 +126,17 @@ def finite_prefix_presentation(
     return CoveringPresentation(tuple(level_graphs), covers, covers[-1] if repeat else None)
 
 
+def _shape(g) -> tuple:
+    """A level's vertices and edge ends, its lengths left out."""
+    return g.vertices, g.edges, g.src, g.rng
+
+
 def validate_presentation(p: CoveringPresentation) -> list[str]:
     problems = []
     cover = p.self_cover
     if p.stationary:
         g, shape = p.graphs[0], cover.domain
-        if (g.vertices, g.edges, g.src, g.rng) != (
-            shape.vertices, shape.edges, shape.src, shape.rng
-        ):
+        if _shape(g) != _shape(shape):
             return ["level 1 does not have the self-cover's shape"]
         problems.extend(f"level 1: {msg}" for msg in graphs.validate_graph(shape))
         bad = graphs.cover_violations(cover)
@@ -147,8 +150,13 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
     if len(p.covers) != max(len(p.graphs) - 1, 0):
         problems.append("need exactly one cover between consecutive levels")
         return problems
-    if cover is not None and cover.domain.edges != cover.codomain.edges:
+    if cover is not None and _shape(p.graphs[-1]) != _shape(p.graphs[-2]):
         problems.append("repeating tail needs a self-cover at the top")
+    for n, c in enumerate(p.covers, start=2):
+        if (_shape(c.domain), _shape(c.codomain)) != (
+            _shape(p.graphs[n - 1]), _shape(p.graphs[n - 2])
+        ):
+            problems.append(f"cover {n} does not join the shapes of levels {n} and {n - 1}")
     for n in range(1, len(p.graphs) + 1):
         problems.extend(
             f"level {n}: {msg}" for msg in graphs.validate_graph(level_graph(p, n))
@@ -249,7 +257,8 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
     last cover repeats when ``p`` repeats a cover and the last two cuts
     lie where it repeats, at or above level N - 1 of an N-level prefix:
     every cover between them is then the repeated one, and so is every
-    cover of each later gap.  Otherwise the prefix is truncated.
+    cover of each later gap.  Otherwise the prefix is truncated, and one
+    cut leaves one level.
     """
     cuts = _checked_cuts(cut_points, p.depth())
     if p.stationary:
@@ -258,11 +267,9 @@ def telescope(p: CoveringPresentation, cut_points) -> CoveringPresentation:
             return stationary_presentation(
                 graphs.cover_power(p.self_cover, K), _stationary_lengths(p, K)
             )
-    if len(cuts) < 2:
-        raise DepthOutOfRange("non-arithmetic telescoping needs two cut points")
     level_graphs = [level_graph(p, c) for c in cuts]
     level_covers = [compose_range(p, a, b) for a, b in zip(cuts, cuts[1:])]
-    repeats = p.self_cover is not None and cuts[-2] >= len(p.graphs) - 1
+    repeats = p.self_cover is not None and len(cuts) > 1 and cuts[-2] >= len(p.graphs) - 1
     return finite_prefix_presentation(level_graphs, level_covers, repeats)
 
 

@@ -460,6 +460,8 @@ def cover_violations(c: Cover) -> list[str]:
     for v in sorted(dom.vertices):
         if c.vmap.get(v) not in cod.vertices:
             problems.append(f"vertex {v} maps outside the codomain")
+    for e in sorted(c.emap.keys() - dom.edges):
+        problems.append(f"edge map names {e}, which is not a domain edge")
     for e in dom.sorted_edges():
         w = tuple(c.emap.get(e) or ())
         # every letter is a codomain edge before its ends are read

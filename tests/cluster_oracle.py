@@ -1,19 +1,21 @@
 """Clusters found by a depth-limited successor search, the oracle of the tests.
 
-The library reads where the step past a tower top lands off
-:func:`bratteli.boundary_targets` on a straight stationary diagram.
-Here the image is searched for instead: every extension of the top is
-followed two levels deep and bumped with :func:`bratteli.vershik_successor`,
-and an extension still maximal there, a constant max column, lands
-where psi sends the top's vertex.  The nesting check and the
+The library decides where the step past a tower top lands in one climb
+of vertices over the levels, ``bratteli._tower_end``, on every diagram.
+Here the image is searched for over paths instead: every extension of
+the top, a tuple of edge ids, is followed two levels deep and bumped
+with :func:`bratteli.vershik_successor`, and an extension still maximal
+there, a constant max column, lands where psi sends the top's vertex.  The nesting check and the
 back-conversion to a covering are rebuilt on these clusters, the
 conversion with its ranges read off the same search.
 """
 
 from zdyn import bratteli, coverings, graphs, stationary
-from zdyn.bratteli import ClusterPartition, maximal_path, minimal_path, path_rng
+from zdyn.bratteli import ClusterPartition, minimal_path
 from zdyn.errors import CoverViolation, NestingViolation, UndefinedVershik, UnsupportedKind
 from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
+
+from helpers import maximal_path, path_rng
 
 
 def successor_projections(d, prefix, n, depth):

@@ -1,6 +1,6 @@
 """Shared fixture builders for the test suite."""
 
-from zdyn import coverings, graphs
+from zdyn import bratteli, coverings, graphs
 from zdyn.graphs import Cover, flexible, weighted
 
 
@@ -149,8 +149,6 @@ def non_nesting_diagram():
     base, so {p, q} clusters together, yet their minimal paths already
     differ at level 1.
     """
-    from zdyn import bratteli
-
     return bratteli.BratteliDiagram(
         levels=(("v0",), ("x", "y"), ("p", "q"), ("z1", "z2", "z3")),
         edge_levels=(
@@ -171,6 +169,16 @@ def non_nesting_diagram():
             },
         ),
     )
+
+
+def maximal_path(d, v, n):
+    """The greatest path from the root to ``v`` at level ``n``."""
+    return bratteli._extreme_path(d, v, n, last=True)
+
+
+def path_rng(d, p):
+    """The vertex a path ends at: the range of its last edge, the root for ()."""
+    return d.level_edges(len(p))[p[-1]][1] if p else bratteli.ROOT
 
 
 def multiplicities(d):

@@ -22,6 +22,8 @@ from zdyn import bratteli, coverings, graphs
 from zdyn.bratteli import MAXIMAL, MINIMAL
 from zdyn.errors import CoverViolation
 
+from helpers import path_rng
+
 
 @coverings._kept_on_presentation
 def floor_paths(p, n, e, floor, depth):
@@ -95,7 +97,7 @@ def step_values(d, p, delta):
     nxt = bratteli._step(d, p, delta)
     if nxt not in (MAXIMAL, MINIMAL):
         return frozenset({nxt}), False
-    targets = bratteli.boundary_targets(d, bratteli.path_rng(d, p), delta)
+    targets = bratteli.boundary_targets(d, path_rng(d, p), delta)
     last = delta < 0
     return frozenset(bratteli._extreme_path(d, u, len(p), last=last) for u in targets), True
 

@@ -18,6 +18,7 @@ from helpers import (
     example2_weighted,
     fib_base_cover,
     fib_presentation,
+    maximal_path,
     non_nesting_diagram,
     skew_presentation,
     unit_presentation,
@@ -169,7 +170,7 @@ def test_criterion_08_nesting():
     assert report.witnesses == ("p", "q")
     # the witness is real: a successor out of p's tower top lands in q's
     # base although the bases already differ at level 1
-    top_p = bratteli.maximal_path(d, "p", 2)
+    top_p = maximal_path(d, "p", 2)
     succ = bratteli.vershik_successor(d, top_p + ("p>z1:1",))
     assert succ[:2] == bratteli.minimal_path(d, "q", 2)
     assert (

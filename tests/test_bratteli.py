@@ -12,8 +12,10 @@ from helpers import (
     example2_unit,
     example2_weighted,
     fib_presentation,
+    maximal_path,
     multiplicities,
     non_nesting_diagram,
+    path_rng,
     skew_presentation,
 )
 from test_cluster_oracles import outcome
@@ -82,7 +84,7 @@ def test_minimal_and_maximal_paths_are_extreme():
     for v in d.level_vertices(2):
         paths = bratteli.enumerate_paths(d, v, 2)
         assert bratteli.minimal_path(d, v, 2) == paths[0]
-        assert bratteli.maximal_path(d, v, 2) == paths[-1]
+        assert maximal_path(d, v, 2) == paths[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +124,13 @@ def test_successor_values_is_a_singleton_off_the_boundary():
 
 def test_successor_values_resolves_the_all_max_boundary():
     d = ex1_bv()
-    top = bratteli.maximal_path(d, "e_a", 2)
+    top = maximal_path(d, "e_a", 2)
     values, exceptional = path_sets.successor_values(d, top)
     assert exceptional
     # the constant path over e_a is a fixed point of the successor
     assert bratteli.minimal_path(d, "e_a", 2) in values
     for q in values:
-        assert q == bratteli.minimal_path(d, bratteli.path_rng(d, q), 2)
+        assert q == bratteli.minimal_path(d, path_rng(d, q), 2)
 
 
 def test_min_max_flags_on_example2():
@@ -210,7 +212,7 @@ def test_non_nesting_witness_agrees_with_the_successor_map():
     d = non_nesting_diagram()
     # the successor of an interior extension of p's tower top lands in
     # the base of q, so p and q genuinely cluster together
-    top_p = bratteli.maximal_path(d, "p", 2)
+    top_p = maximal_path(d, "p", 2)
     assert top_p == ("y<1", "y>p:2")
     succ = bratteli.vershik_successor(d, top_p + ("p>z1:1",))
     assert succ[:2] == bratteli.minimal_path(d, "q", 2)

@@ -6,6 +6,8 @@ names stand for: the depth, the vertices of each level, the sources of
 the in-edges of each vertex in rank order, and whether a level repeats.
 The inputs are stationary presentations, their truncated prefixes of 3
 and 5 levels, and their repeating tails along the cuts 1, 3 and 1, 2, 4.
+A single cut of a prefix or a tail makes a one-level truncated prefix on
+both sides.
 """
 
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from test_chain_oracles import prefix
 from test_cli import DATA
 from test_properties import loop_presentations
 
-CUTS = ([1, 3], [2, 5], [1, 2, 4], [2, 4])
+CUTS = ([1, 3], [2, 5], [1, 2, 4], [2, 4], [2], [3])
 
 # the ranked sources are compared up to this level of an unbounded diagram
 TOP = 6

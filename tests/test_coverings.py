@@ -296,9 +296,17 @@ def test_telescope_rejects_bad_cuts():
     p = fib_presentation()
     with pytest.raises(DepthOutOfRange):
         coverings.telescope(p, [2, 2])
-    prefix = coverings.telescope(p, [1, 3])
+    prefix = coverings.finite_prefix_presentation(p.graphs, p.covers)
     with pytest.raises(DepthOutOfRange):
-        coverings.telescope(prefix, [2])  # single cut, nothing to compose
+        coverings.telescope(prefix, [2])  # beyond the one level
+
+
+def test_single_cut_on_a_tail_leaves_one_truncated_level():
+    p = fib_presentation()
+    tail = coverings.telescope(p, [1, 3])
+    q = coverings.telescope(tail, [2])
+    assert (q.depth(), q.covers) == (1, ())
+    assert q.graphs[0].length == coverings.level_graph(p, 3).length
 
 
 # ---------------------------------------------------------------------------

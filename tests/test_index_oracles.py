@@ -20,7 +20,13 @@ from zdyn import bratteli, cli, coverings, graphs, stationary
 from zdyn.bratteli import MAXIMAL, MINIMAL, ROOT
 from zdyn.errors import InvalidParameter, NameCollision, UnknownName, ZdynError
 
-from helpers import example2_cover, example2_unit, skew_fixed_edge_cover
+from helpers import (
+    example2_cover,
+    example2_unit,
+    maximal_path,
+    path_rng,
+    skew_fixed_edge_cover,
+)
 from test_cli import DATA
 from test_cluster_oracles import outcome
 from test_properties import loop_covers, loop_presentations, mono_graphs
@@ -126,7 +132,7 @@ def assert_matches_oracles(d, depth):
             assert bratteli.path_count(d, v, n) == len(paths)
             assert bratteli.enumerate_paths(d, v, n) == paths
             assert bratteli.minimal_path(d, v, n) == paths[0]
-            assert bratteli.maximal_path(d, v, n) == paths[-1]
+            assert maximal_path(d, v, n) == paths[-1]
             for i, q in enumerate(paths):
                 assert bratteli.path_index(d, q) == i
                 after = paths[i + 1] if i + 1 < len(paths) else MAXIMAL
@@ -248,7 +254,7 @@ def test_continuity_is_decided_once_per_diagram(monkeypatch):
     monkeypatch.setattr(stationary, "check_continuity", counted)
     d = bratteli.weighted_to_bv(example2_unit())
     for v in d.level_vertices(2):
-        assert path_sets.successor_values(d, bratteli.maximal_path(d, v, 2))[1]
+        assert path_sets.successor_values(d, maximal_path(d, v, 2))[1]
         assert path_sets.predecessor_values(d, bratteli.minimal_path(d, v, 2))[1]
     assert len(calls) == 1
 
@@ -258,7 +264,7 @@ def test_deep_tower_coordinates_need_no_recursion():
         (bratteli.weighted_to_bv(example2_unit()), "e_b"),
         (cli.read_document(DATA / "fib_bratteli.json"), "e_a"),
     ):
-        top = bratteli.maximal_path(d, v, 3000)
+        top = maximal_path(d, v, 3000)
         assert bratteli.path_index(d, top) == bratteli.path_count(d, v, 3000) - 1
         assert bratteli.vershik_successor(d, top) == MAXIMAL
         bottom = bratteli.minimal_path(d, v, 3000)
@@ -352,7 +358,7 @@ def loop_covering(edges):
 def test_path_index_fills_only_the_backward_cone():
     n = 9
     d = bratteli.weighted_to_bv(loop_covering(64))
-    q = bratteli.maximal_path(d, "e05", n)
+    q = maximal_path(d, "e05", n)
     assert bratteli.path_index(d, q) == bratteli.path_count(d, "e05", n) - 1
     # e_i at level k has in-neighbours e_0, e_i and e_(i+1) at level k - 1
     for k in range(n + 1):
@@ -400,7 +406,7 @@ def test_path_at_inverts_path_index_on_deep_fibonacci_towers():
             q = bratteli.path_at(d, v, 160, i)
             assert len(q) == 160 and bratteli.path_index(d, q) == i
         top = bratteli.path_at(d, v, 160, height - 1)
-        assert top == bratteli.maximal_path(d, v, 160)
+        assert top == maximal_path(d, v, 160)
         assert bratteli.path_at(d, v, 160, 0) == bratteli.minimal_path(d, v, 160)
 
 
@@ -476,7 +482,7 @@ def test_names_outside_the_diagram_raise_unknown_name(name):
         lambda: bratteli.vershik_successor(d, ("nope", "x")),
         lambda: bratteli.vershik_predecessor(d, ("nope", "x")),
         lambda: bratteli.minimal_path(d, "nope", n),
-        lambda: bratteli.maximal_path(d, "nope", n),
+        lambda: maximal_path(d, "nope", n),
         lambda: bratteli.enumerate_paths(d, "nope", n),
         lambda: bratteli.enumerate_paths(d, "nope", 0),
         lambda: bratteli.path_at(d, "nope", n, 0),
@@ -495,7 +501,7 @@ def test_a_broken_path_raises_unknown_name():
     # e_a at level 1 is not a source of e_b's in-edges at level 2
     other = bratteli.minimal_path(d, "e_f", 2)
     broken = good[:1] + other[1:]
-    assert bratteli.path_rng(d, good[:1]) != d.level_edges(2)[other[1]][0]
+    assert path_rng(d, good[:1]) != d.level_edges(2)[other[1]][0]
     with pytest.raises(UnknownName, match="do not form a path"):
         bratteli.path_index(d, broken)
 
@@ -811,7 +817,7 @@ def test_a_step_checks_the_junction_above_the_bumped_edge():
 def test_an_orbit_checks_its_start_once():
     d = bratteli.weighted_to_bv(example2_unit())
     q = bratteli.minimal_path(d, "e_b", 3)
-    top = bratteli.maximal_path(d, "e_f", 3)
+    top = maximal_path(d, "e_f", 3)
     broken = q[:2] + top[2:]
     for steps in (0, 1, 5):
         with pytest.raises(UnknownName, match="do not form a path"):

@@ -43,7 +43,7 @@ from zdyn.errors import (
 )
 from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
 
-from helpers import example2_unit, skew_presentation
+from helpers import example2_unit, path_rng, skew_presentation
 from test_cli import DATA
 from test_properties import loop_presentations
 import path_sets
@@ -165,7 +165,7 @@ def oracle_coverage(p, n, L, horizon):
                     break
         if inside:
             continue
-        e = bratteli.path_rng(d, q[:n])
+        e = path_rng(d, q[:n])
         outside_towers.add(e)
         if e not in markers.P:
             violations.append({"path": q, "tower": e, "reason": "tall tower"})
@@ -527,7 +527,7 @@ def oracle_chain_coverage(p, n, L, horizon):
         if inside:
             continue
         q = cyl.path[c]
-        e = bratteli.path_rng(d, q[:n]) if n else "e0"
+        e = path_rng(d, q[:n]) if n else "e0"
         outside_towers.add(e)
         if e not in markers.P:
             violations.append({"path": q, "tower": e, "reason": "tall tower"})
@@ -594,7 +594,7 @@ def assert_cells_match(p, n, horizon):
         q = ref.path[c]
         assert cyl.path(c) == q
         prefix = q[:n]
-        want = (bratteli.path_rng(d, prefix), bratteli.path_index(d, prefix))
+        want = (path_rng(d, prefix), bratteli.path_index(d, prefix))
         if not n:
             want = ("e0", 0)
         assert cell_of(cyl, c) == want
