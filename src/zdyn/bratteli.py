@@ -45,9 +45,8 @@ from .errors import (
     UnknownName,
     UnsupportedKind,
 )
-from .graphs import Cover, EdgeIndex, index_edges, walk_index, walk_tables
+from .graphs import Cover, EdgeIndex, Graph, index_edges, walk_index, walk_tables
 from .reports import FAILS, HOLDS, UNKNOWN, Report
-from .stationary import MonoGraph
 
 MAXIMAL = "MAXIMAL"
 MINIMAL = "MINIMAL"
@@ -155,11 +154,11 @@ class BratteliDiagram:
         return tuple(map(index_edges, self._tables()))
 
     @cached_property
-    def mono(self) -> MonoGraph | None:
+    def mono(self) -> Graph | None:
         """The repeated level as a mono-graph sharing its index, or None."""
         if self.repeat is None:
             return None
-        return stationary.indexed_mono(self.levels[-1], self._index[-1])
+        return graphs.indexed_mono(self.levels[-1], self._index[-1])
 
     @cached_property
     def _continuity(self) -> Report:
@@ -203,7 +202,7 @@ class BratteliDiagram:
         return list(self._level(n).ranked.get(v, ()))
 
 
-def stationary_diagram(mono: MonoGraph, multiplicities: Mapping) -> BratteliDiagram:
+def stationary_diagram(mono: Graph, multiplicities: Mapping) -> BratteliDiagram:
     """Root edges ``v<1``, ``v<2``, ... by ``multiplicities``, then ``mono`` forever."""
     vertices = mono.vertices
     first = walk_tables(vertices, *_root_edges(multiplicities))[0]
@@ -219,6 +218,8 @@ def validate_diagram(d: BratteliDiagram) -> list[str]:
     """
     if len(d.edge_levels) != len(d.levels) - 1:
         return ["need one edge table per level above the root"]
+    if not d.edge_levels:
+        return ["need at least one level above the root"]
     if d.levels[0] != {ROOT}:
         return [f"level 0 must be the root {ROOT} alone"]
     problems = []
@@ -502,7 +503,11 @@ def boundary_targets(d: BratteliDiagram, v: str, delta: int) -> frozenset[str]:
     """
     memo = d._boundary
     if (v, delta) not in memo:
-        memo[v, delta] = frozenset(_tower_end(d, v, 1, delta, _continuity_psi(d))[0])
+        # a diagram without a tower-end step says so before the vertex is read
+        psi = _continuity_psi(d)
+        if v not in d.levels[1]:
+            raise UnknownName(f"no vertex {v!r} at level 1")
+        memo[v, delta] = frozenset(_tower_end(d, v, 1, delta, psi)[0])
     return memo[v, delta]
 
 

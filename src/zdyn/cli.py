@@ -26,7 +26,6 @@ from .errors import (
 )
 from .graphs import BasicGraph, Cover, Graph
 from .reports import FAILS, Report
-from .stationary import MonoGraph
 
 VERSION = "zdyn/1"
 
@@ -204,9 +203,9 @@ def _load_covering(data):
     raise DocumentSemanticError(f"unknown covering form: {form}")
 
 
-def _load_mono(data) -> MonoGraph:
+def _load_mono(data) -> Graph:
     data = _object(data, "mono_graph")
-    return stationary.mono_graph(
+    return graphs.mono_graph(
         _names(_need(data, "vertices", "mono_graph"), "mono_graph vertices"),
         _edge_table(_need(data, "edges", "mono_graph"), "mono_graph"),
     )
@@ -279,8 +278,6 @@ def _structure_problems(obj) -> list[str]:
         return graphs.cover_violations(obj)
     if isinstance(obj, coverings.CoveringPresentation):
         return coverings.validate_presentation(obj)
-    if isinstance(obj, MonoGraph):
-        return stationary.validate_mono(obj)
     if isinstance(obj, bratteli.BratteliDiagram):
         return bratteli.validate_diagram(obj)
     return []
@@ -335,12 +332,12 @@ def to_document(obj) -> dict:
 
 
 def _edge_kind(obj) -> str | None:
-    """The document kind of a graph or mono-graph with an edge table."""
-    if isinstance(obj, MonoGraph):
+    """The document kind of a graph with an edge table: a mono-graph has ranks."""
+    if not isinstance(obj, Graph):
+        return None
+    if obj.rank is not None:
         return "mono_graph"
-    if isinstance(obj, Graph):
-        return "flexible_graph" if obj.length is None else "weighted_graph"
-    return None
+    return "flexible_graph" if obj.length is None else "weighted_graph"
 
 
 def _edge_entries(obj, kind: str) -> dict:
@@ -478,8 +475,8 @@ def _emit_report(report: Report, fmt: str) -> int:
     return 1 if report.verdict in FAILING_VERDICTS else 0
 
 
-def _mono_of(obj) -> MonoGraph:
-    if isinstance(obj, MonoGraph):
+def _mono_of(obj) -> Graph:
+    if _edge_kind(obj) == "mono_graph":
         return obj
     if isinstance(obj, bratteli.BratteliDiagram) and obj.stationary:
         return obj.mono
@@ -613,7 +610,7 @@ def _cmd_telescope(args) -> int:
 
 def _cmd_straighten(args) -> int:
     obj = read_document(args.file)
-    if isinstance(obj, MonoGraph):
+    if _edge_kind(obj) == "mono_graph":
         K, powered = stationary.straighten_mono(obj)
         result = {"exponent": K, "mono": to_document(powered)}
     else:
@@ -711,7 +708,7 @@ def _cmd_subst(args) -> int:
     obj = read_document(args.file)
     if isinstance(obj, substitution.Substitution):
         s = obj
-    elif isinstance(obj, MonoGraph):
+    elif _edge_kind(obj) == "mono_graph":
         s = substitution.read_substitution(obj)
     else:
         cover = _self_cover_of(

@@ -147,7 +147,9 @@ def validate_presentation(p: CoveringPresentation) -> list[str]:
             if p.graphs[0].length.get(e, 0) < 1:
                 problems.append(f"edge {e} lacks a positive multiplicity")
         return problems
-    if len(p.covers) != max(len(p.graphs) - 1, 0):
+    if not p.graphs:
+        return ["need at least one level above the root"]
+    if len(p.covers) != len(p.graphs) - 1:
         problems.append("need exactly one cover between consecutive levels")
         return problems
     if cover is not None and _shape(p.graphs[-1]) != _shape(p.graphs[-2]):

@@ -1,11 +1,14 @@
 """Finite directed graphs with edge lengths, walks, and covers.
 
-One frozen record, :class:`Graph`, is every multigraph of the toolkit:
-its ``src``, ``rng`` and ``length`` maps are read-only, and ``length`` is
-None for a flexible graph.  Its adjacency is one :class:`EdgeIndex`, the
-index mono-graphs and diagrams use too.  A circuit of a graph counts
-the lengths of its edges.  ``BasicGraph`` is a plain relation on
-vertices, a document kind of the command line.
+One frozen record, :class:`Graph`, is every multigraph of the toolkit,
+weighted, flexible or ordered: its ``src``, ``rng``, ``length`` and
+``rank`` maps are read-only, ``length`` is None for a flexible graph, and
+``rank`` orders the in-edges of each vertex of a mono-graph, the
+one-level template of a stationary ordered diagram, and is None
+otherwise.  Its adjacency is one :class:`EdgeIndex`, the index diagrams
+use too, whose in-edges come by rank, or by id in a graph without ranks.
+A circuit of a graph counts the lengths of its edges.  ``BasicGraph`` is
+a plain relation on vertices, a document kind of the command line.
 
 A *cover* maps edges of one graph to walks of another so that endpoints
 match and, for weighted graphs, lengths are preserved; its maps are
@@ -278,7 +281,10 @@ class Graph:
     """A finite directed multigraph with read-only edge maps.
 
     ``length`` gives each edge a positive length, or is None for a
-    flexible graph.  The adjacency index is built on first use.
+    flexible graph; ``rank`` gives each edge its place among the
+    in-edges of its range, or is None, and then the in-edges rank by id.
+    The adjacency index is built on first use or, by
+    :func:`indexed_mono`, handed over with the record.
     """
 
     vertices: frozenset[str]
@@ -286,41 +292,69 @@ class Graph:
     src: Mapping = field(hash=False)
     rng: Mapping = field(hash=False)
     length: Mapping | None = field(default=None, hash=False)
+    rank: Mapping | None = field(default=None, hash=False)
 
     def __post_init__(self):
-        read_only_fields(self, "src", "rng", "length")
+        read_only_fields(self, "src", "rng", "length", "rank")
 
     @cached_property
     def _index(self) -> EdgeIndex:
-        # each edge ranks by its own id, so in-edges come in id order
-        return index_edges({e: (self.src[e], self.rng[e], e) for e in self.edges})
+        rank = self.rank
+        return index_edges({
+            e: (self.src[e], self.rng[e], e if rank is None else rank[e])
+            for e in self.edges
+        })
 
     def sorted_edges(self) -> list[str]:
         return sorted(self.edges)
 
+    def in_edges(self, v: str) -> list[str]:
+        """In-edges of ``v`` in rank order."""
+        return list(self._index.ranked.get(v, ()))
+
+    def extreme_sources(self, last: bool) -> dict:
+        """Each vertex to the source of its maximal (``last``) or minimal in-edge."""
+        end = -1 if last else 0
+        ranked = self._index.ranked
+        return {v: self.src[ranked[v][end]] for v in self.vertices}
+
+    def serial(self, e: str) -> str | None:
+        """The next-ranked in-edge after ``e``, or None for a maximal edge."""
+        _, r, rank = self._index.edges[e]
+        ranked = self._index.ranked[r]
+        return ranked[rank] if rank < len(ranked) else None
+
+
+def _graph(vertices, edge_table, third: str | None = None) -> Graph:
+    """The graph of an ``id -> (src, rng, ...)`` table, its third entries the ``third`` map."""
+    names = ("src", "rng", third) if third else ("src", "rng")
+    maps = {
+        name: MappingProxyType({e: t[i] for e, t in edge_table.items()})
+        for i, name in enumerate(names)
+    }
+    return Graph(vertices=frozenset(vertices), edges=frozenset(edge_table), **maps)
+
 
 def weighted(vertices, edge_table) -> Graph:
-    """Convenience constructor.
-
-    ``edge_table`` maps edge id to ``(src, rng, length)``.
-    """
-    return Graph(
-        vertices=frozenset(vertices),
-        edges=frozenset(edge_table),
-        src=MappingProxyType({e: t[0] for e, t in edge_table.items()}),
-        rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
-        length=MappingProxyType({e: t[2] for e, t in edge_table.items()}),
-    )
+    """``edge_table`` maps edge id to ``(src, rng, length)``."""
+    return _graph(vertices, edge_table, "length")
 
 
 def flexible(vertices, edge_table) -> Graph:
     """``edge_table`` maps edge id to ``(src, rng)``."""
-    return Graph(
-        vertices=frozenset(vertices),
-        edges=frozenset(edge_table),
-        src=MappingProxyType({e: t[0] for e, t in edge_table.items()}),
-        rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
-    )
+    return _graph(vertices, edge_table)
+
+
+def mono_graph(vertices, edge_table) -> Graph:
+    """``edge_table`` maps edge id to ``(src, rng, rank)``."""
+    return _graph(vertices, edge_table, "rank")
+
+
+def indexed_mono(vertices, index: EdgeIndex) -> Graph:
+    """The mono-graph of an edge index, which keeps that index as its own."""
+    m = mono_graph(vertices, index.edges)
+    vars(m)["_index"] = index  # the slot of the cached property
+    return m
 
 
 def singleton_graph() -> Graph:
@@ -359,11 +393,20 @@ def validate_graph(g: Graph | BasicGraph) -> list[str]:
             if not isinstance(length, int) or length < 1:
                 problems.append(f"edge {e} has non-positive length {length}")
     sources = {g.src[e] for e in g.edges}
-    ranges = {g.rng[e] for e in g.edges}
+    into: dict[str, list] = {}
+    for e in g.edges:
+        into.setdefault(g.rng[e], []).append(e)
     for v in sorted(g.vertices):
+        if g.rank is not None:
+            # a mono-graph's in-edges rank 1, 2, ... at each vertex
+            if v not in into:
+                problems.append(f"no incoming edge at {v}")
+                continue
+            if sorted(g.rank[e] for e in into[v]) != list(range(1, len(into[v]) + 1)):
+                problems.append(f"rank gap at vertex {v}")
         if v not in sources:
             problems.append(f"no outgoing edge at {v}")
-        if v not in ranges:
+        if v not in into:
             problems.append(f"no incoming edge at {v}")
     return problems
 

@@ -1,12 +1,12 @@
-"""Mono-graphs, straightening, continuity, and the overlap criterion.
+"""Straightening, continuity, and the overlap criterion.
 
 A mono-graph is the one-level template behind a stationary ordered
-Bratteli diagram: its in-edges at each vertex carry a rank order that is
-repeated at every level.  The module decides when such a template is
-*straight* (all extreme infinite paths level-constant), finds the
-telescoping power that makes it straight, and decides the continuity
-condition that is equivalent to the diagram carrying a continuous
-successor map.
+Bratteli diagram: a :class:`~zdyn.graphs.Graph` whose ``rank`` orders
+the in-edges at each vertex, an order repeated at every level.  The
+module decides when such a template is *straight* (all extreme infinite
+paths level-constant), finds the telescoping power that makes it
+straight, and decides the continuity condition that is equivalent to the
+diagram carrying a continuous successor map.
 
 The second half of the module analyzes flexible self-covers: limit
 vertices and limit first/last edges, constant sequences, and the overlap
@@ -17,111 +17,23 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
-from types import MappingProxyType
 
 from . import graphs
 from .errors import CoverViolation, DomainMismatch, InvalidParameter, NotStraight
-from .graphs import Cover, EdgeIndex, Graph, cover_power, index_edges, read_only_fields
+from .graphs import Cover, Graph, cover_power, mono_graph, read_only_fields
 from .reports import FAILS, HOLDS, UNKNOWN, Report
-
-
-# ---------------------------------------------------------------------------
-# mono-graphs
-
-
-@dataclass(frozen=True)
-class MonoGraph:
-    """A finite ordered graph with ranked in-edges at every vertex.
-
-    The record keeps ``src``, ``rng`` and ``rank`` read-only; adjacency
-    reads go through one :class:`EdgeIndex`, built on first use or, by
-    :func:`indexed_mono`, handed over with the record.
-    """
-
-    vertices: frozenset[str]
-    edges: frozenset[str]
-    src: Mapping = field(hash=False)
-    rng: Mapping = field(hash=False)
-    rank: Mapping = field(hash=False)
-
-    def __post_init__(self):
-        read_only_fields(self, "src", "rng", "rank")
-
-    @cached_property
-    def _index(self) -> EdgeIndex:
-        return index_edges(
-            {e: (self.src[e], self.rng[e], self.rank[e]) for e in self.edges}
-        )
-
-    def in_edges(self, v: str) -> list[str]:
-        """In-edges of ``v`` in rank order."""
-        return list(self._index.ranked.get(v, ()))
-
-    def extreme_sources(self, last: bool) -> dict:
-        """Each vertex to the source of its maximal (``last``) or minimal in-edge."""
-        end = -1 if last else 0
-        ranked = self._index.ranked
-        return {v: self.src[ranked[v][end]] for v in self.vertices}
-
-    def serial(self, e: str) -> str | None:
-        """The next-ranked in-edge after ``e``, or None for a maximal edge."""
-        _, r, rank = self._index.edges[e]
-        ranked = self._index.ranked[r]
-        return ranked[rank] if rank < len(ranked) else None
-
-
-def mono_graph(vertices, edge_table) -> MonoGraph:
-    """``edge_table`` maps edge id to ``(src, rng, rank)``."""
-    return MonoGraph(
-        vertices=frozenset(vertices),
-        edges=frozenset(edge_table),
-        src=MappingProxyType({e: t[0] for e, t in edge_table.items()}),
-        rng=MappingProxyType({e: t[1] for e, t in edge_table.items()}),
-        rank=MappingProxyType({e: t[2] for e, t in edge_table.items()}),
-    )
-
-
-def indexed_mono(vertices, index: EdgeIndex) -> MonoGraph:
-    """The mono-graph of an edge index, which keeps that index as its own."""
-    m = mono_graph(vertices, index.edges)
-    vars(m)["_index"] = index  # the slot of the cached property
-    return m
-
-
-def validate_mono(m: MonoGraph) -> list[str]:
-    problems = []
-    for e in sorted(m.edges):
-        if m.src[e] not in m.vertices:
-            problems.append(f"edge {e} has unknown source {m.src[e]}")
-        if m.rng[e] not in m.vertices:
-            problems.append(f"edge {e} has unknown range {m.rng[e]}")
-    sources = {m.src[e] for e in m.edges}
-    ranks_at: dict[str, list[int]] = {}
-    for e in m.edges:
-        ranks_at.setdefault(m.rng[e], []).append(m.rank[e])
-    for v in sorted(m.vertices):
-        ranks = sorted(ranks_at.get(v, ()))
-        if not ranks:
-            problems.append(f"no incoming edge at {v}")
-            continue
-        if ranks != list(range(1, len(ranks) + 1)):
-            problems.append(f"rank gap at vertex {v}")
-        if v not in sources:
-            problems.append(f"no outgoing edge at {v}")
-    return problems
 
 
 # ---------------------------------------------------------------------------
 # straightness
 
 
-def straightness_violations(m: MonoGraph) -> list[str]:
+def straightness_violations(m: Graph) -> list[str]:
     """Empty iff the mono-graph is straight.
 
     Straight means that every extreme (max or min) in-edge starts at a
     vertex carrying an extreme self-loop: the extreme-source maps
-    f_max and f_min of :meth:`MonoGraph.extreme_sources` are idempotent.
+    f_max and f_min of :meth:`Graph.extreme_sources` are idempotent.
     A forever walk of extreme edges runs round the cycle vertices of f,
     which idempotence makes fixed, so it is a repeated loop.  For max,
     then min, the problems name the extreme in-edges of cycle vertices
@@ -145,7 +57,7 @@ def straightness_violations(m: MonoGraph) -> list[str]:
     return problems
 
 
-def is_straight(m: MonoGraph) -> bool:
+def is_straight(m: Graph) -> bool:
     return all(_idempotent(m.extreme_sources(last)) for last in (True, False))
 
 
@@ -168,7 +80,7 @@ def _straight_power(maps, cap: int) -> tuple[int, list[dict]]:
     raise NotStraight(f"no straight power found up to K={cap}")
 
 
-def mono_power(m: MonoGraph, K: int) -> MonoGraph:
+def mono_power(m: Graph, K: int) -> Graph:
     """The mono-graph whose edges are K-step walks of ``m``.
 
     Edge ids join the constituent edge ids with spaces.  A walk ranks by
@@ -189,7 +101,7 @@ def mono_power(m: MonoGraph, K: int) -> MonoGraph:
     return mono_graph(m.vertices, table)
 
 
-def straighten_mono(m: MonoGraph) -> tuple[int, MonoGraph]:
+def straighten_mono(m: Graph) -> tuple[int, Graph]:
     """Smallest power K with ``mono_power(m, K)`` straight, and that power.
 
     The maximal (minimal) walk of K steps into a vertex starts at the
@@ -205,7 +117,7 @@ def straighten_mono(m: MonoGraph) -> tuple[int, MonoGraph]:
 # continuity condition
 
 
-def check_continuity(m: MonoGraph) -> Report:
+def check_continuity(m: Graph) -> Report:
     """Decide whether a straight mono-graph has the continuity condition.
 
     The condition asks for a surjective map ``psi`` from max-loop

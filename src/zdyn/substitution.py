@@ -22,9 +22,8 @@ from .errors import (
     UnknownName,
     UnsupportedKind,
 )
-from .graphs import Cover
+from .graphs import Cover, Graph
 from .reports import Report, UNKNOWN
-from .stationary import MonoGraph
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def read_substitution(source) -> Substitution:
     ranked in-edges; for a self-cover the image of an edge is its
     expansion walk.
     """
-    if isinstance(source, MonoGraph):
+    if isinstance(source, Graph) and source.rank is not None:
         rules = {
             v: tuple(source.src[e] for e in source.in_edges(v))
             for v in source.vertices

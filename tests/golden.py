@@ -1,10 +1,11 @@
-"""Recorded CLI outputs of the check, conversion, telescoping, straightening, Krieger, tower, path, Vershik and DOT commands.
+"""Recorded CLI outputs of the validation, check, conversion, telescoping, straightening, substitution, Krieger, tower, path, Vershik and DOT commands.
 
 ``golden/outputs.json`` keeps, for every document under ``data/`` and
 ``golden/prefixes/``, the stdout and exit code of each command in
 :func:`commands`, in both output formats where the command has them;
 ``krieger`` runs in the human format at levels 0-3, windows 1-2 and
-horizons one to three past the level; ``vershik`` and ``paths`` start
+horizons one to three past the level; ``subst`` prints the read
+substitution and its language up to length 3; ``vershik`` and ``paths`` start
 from the least level-2 vertex of the document's diagram, or from the
 root of a document that has none, which exits 2.  ``golden/prefixes/``
 holds two finite forms of each stationary covering under ``data/`` and of
@@ -51,6 +52,7 @@ def level2_vertex(path) -> str:
 def commands():
     """Each recorded command line, with the document by its file name."""
     for name, path in documents().items():
+        yield ["validate", name]
         for fmt in ("human", "json"):
             yield ["check", "closing", name, "--format", fmt]
             yield ["check", "regulated", name, "--l-seq", "1,2,3", "--format", fmt]
@@ -64,6 +66,8 @@ def commands():
         for cuts in ("1,3", "2"):
             yield ["telescope", name, cuts]
         yield ["straighten", name]
+        yield ["subst", name]
+        yield ["subst", name, "--depth", "3"]
         yield ["towers", name, "--level", "1"]
         vertex = level2_vertex(path)
         yield ["vershik", name, vertex, "--level", "2", "--steps", "8"]

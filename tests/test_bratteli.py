@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from zdyn import bratteli, coverings, graphs
 from zdyn.bratteli import MAXIMAL, MINIMAL
-from zdyn.errors import InvalidSequence, UnsupportedKind
+from zdyn.errors import InvalidSequence, UnknownName, UnsupportedKind
 from zdyn.reports import FAILS, HOLDS, UNKNOWN, Report
 
 from helpers import (
@@ -131,6 +131,16 @@ def test_successor_values_resolves_the_all_max_boundary():
     assert bratteli.minimal_path(d, "e_a", 2) in values
     for q in values:
         assert q == bratteli.minimal_path(d, path_rng(d, q), 2)
+
+
+@pytest.mark.parametrize("delta", (1, -1))
+def test_boundary_targets_reject_an_unknown_vertex(delta):
+    read_off = fib_bv()
+    written = bratteli.stationary_diagram(read_off.mono, multiplicities(read_off))
+    for d in (written, read_off):
+        with pytest.raises(UnknownName, match="no vertex 'nope' at level 1"):
+            bratteli.boundary_targets(d, "nope", delta)
+        assert bratteli.boundary_targets(d, "e_a", delta)
 
 
 def test_min_max_flags_on_example2():

@@ -198,6 +198,29 @@ def cover_of_a_basic_graph():
     return doc
 
 
+def covering_without_levels():
+    doc = copy.deepcopy(DOCUMENTS["fib_covering_prefix3.json"])
+    doc["graphs"], doc["covers"] = [], []
+    return doc
+
+
+def diagram_without_levels():
+    doc = copy.deepcopy(DOCUMENTS["fib_bratteli_prefix3.json"])
+    doc["levels"], doc["edge_levels"] = [["v0"]], []
+    return doc
+
+
+# a prefix with no level above the root presents no system
+EMPTY = [
+    (make, argv)
+    for make in (covering_without_levels, diagram_without_levels)
+    for argv in (
+        *COMMANDS,
+        ["vershik", "{}", "v0", "--level", "0"],
+        ["paths", "{}", "v0", "--level", "0"],
+    )
+]
+
 PINNED = [
     (emap_names_a_non_edge, ["check", "regulated", "--l-seq", "1,2,3"]),
     (emap_names_a_non_edge, ["check", "recoding", "--radius", "1"]),
@@ -214,6 +237,7 @@ PINNED = [
     (level_is_flexible, ["validate"]),
     (cover_of_a_basic_graph, ["check", "overlap"]),
     (cover_of_a_basic_graph, ["validate"]),
+    *EMPTY,
 ]
 
 

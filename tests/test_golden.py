@@ -1,4 +1,4 @@
-"""The check, conversion, telescoping, straightening, Krieger, tower, path, Vershik and DOT commands keep their recorded outputs.
+"""The validation, check, conversion, telescoping, straightening, substitution, Krieger, tower, path, Vershik and DOT commands keep their recorded outputs.
 
 The finite forms under ``golden/prefixes/`` are written again and must
 match the committed files, so a change to telescoping or to the document

@@ -64,6 +64,27 @@ def test_every_public_name_has_a_caller():
     assert unread == []
 
 
+def test_one_record_has_edge_ends():
+    """Every graph with an edge table is one record.
+
+    The only class of ``src/zdyn`` with both ``src`` and ``rng`` fields
+    is ``graphs.Graph``: weighted, flexible and ordered graphs differ by
+    its ``length`` and ``rank`` maps, not by their class.
+    """
+    found = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+        and {"src", "rng"} <= {
+            item.target.id
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        }
+    ]
+    assert found == ["graphs.Graph"]
+
+
 def reads(tree) -> Counter:
     """How often each name is read, as a name or an attribute, in ``tree``."""
     found = Counter()

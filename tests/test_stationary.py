@@ -57,7 +57,7 @@ def test_validate_mono_flags_rank_gaps():
     m = stationary.mono_graph(
         {"u"}, {"x": ("u", "u", 1), "y": ("u", "u", 3)}
     )
-    assert "rank gap at vertex u" in stationary.validate_mono(m)
+    assert "rank gap at vertex u" in graphs.validate_graph(m)
 
 
 def test_fib_base_mono_is_not_straight():
@@ -88,7 +88,7 @@ def test_mono_power_counts_walks():
             for e1 in m.in_edges(m.src[e2])
         ]
         assert len(squared.in_edges(v)) == len(two_walks)
-    assert stationary.validate_mono(squared) == []
+    assert graphs.validate_graph(squared) == []
 
 
 def test_mono_power_rank_order_is_deep_lexicographic():
