@@ -286,47 +286,86 @@ def walks(g, a, b, length):
 
 
 @st.composite
-def self_covers(draw):
-    """A self-cover on 1-3 vertices whose edge images are walks, often single edges.
+def self_cover_graphs(draw, whole=False):
+    """A graph on 1-3 vertices closed under a drawn vertex map, and the map.
 
-    The edges of a drawn permutation give every vertex an out-edge and an
-    in-edge, so the graph is valid: the vertex that no edge touches is a
-    pinned case.  The edge set is closed under the vertex map, so every
-    edge has a one-edge image.  The edges out of a vertex share the first
-    letter of their images, drawn among the letters from which a walk of
-    at most two edges reaches the image of each of their ends, so the
-    cover is +directional wherever such a letter exists; otherwise each
-    edge takes a one-edge image.
+    The edge set is closed under the vertex map, so every edge has a
+    one-edge image.  Every vertex is an end of an edge: the vertex that
+    no edge touches is a pinned case.  With ``whole``, a vertex that
+    lacks an out-edge or an in-edge gets one, from or to a drawn vertex,
+    and the edges are closed again, so the graph is valid; draws whose
+    closed edges already make a valid graph give the graph they give
+    without ``whole``.
     """
     k = draw(st.integers(1, 3))
     vertices = [f"u{i}" for i in range(k)]
     vmap = {v: draw(st.sampled_from(vertices)) for v in vertices}
     ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
-    pairs = set(zip(vertices, draw(st.permutations(vertices))))
-    pairs |= set(draw(st.lists(ends, max_size=2)))
+    pairs = set(draw(st.lists(ends, min_size=1, max_size=4)))
     while True:
         closed = pairs | {(vmap[a], vmap[b]) for a, b in pairs}
+        if whole and closed == pairs:
+            touched = sorted({v for pair in pairs for v in pair})
+            for v in touched:
+                if all(a != v for a, _ in closed):
+                    closed.add((v, draw(st.sampled_from(touched))))
+                if all(b != v for _, b in closed):
+                    closed.add((draw(st.sampled_from(touched)), v))
         if closed == pairs:
             break
         pairs = closed
+    # the closed pairs' ends are closed under vmap; other vertices are dropped
+    touched = {v for pair in pairs for v in pair}
+    vmap = {v: vmap[v] for v in touched}
     table = {}
     for i, pair in enumerate(sorted(pairs)):
         for j in range(draw(st.integers(1, 2))):
             table[f"e{i}{'ab'[j]}"] = pair
-    g = flexible(vertices, table)
+    return flexible(touched, table), vmap
+
+
+@st.composite
+def self_covers(draw):
+    """A self-cover on 1-3 vertices whose edge images are walks, often single edges.
+
+    Its graph is one of :func:`self_cover_graphs`, so every edge has a
+    one-edge image to draw; some edges take a longer walk instead.
+    """
+    g, vmap = draw(self_cover_graphs())
+    emap = {}
+    for e in g.sorted_edges():
+        a, b = vmap[g.src[e]], vmap[g.rng[e]]
+        options = walks(g, a, b, draw(st.sampled_from([1, 1, 1, 2, 3]))) or walks(g, a, b, 1)
+        emap[e] = draw(st.sampled_from(options))
+    return Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
+
+
+@st.composite
+def directional_self_covers(draw):
+    """A self-cover of a valid graph, its images walks of 1-3 edges, mostly +directional.
+
+    The edges out of a vertex share the first letter of their images
+    wherever some letter is followed by a walk of at most two edges to
+    the image of each of their ends; otherwise each takes a one-edge
+    image.  Letters that no image covers yet are drawn twice as often,
+    so more covers are edge-surjective.  Every valid cover that
+    :func:`self_covers` draws can be drawn here too.
+    """
+    g, vmap = draw(self_cover_graphs(whole=True))
 
     def tails(a, b):
         return [w for n in range(3) for w in walks(g, a, b, n)]
 
-    def fresh(options):
-        return [w for w in options if set(w) - covered] or options
+    def pick(options):
+        fresh = [w for w in options if set(w) - covered]
+        return draw(st.sampled_from(fresh + options))
 
     emap, covered = {}, set()
-    for v in vertices:
+    for v in sorted(g.vertices):
         out = [e for e in g.sorted_edges() if g.src[e] == v]
         firsts = [(f,) for f in g.sorted_edges() if g.src[f] == vmap[v]]
         fits = [f for f in firsts if all(tails(g.rng[f[0]], vmap[g.rng[e]]) for e in out)]
-        first = draw(st.sampled_from(fresh(fits))) if fits else None
+        first = pick(fits) if fits else None
         for e in out:
             b = vmap[g.rng[e]]
             if first is None:
@@ -334,7 +373,7 @@ def self_covers(draw):
             else:
                 a = g.rng[first[0]]
                 rest = walks(g, a, b, draw(st.sampled_from([0, 1, 1, 2]))) or tails(a, b)
-                emap[e] = first + draw(st.sampled_from(fresh(rest)))
+                emap[e] = first + pick(rest)
             covered.update(emap[e])
     return Cover(domain=g, codomain=g, vmap=vmap, emap=emap)
 

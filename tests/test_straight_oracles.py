@@ -27,7 +27,7 @@ from helpers import (
     unit_presentation,
 )
 from test_cluster_oracles import outcome
-from test_chain_oracles import self_covers
+from test_chain_oracles import directional_self_covers
 from test_properties import mono_graphs
 import catalogue
 import straight_oracle
@@ -132,7 +132,7 @@ def test_catalogue_exponents_commute():
 
 
 @settings(max_examples=100, deadline=None)
-@given(self_covers(), st.data())
+@given(directional_self_covers(), st.data())
 def test_generated_exponents_commute(cover, data):
     mults = {e: data.draw(st.integers(1, 2)) for e in cover.domain.sorted_edges()}
     p = coverings.stationary_presentation(cover, mults)
