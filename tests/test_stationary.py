@@ -256,10 +256,45 @@ def first_hit(depths, edges, found):
     return next(((n, e) for n in depths for e in edges if found(n, e)), None)
 
 
+def expected_overlap_entries(a, k_max):
+    """The (sequence or cycle, e0, ek) of each entry, sequences first.
+
+    Each constant sequence, then each family, is flanked by every
+    limit-last edge into its first vertex, in order, with the least
+    limit-first edge out of its last vertex.
+    """
+    g = a.graph
+    constant = stationary.constant_sequences(a, k_max)
+
+    def flanked(unit, v1, vk):
+        ek = min((e for e in a.lim_first if g.src[e] == vk), default=None)
+        return [(unit, e0, ek) for e0 in sorted(e for e in a.lim_last if g.rng[e] == v1)]
+
+    sequences = [
+        t for s in constant.sequences
+        for t in flanked(s.vertices, s.vertices[0], s.vertices[-1])
+    ]
+    families = [
+        t for f in constant.families
+        for t in flanked(f.cycle, g.src[f.cycle[0]], g.rng[f.cycle[-1]])
+    ]
+    return sequences, families
+
+
 def assert_overlap_matches_the_cover_powers(cover, k_max, depth_max):
-    """Each witness is the first in the words of the cover powers, composed eagerly."""
+    """The entries are the expected flankings, in order, and each witness is
+    the first in the words of the cover powers, composed eagerly."""
     a = stationary.analyze_self_cover(cover)
     report = stationary.check_overlap(a, k_max=k_max, depth_max=depth_max)
+    sequences, families = expected_overlap_entries(a, k_max)
+    found = report.details["sequences"]
+    assert [(r["sequence"], r["e0"], r["ek"]) for r in found] == sequences
+    found = report.details["families"]
+    assert [(r["cycle"], r["e0"], r["ek"]) for r in found] == families
+    entries = report.details["sequences"] + report.details["families"]
+    assert report.witnesses == tuple(
+        t for t, r in zip(sequences + families, entries) if r["witness"] is None
+    )
     words = {n: graphs.cover_power(a.cover, n).emap for n in range(1, depth_max + 1)}
     edges = sorted(a.graph.edges)
     walks = {s.vertices: s.walk for s in stationary.constant_sequences(a, k_max).sequences}
