@@ -25,7 +25,7 @@ from .errors import (
     ZdynError,
 )
 from .graphs import BasicGraph, Cover, Graph
-from .reports import FAILS, Report
+from .reports import FAILS, Report, _plain
 
 VERSION = "zdyn/1"
 
@@ -654,7 +654,7 @@ def _cmd_towers(args) -> int:
                     {
                         "edge": t.edge,
                         "height": t.height,
-                        "base": _plain_descriptor(t.base),
+                        "base": _plain(t.base),
                     }
                     for t in decomposition.towers
                 ],
@@ -664,14 +664,8 @@ def _cmd_towers(args) -> int:
         )
     else:
         for t in decomposition.towers:
-            print(f"{t.edge} height={t.height} base={_plain_descriptor(t.base)}")
+            print(f"{t.edge} height={t.height} base={_plain(t.base)}")
     return 0
-
-
-def _plain_descriptor(desc):
-    if isinstance(desc, tuple):
-        return [_plain_descriptor(x) for x in desc]
-    return desc
 
 
 def _cmd_krieger(args) -> int:

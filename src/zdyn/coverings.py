@@ -314,29 +314,38 @@ def _cycle_through(rel: dict, e: str) -> tuple[str, ...]:
     return tuple(reversed(cycle))
 
 
+def _descents(p: CoveringPresentation, n: int) -> dict:
+    """Each top-level edge, in id order, to its single-image chain down to level ``n``.
+
+    A chain lists its edges upward, from level ``n`` to the top; the
+    edges whose descent meets an expansion of two or more edges are left
+    out.  From the top level on, each chain is its top edge alone.
+    """
+    chains = {e: (e,) for g in p.graphs[-1:] for e in sorted(g.edges)}
+    for cov in reversed(p.covers[n - 1:]):
+        chains = {
+            e: (cov.emap[c[0]][0], *c)
+            for e, c in chains.items()
+            if len(cov.emap[c[0]]) == 1
+        }
+    return chains
+
+
 def find_constant_chains(p: CoveringPresentation) -> list[ConstantChain]:
     """All infinitely constantly covered level-1 edges with witnesses.
 
-    A level-1 edge is covered when single-edge images lead down to it
+    A level-1 edge is covered when its descent to level 1 comes down
     from a top-level edge on a cycle of the self-cover's single-image
     relation.  Those are exactly the edges with arbitrarily long constant
     chains above them: a chain that climbs forever through finitely many
     edges meets some edge twice, and that edge lies on a cycle; the edges
     below it on the chain are its images, and a function maps each of its
     cycles onto itself.  An edge on a cycle has the cycle run backwards
-    above it.  On a truncated prefix every such descent from the top is
+    above it.  On a truncated prefix every descent from the top is
     returned as a within-prefix witness only (``exact`` is False).
     """
     cover = p.self_cover
-    # follow single-edge images downward from the top level, if any; a
-    # chain lists its edges upward, from level 1 to the top
-    chains = {e: (e,) for g in p.graphs[-1:] for e in sorted(g.edges)}
-    for cov in reversed(p.covers):
-        chains = {
-            e: (cov.emap[c[0]][0], *c)
-            for e, c in chains.items()
-            if len(cov.emap[c[0]]) == 1
-        }
+    chains = _descents(p, 1)
     if cover is None:
         return [ConstantChain(c[0], c[1:], (), exact=False) for c in chains.values()]
     rel = _single_image_relation(cover)
@@ -353,11 +362,11 @@ def _is_circuit_edge(g, e: str) -> bool:
 
 
 def _chain_is_circuits(p: CoveringPresentation, chain: ConstantChain) -> bool:
-    placed = [(1, chain.edge)]
-    placed += [(i + 2, e) for i, e in enumerate(chain.transient)]
-    placed += [(len(p.graphs), e) for e in chain.cycle]
-    shape = {n: level_graph(p, n) for n in {n for n, _ in placed}}
-    return all(_is_circuit_edge(shape[n], e) for n, e in placed)
+    """Whether every edge of ``chain`` is a circuit of its level's shape."""
+    below = zip(p.graphs, (chain.edge, *chain.transient))
+    return all(_is_circuit_edge(g, e) for g, e in below) and all(
+        _is_circuit_edge(p.graphs[-1], e) for e in chain.cycle
+    )
 
 
 def check_closing(p: CoveringPresentation) -> Report:
@@ -428,70 +437,51 @@ def check_regulated(p: CoveringPresentation, l_seq, n_max: int) -> Report:
     ``l_seq`` is the increasing threshold sequence, consulted at levels
     1..n_max.  A short edge passes when an all-circuit constant chain
     climbs from it to the top level and goes on forever under the
-    self-cover; on a truncated prefix a chain to the top leaves the level
-    UNKNOWN.  When a self-cover repeats, the report also carries an
-    asymptotic verdict about the edges of bounded length under it, which
-    stay short forever; edges of unbounded length are listed as undecided
-    since a finite threshold sequence cannot constrain their tail.
+    self-cover: its descent from the top is all circuits and the top
+    lies on a circuit cycle of the repeated cover.  On a truncated prefix
+    a chain to the top leaves the level UNKNOWN.  When a self-cover
+    repeats, the report also carries an asymptotic verdict about the
+    edges of bounded length under it, which stay short forever; edges of
+    unbounded length are listed as undecided since a finite threshold
+    sequence cannot constrain their tail.  The overall verdict is the
+    worst of the level and asymptotic verdicts.
     """
     seq = _checked_l_seq(l_seq, n_max)
     p._check_depth(n_max)
     cover = p.self_cover
     good = set() if cover is None else _circuit_chain_edges(cover)
     levels = []
-    overall = HOLDS
     for n in range(1, n_max + 1):
         g = level_graph(p, n)
         short = sorted(e for e in g.edges if g.length[e] <= seq[n - 1])
-        # all-circuit constant chains from level n to the top, by top edge
-        chains = {e: e for e in g.edges if _is_circuit_edge(g, e)}
-        for gk, cov in zip(p.graphs[n:], p.covers[n - 1:]):
-            chains = {
-                e: chains[cov.emap[e][0]]
-                for e in gk.edges
-                if len(cov.emap[e]) == 1
-                and cov.emap[e][0] in chains
-                and _is_circuit_edge(gk, e)
-            }
-        if cover is None:
-            reached = set(chains.values())
-        else:
-            reached = {bottom for e, bottom in chains.items() if e in good}
+        reached = {
+            c[0]
+            for top, c in _descents(p, n).items()
+            if (cover is None or top in good)
+            and all(_is_circuit_edge(gk, e) for gk, e in zip((g, *p.graphs[n:]), c))
+        }
         bad = [e for e in short if e not in reached]
-        if bad:
-            verdict = FAILS
-        elif short and cover is None:
-            verdict = UNKNOWN
-        else:
-            verdict = HOLDS
+        verdict = FAILS if bad else UNKNOWN if short and cover is None else HOLDS
         levels.append({"level": n, "verdict": verdict, "witnesses": tuple(bad)})
-        if verdict == FAILS:
-            overall = FAILS
-        elif verdict == UNKNOWN and overall == HOLDS:
-            overall = UNKNOWN
-    details = {"levels": levels}
-    if cover is not None:
+    if cover is None:
+        asymptotic = {"verdict": UNKNOWN, "witnesses": ()}
+    else:
         growing = growing_symbols(cover.emap)
         stray = sorted(cover.emap.keys() - growing - good)
-        details["asymptotic"] = {
+        asymptotic = {
             "verdict": FAILS if stray else HOLDS,
             "witnesses": tuple(stray),
             "undecided": sorted(
                 e for e in cover.domain.edges if e in growing and e not in good
             ),
         }
-        if stray:
-            overall = FAILS
-    else:
-        details["asymptotic"] = {"verdict": UNKNOWN, "witnesses": ()}
-        if overall == HOLDS:
-            overall = UNKNOWN
+    verdicts = {entry["verdict"] for entry in (*levels, asymptotic)}
+    overall = next(v for v in (FAILS, UNKNOWN, HOLDS) if v in verdicts)
     witnesses = tuple(
         (entry["level"], e) for entry in levels for e in entry["witnesses"]
     )
-    return Report(
-        tag="regulated", verdict=overall, witnesses=witnesses, details=details
-    )
+    details = {"levels": levels, "asymptotic": asymptotic}
+    return Report("regulated", overall, witnesses, details)
 
 
 # ---------------------------------------------------------------------------

@@ -176,7 +176,6 @@ class SelfCoverAnalysis:
     last edges, with image sets exposed separately.
     """
 
-    base: Cover
     exponent: int
     cover: Cover
     lim_v: Mapping = field(hash=False)
@@ -219,7 +218,6 @@ def analyze_self_cover(cover: Cover) -> SelfCoverAnalysis:
     last = {e: cover.emap[e][-1] for e in cover.domain.edges}
     K, (lim_v, lim_f, lim_l) = _straight_power((cover.vmap, first, last), 256)
     return SelfCoverAnalysis(
-        base=cover,
         exponent=K,
         cover=cover_power(cover, K),
         lim_v=lim_v,
@@ -318,7 +316,8 @@ def check_overlap(
     limit-last edge e0 into v1 and the unique limit-first edge ek out of
     vk, the word e0 (walk) ek occurs inside some iterated expansion.
     Families over fixed cycles are certified by a strictly growing
-    flanked run.  The overall verdict is BIJECTIVE only when everything
+    flanked run.  Both take the first witness of one search, depth first
+    and then edge id.  The overall verdict is BIJECTIVE only when everything
     is witnessed; the search never extrapolates beyond ``depth_max``.
     The expansion at depth n is built when a search first reads it, each
     word from the words of the depth before, so a shallow witness builds
@@ -329,86 +328,58 @@ def check_overlap(
     g = a.graph
     report = constant_sequences(a, k_max)
     emap = a.cover.emap
-    expansions = [{e: tuple(emap[e]) for e in g.edges}]
+    edges = sorted(g.edges)
+    depths = range(1, depth_max + 1)
+    expansions = [{e: tuple(emap[e]) for e in edges}]
 
     def expansion(n: int) -> dict[str, tuple[str, ...]]:
         while len(expansions) < n:
             words = expansions[-1]
             expansions.append(
-                {e: tuple(f for x in words[e] for f in emap[x]) for e in g.edges}
+                {e: tuple(f for x in words[e] for f in emap[x]) for e in edges}
             )
         return expansions[n - 1]
 
-    first_out = {}
-    for e in sorted(a.lim_first):
-        first_out.setdefault(g.src[e], e)
+    def first(depths, found):
+        """The first (depth, edge id) that ``found`` accepts, or None."""
+        return next(((n, e) for n in depths for e in edges if found(n, e)), None)
+
+    def flankings(v1, vk):
+        """Each limit-last edge into v1, in order, with the limit-first edge out of vk."""
+        ek = min((e for e in a.lim_first if g.src[e] == vk), default=None)
+        return [(e0, ek) for e0 in sorted(e for e in a.lim_last if g.rng[e] == v1)]
+
+    unwitnessed = []
+
+    def entry(key, unit, e0, ek, label, witness):
+        if witness is None:
+            unwitnessed.append((unit, e0, ek))
+        verdict = UNKNOWN if witness is None else label
+        return {key: unit, "e0": e0, "ek": ek, "verdict": verdict, "witness": witness}
 
     results = []
-    unwitnessed = []
     for seq in report.sequences:
-        v1, vk = seq.vertices[0], seq.vertices[-1]
-        ek = first_out.get(vk)
-        for e0 in sorted(e for e in a.lim_last if g.rng[e] == v1):
-            pattern = (e0,) + seq.walk + (ek,)
-            hit = None
-            for n in range(1, depth_max + 1):
-                for e in sorted(g.edges):
-                    if _contains(expansion(n)[e], pattern):
-                        hit = {"edge": e, "depth": n}
-                        break
-                if hit:
-                    break
-            entry = {
-                "sequence": seq.vertices,
-                "e0": e0,
-                "ek": ek,
-                "verdict": "OVERLAPPED" if hit else UNKNOWN,
-                "witness": hit,
-            }
-            results.append(entry)
-            if not hit:
-                unwitnessed.append((seq.vertices, e0, ek))
-
+        for e0, ek in flankings(seq.vertices[0], seq.vertices[-1]):
+            pattern = (e0, *seq.walk, ek)
+            hit = first(depths, lambda n, e: _contains(expansion(n)[e], pattern))
+            witness = hit and {"edge": hit[1], "depth": hit[0]}
+            results.append(entry("sequence", seq.vertices, e0, ek, "OVERLAPPED", witness))
     family_results = []
     for family in report.families:
         cycle = family.cycle
-        v1 = g.src[cycle[0]]
-        vk = g.rng[cycle[-1]]
-        ek = first_out.get(vk)
-        for e0 in sorted(e for e in a.lim_last if g.rng[e] == v1):
-            hit = None
-            for n in range(1, depth_max):
-                for e in sorted(g.edges):
-                    run = _max_flanked_run(expansion(n)[e], e0, cycle, ek)
-                    if run >= 2:
-                        deeper = _max_flanked_run(
-                            expansion(n + 1)[e], e0, cycle, ek
-                        )
-                        if deeper > run:
-                            hit = {
-                                "edge": e,
-                                "depth": n,
-                                "run": run,
-                                "deeper_run": deeper,
-                            }
-                            break
-                if hit:
-                    break
-            entry = {
-                "cycle": cycle,
-                "e0": e0,
-                "ek": ek,
-                "verdict": "CERTIFIED" if hit else UNKNOWN,
-                "witness": hit,
-            }
-            family_results.append(entry)
-            if not hit:
-                unwitnessed.append((cycle, e0, ek))
+        for e0, ek in flankings(g.src[cycle[0]], g.rng[cycle[-1]]):
+            def run(n: int, e: str) -> int:
+                return _max_flanked_run(expansion(n)[e], e0, cycle, ek)
 
-    overall = "BIJECTIVE" if not unwitnessed else UNKNOWN
+            hit = first(depths[:-1], lambda n, e: 2 <= run(n, e) < run(n + 1, e))
+            witness = hit and {
+                "edge": hit[1], "depth": hit[0],
+                "run": run(*hit), "deeper_run": run(hit[0] + 1, hit[1]),
+            }
+            family_results.append(entry("cycle", cycle, e0, ek, "CERTIFIED", witness))
     return Report(
         tag="overlap",
-        verdict=overall,
+        verdict=UNKNOWN if unwitnessed else "BIJECTIVE",
         witnesses=tuple(unwitnessed),
         details={"sequences": results, "families": family_results},
     )

@@ -143,6 +143,7 @@ def fits(d, cuts):
 
 def test_every_diagram_document_is_checked():
     assert [name for name, _ in FIXTURES] == [
+        "catalogue112_covering.json",
         "example2_covering.json",
         "example2_weighted_covering.json",
         "fib_bratteli.json",
