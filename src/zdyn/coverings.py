@@ -334,15 +334,15 @@ def _descents(p: CoveringPresentation, n: int) -> dict:
 def find_constant_chains(p: CoveringPresentation) -> list[ConstantChain]:
     """All infinitely constantly covered level-1 edges with witnesses.
 
-    A level-1 edge is covered when its descent to level 1 comes down
-    from a top-level edge on a cycle of the self-cover's single-image
-    relation.  Those are exactly the edges with arbitrarily long constant
-    chains above them: a chain that climbs forever through finitely many
-    edges meets some edge twice, and that edge lies on a cycle; the edges
-    below it on the chain are its images, and a function maps each of its
-    cycles onto itself.  An edge on a cycle has the cycle run backwards
-    above it.  On a truncated prefix every descent from the top is
-    returned as a within-prefix witness only (``exact`` is False).
+    A level-1 edge is covered when it ends the descent of a top-level
+    edge on a cycle of the self-cover's single-image relation.  Those are
+    exactly the edges with arbitrarily long constant chains above them: a
+    chain that climbs forever through finitely many edges meets some edge
+    twice, and that edge lies on a cycle; the edges below it on the chain
+    are its images, and a function maps each of its cycles onto itself.
+    An edge on a cycle has the cycle run backwards above it.  On a
+    truncated prefix every descent from the top is returned as a
+    within-prefix witness only (``exact`` is False).
     """
     cover = p.self_cover
     chains = _descents(p, 1)

@@ -15,6 +15,7 @@ search that certifies bijectivity of the canonical row-1 injection.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -368,6 +369,7 @@ def check_overlap(
     for family in report.families:
         cycle = family.cycle
         for e0, ek in flankings(g.src[cycle[0]], g.rng[cycle[-1]]):
+            @functools.cache
             def run(n: int, e: str) -> int:
                 return _max_flanked_run(expansion(n)[e], e0, cycle, ek)
 
