@@ -1,10 +1,11 @@
-"""Recorded CLI outputs of the validation, check, conversion, telescoping, straightening, substitution, Krieger, tower, path, Vershik and DOT commands.
+"""Recorded CLI outputs of the validation, check, recoding, conversion, telescoping, straightening, substitution, Krieger, tower, path, Vershik and DOT commands.
 
 ``golden/outputs.json`` keeps, for every document under ``data/`` and
-``golden/prefixes/``, the stdout and exit code of each command in
+``golden/prefixes/``, the exit code, stdout and stderr of each command in
 :func:`commands`, in both output formats where the command has them;
 ``krieger`` runs in the human format at levels 0-3, windows 1-2 and
-horizons one to three past the level; ``subst`` prints the read
+horizons one to three past the level; ``towers`` runs at levels 0-3 and
+``check recoding`` at levels 1-2 with radius 0-2; ``subst`` prints the read
 substitution and its language up to length 3; ``vershik`` and ``paths`` start
 from the least level-2 vertex of the document's diagram, or from the
 root of a document that has none, which exits 2.  ``golden/prefixes/``
@@ -60,6 +61,11 @@ def commands():
                 yield ["check", "nesting", name, "--level", level, "--format", fmt]
             yield ["check", "continuity", name, "--format", fmt]
             yield ["check", "overlap", name, "--format", fmt]
+            for level, radius in itertools.product(("1", "2"), ("0", "1", "2")):
+                yield [
+                    "check", "recoding", name, "--level", level, "--radius", radius,
+                    "--format", fmt,
+                ]
         yield ["convert", "to-covering", name]
         yield ["convert", "to-bv", name]
         yield ["dot", name]
@@ -68,7 +74,9 @@ def commands():
         yield ["straighten", name]
         yield ["subst", name]
         yield ["subst", name, "--depth", "3"]
-        yield ["towers", name, "--level", "1"]
+        for level in ("0", "1", "2", "3"):
+            yield ["towers", name, "--level", level]
+            yield ["towers", name, "--level", level, "--format", "json"]
         vertex = level2_vertex(path)
         yield ["vershik", name, vertex, "--level", "2", "--steps", "8"]
         yield ["paths", name, vertex, "--level", "2"]
@@ -81,13 +89,13 @@ def commands():
 
 
 def run(argv):
-    """The exit code and stdout of ``zdyn`` on ``argv``; stderr is dropped."""
+    """The exit code, stdout and stderr of ``zdyn`` on ``argv``."""
     paths = documents()
     argv = [str(paths[a]) if a.endswith(".json") else a for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    return {"exit": code, "stdout": out.getvalue()}
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
 def record() -> dict:

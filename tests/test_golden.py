@@ -1,4 +1,7 @@
-"""The validation, check, conversion, telescoping, straightening, substitution, Krieger, tower, path, Vershik and DOT commands keep their recorded outputs.
+"""The validation, check, recoding, conversion, telescoping, straightening, substitution, Krieger, tower, path, Vershik and DOT commands keep their recorded outputs.
+
+Each row pins the exit code, stdout and stderr, so an error message
+that changes, such as the level named by a depth error, fails its row.
 
 The finite forms under ``golden/prefixes/`` are written again and must
 match the committed files, so a change to telescoping or to the document
