@@ -312,6 +312,8 @@ def _extreme_path(d: BratteliDiagram, v: str, n: int, last: bool) -> tuple[str, 
             here = level.edges[e][0]
     except KeyError:
         raise UnknownName(f"no vertex {here!r} at level {k}") from None
+    if here != ROOT:  # only a level-0 name other than the root gets here
+        raise UnknownName(f"no vertex {here!r} at level 0")
     return tuple(path)
 
 

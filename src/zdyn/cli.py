@@ -507,11 +507,6 @@ def _diagram_of(obj) -> bratteli.BratteliDiagram:
     raise UnsupportedKind("need a diagram or covering presentation")
 
 
-def _check_vertex(d: bratteli.BratteliDiagram, vertex: str, level: int) -> None:
-    if vertex not in d.level_vertices(level):
-        raise DocumentSemanticError(f"no vertex {vertex!r} at level {level}")
-
-
 def _parse_l_seq(text: str) -> list[int]:
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -628,7 +623,6 @@ def _cmd_straighten(args) -> int:
 
 def _cmd_vershik(args) -> int:
     d = _diagram_of(read_document(args.file))
-    _check_vertex(d, args.vertex, args.level)
     start = bratteli.minimal_path(d, args.vertex, args.level)
     orbit = bratteli.vershik_orbit(d, start, args.steps)
     for q in orbit:
@@ -638,7 +632,6 @@ def _cmd_vershik(args) -> int:
 
 def _cmd_paths(args) -> int:
     d = _diagram_of(read_document(args.file))
-    _check_vertex(d, args.vertex, args.level)
     for q in bratteli.enumerate_paths(d, args.vertex, args.level):
         print(" ".join(q))
     return 0

@@ -300,6 +300,26 @@ def test_vershik_and_paths_cli(capsys):
     assert capsys.readouterr().out.splitlines() == lines[:-1]
 
 
+@pytest.mark.parametrize("command", ("vershik", "paths"))
+def test_vershik_and_paths_name_an_unknown_vertex_or_level(command, capsys):
+    """The library's own errors reach the CLI: exit 2 and one ``error:`` line."""
+    for name, depth in (("fib_bratteli.json", None), ("non_nesting_bratteli.json", 3)):
+        for level in range(-1, 6):
+            for vertex in ("nope", bratteli.ROOT):
+                if 0 <= level <= (depth if depth is not None else level):
+                    if vertex == bratteli.ROOT and level == 0:
+                        continue
+                    message = f"no vertex {vertex!r} at level {level}"
+                else:
+                    message = f"level {level} not materializable"
+                argv = [command, DATA / name, vertex, "--level", str(level)]
+                assert run(*argv) == 2
+                assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert run(command, DATA / "fib_bratteli.json", bratteli.ROOT, "--level", "0") == 0
+    expected = "\nMAXIMAL\n" if command == "vershik" else "\n"
+    assert capsys.readouterr() == (expected, "")
+
+
 def test_towers_and_krieger_cli(capsys):
     assert run(
         "towers", DATA / "example2_covering.json", "--level", "2",

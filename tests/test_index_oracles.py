@@ -495,6 +495,16 @@ def test_names_outside_the_diagram_raise_unknown_name(name):
     assert all(not level for level in d._heights[1:])
 
 
+@pytest.mark.parametrize("name", DIAGRAM_FIXTURES)
+def test_an_extreme_path_at_level_0_starts_at_the_root(name):
+    d = fixture_diagram(name)
+    assert bratteli.minimal_path(d, ROOT, 0) == maximal_path(d, ROOT, 0) == ()
+    for extreme in (bratteli.minimal_path, maximal_path):
+        for v in ("nope", d.level_vertices(1)[0]):
+            with pytest.raises(UnknownName, match=f"^no vertex {v!r} at level 0$"):
+                extreme(d, v, 0)
+
+
 def test_a_broken_path_raises_unknown_name():
     d = bratteli.weighted_to_bv(example2_unit())
     good = bratteli.minimal_path(d, "e_b", 2)

@@ -35,6 +35,14 @@ def fixture_diagrams():
     return out
 
 
+def by_name(cases):
+    """The ``(name, diagram)`` cases, each with its document name as its id.
+
+    So a new document adds a case and renames none.
+    """
+    return [pytest.param(name, d, id=name) for name, d in cases]
+
+
 FIXTURES = fixture_diagrams()
 COVERINGS = [
     name for name, _ in FIXTURES
@@ -153,19 +161,19 @@ def test_every_diagram_document_is_checked():
     ]
 
 
-@pytest.mark.parametrize("name, d", FIXTURES)
+@pytest.mark.parametrize("name, d", by_name(FIXTURES))
 def test_fibers_match_the_descent_on_the_documents(name, d):
     assert_fibers_match(d, d.depth() or 5)
 
 
-@pytest.mark.parametrize("name, d", FIXTURES)
+@pytest.mark.parametrize("name, d", by_name(FIXTURES))
 def test_telescopes_match_the_sorted_walks_on_the_documents(name, d):
     for cuts in CUTS:
         if fits(d, cuts):
             assert_telescope_matches(d, cuts)
 
 
-@pytest.mark.parametrize("name, d", FIXTURES)
+@pytest.mark.parametrize("name, d", by_name(FIXTURES))
 def test_telescoped_prefixes_match_both_oracles(name, d):
     for cuts in ([1, 3], [2, 3], [1, 2, 4]):
         if fits(d, cuts):
@@ -175,7 +183,9 @@ def test_telescoped_prefixes_match_both_oracles(name, d):
             assert_telescope_matches(t, [1, top])
 
 
-@pytest.mark.parametrize("name, d", [(n, d) for n, d in FIXTURES if d.stationary])
+@pytest.mark.parametrize(
+    "name, d", by_name((n, d) for n, d in FIXTURES if d.stationary)
+)
 def test_mono_powers_match_the_sorted_walks_on_the_documents(name, d):
     for K in range(1, 5):
         assert stationary.mono_power(d.mono, K) == oracle_mono_power(d.mono, K)
