@@ -13,12 +13,15 @@ level can overturn and says UNKNOWN otherwise.
 A clopen set of the inverse limit lives in tower coordinates: a
 depth-D cylinder of the associated ordered Bratteli diagram is a
 (vertex, floor) pair, its floor the position of its prefix in path
-order, and the shift map moves it one floor up.  The marker checks keep
-a byte per floor of each tower for the marker floors, made a level-n
-block at a time, and a path tuple is read by descent only for a result
-or a witness they report.  A periodic orbit is a simple circuit of a
-level graph.  Derived values (the diagram, and the tower blocks and
-orbit tables that serve every marker window) are memoised on the
+order, and the shift map moves it one floor up.  A level-k tower stacks
+one level-m block per letter of its composed walk, and one block table
+says where each block starts: the marker cylinders, the tower bases and
+the recoding columns all read it.  The marker checks keep a byte per
+floor of each tower for the marker floors, made a level-n block at a
+time, and a path tuple is read by descent only for a result or a
+witness they report.  A periodic orbit is a simple circuit of a level
+graph.  Derived values (the diagram, the block table, and the towers
+and orbit tables that serve every marker window) are memoised on the
 presentation they come from.
 """
 
@@ -238,6 +241,25 @@ def compose_range(p: CoveringPresentation, m: int, n: int) -> Cover:
     for k in range(m + 2, n + 1):
         result = graphs.compose_covers(result, cover_at(p, k))
     return result
+
+
+@_kept_on_presentation
+def _blocks(p: CoveringPresentation, m: int, k: int) -> dict:
+    """Each level-``k`` edge to ``(walk, starts)``: its level-``m`` blocks.
+
+    Its tower stacks one level-``m`` tower per letter of its composed
+    walk, as path order does, so the first floors ``starts`` of the
+    blocks are the prefix sums of their lengths, the edge's own length last.
+    """
+    p._check_depth(k)
+    low, top = level_graph(p, m).length, level_graph(p, k).length
+    blocks = {}
+    for e, walk in compose_range(p, m, k).emap.items():
+        starts = list(itertools.accumulate(map(low.__getitem__, walk), initial=0))
+        if starts[-1] != top[e]:
+            raise AssertionError("expanded word does not span its level-(n+1) length")
+        blocks[e] = walk, starts
+    return blocks
 
 
 def _checked_cuts(cut_points, limit: int | None) -> list:
@@ -612,40 +634,34 @@ def tower_decomposition(p: CoveringPresentation, n: int) -> TowerDecomposition:
 
     Towers of height at least two base at their first floor.  A
     height-1 tower collects pieces from the level-(n+1) towers whose
-    expansions pass through it: whole junctions below covering edges of
-    length one, and single floors below the longer ones, each piece
-    listed once, in first-seen order.  A first floor is left out when
+    expansions pass through it, read in one pass over the block table of
+    level n + 1: whole junctions below covering edges of length one, and
+    single floors below the longer ones, each piece listed once, in
+    first-seen order.  A first floor is left out when
     the junction of its source is listed, which holds it.  The bases
     assume a weighted presentation: a junction piece lies inside the
     tower only when the covers are +directional, which the CLI validates
     on loading.
     """
-    p._check_depth(n + 1)
-    g = level_graph(p, n)
-    gup = level_graph(p, n + 1)
-    cov = cover_at(p, n + 1)
+    blocks = _blocks(p, n, n + 1)
+    g, gup = level_graph(p, n), level_graph(p, n + 1)
+    pieces = {e: {} for e in g.sorted_edges() if g.length[e] < 2}  # ordered sets
+    for e2 in gup.sorted_edges():
+        for q, start in zip(*blocks[e2]):
+            if q in pieces:
+                if gup.length[e2] == 1:
+                    pieces[q][("junction", n + 1, gup.src[e2])] = None
+                else:
+                    pieces[q][("floor", n + 1, e2, start)] = None
     towers = []
     for e in g.sorted_edges():
-        if g.length[e] >= 2:
+        if e not in pieces:
             base = ("floor", n, e, 0)
         else:
-            pieces = {}  # an ordered set
-            for e2 in gup.sorted_edges():
-                walk = cov.emap[e2]
-                if e not in walk:
-                    continue
-                if gup.length[e2] == 1:
-                    pieces[("junction", n + 1, gup.src[e2])] = None
-                else:
-                    offset = 0
-                    for q in walk:
-                        if q == e:
-                            pieces[("floor", n + 1, e2, offset)] = None
-                        offset += g.length[q]
             base = ("union", tuple(
-                q for q in pieces
+                q for q in pieces[e]
                 if q[0] == "junction" or q[3]
-                or ("junction", n + 1, gup.src[q[2]]) not in pieces
+                or ("junction", n + 1, gup.src[q[2]]) not in pieces[e]
             ))
         towers.append(Tower(edge=e, height=g.length[e], base=base))
     return TowerDecomposition(level=n, towers=tuple(towers))
@@ -679,12 +695,12 @@ class _Cylinders:
     is read off per-tower marks by :func:`_chain_events`.  :meth:`path`
     reads the prefix of a cylinder by descent through the tower heights.
 
-    Each level-``n`` tower is one block of ``floors[e]`` floors; each
-    deeper tower stacks the blocks of its in-edges' sources in rank order,
-    as path order does, so ``stack[v]`` lists the level-``n`` edges of the
-    blocks of ``v`` bottom to top, and marks made once per block, a byte
-    per floor, are laid end to end into the marks of each tower.  This is
-    the same for every marker window: :func:`_cylinders` keeps it.
+    Each level-``n`` tower is one block of ``floors[e]`` floors, and the
+    block table of :func:`_blocks` gives ``stack[v]``, the level-``n``
+    edges of the blocks of ``v`` bottom to top, and ``starts[v]``, their
+    first floors; marks made once per block, a byte per floor, are laid
+    end to end into the marks of each tower.  This is the same for every
+    marker window: :func:`_cylinders` keeps it.
     """
 
     def __init__(self, p: CoveringPresentation, n: int, horizon: int):
@@ -693,23 +709,12 @@ class _Cylinders:
         d = self.diagram = _diagram(p)
         self.horizon = horizon
         self._targets = functools.partial(bratteli.boundary_targets, d)
-        tops = d.level_vertices(horizon)
-        heights = bratteli._tower_heights(d, horizon, tops)[horizon]
-        self.heights = {v: heights[v] for v in tops}
-        # the level-n vertices of the diagram are the level-n edges, except
-        # that at level 0 the root stands for the singleton graph's loop e0
-        bases = d.level_vertices(n)
-        heights = bratteli._tower_heights(d, n, bases)[n]
-        self.floors = {e if n else "e0": heights[e] for e in bases}
-        stack = {e: [e if n else "e0"] for e in bases}
-        for k in range(n + 1, horizon + 1):
-            level = d._level(k)
-            edges = level.edges
-            stack = {
-                v: list(itertools.chain(*(stack[edges[e][0]] for e in ranked)))
-                for v, ranked in level.ranked.items()
-            }
-        self.stack = {v: stack[v] for v in tops}
+        self.floors = level_graph(p, n).length
+        blocks = _blocks(p, n, horizon)
+        tops = sorted(blocks)
+        self.stack = {v: blocks[v][0] for v in tops}
+        self.starts = {v: blocks[v][1] for v in tops}
+        self.heights = {v: blocks[v][1][-1] for v in tops}
 
     def path(self, cylinder: tuple) -> tuple:
         """The depth-``horizon`` path prefix of ``cylinder``."""
@@ -835,9 +840,8 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
     if any(not g.length[e] - 2 * Lp < Lp * k[e] <= g.length[e] - Lp for e in J):
         raise AssertionError("k(e) window is empty")
     cyl = _cylinders(p, n, horizon)
-    blank = {e: bytes(h) for e, h in cyl.floors.items()}
     # a block of a tall edge e marks every (L+1)-th floor up to Lp * k[e]
-    block = dict(blank)
+    block = {e: bytes(h) for e, h in cyl.floors.items()}
     for e in J:
         block[e] = (b"\x01" + bytes(L)) * (k[e] + 1)
         block[e] += bytes(g.length[e] - len(block[e]))
@@ -852,26 +856,24 @@ def _krieger_markers(p: CoveringPresentation, n: int, L: int, horizon: int):
         residual_floor = Lp * (k[e] + 1)
         if residual_floor == g.length[e]:
             continue
-        candidates = dict(blank)
-        candidates[e] = bytes(residual_floor) + b"\x01"
-        candidates[e] += bytes(g.length[e] - residual_floor - 1)
         kept, unsettled = [], []
-        for v, f in _cylinders_of(cyl.lay(candidates)):
-            if f + L < cyl.heights[v]:
-                if E[v].find(1, f, f + Lp) < 0:
+        for v, starts in cyl.starts.items():  # the blocks of e, bottom to top
+            for f in (x + residual_floor for q, x in zip(cyl.stack[v], starts) if q == e):
+                if f + L < cyl.heights[v]:
+                    if E[v].find(1, f, f + Lp) < 0:
+                        kept.append((v, f))
+                    continue
+                hit, fail, whole = _chain_events(cyl, (v, f), L, E, 1)
+                if hit <= L and whole:
+                    continue  # it lands in E
+                if hit <= L:
+                    reason = "membership splits a horizon cylinder"
+                elif fail <= L:
+                    reason = "two boundary resolutions in one chain"
+                else:
                     kept.append((v, f))
-                continue
-            hit, fail, whole = _chain_events(cyl, (v, f), L, E, 1)
-            if hit <= L and whole:
-                continue  # it lands in E
-            if hit <= L:
-                reason = "membership splits a horizon cylinder"
-            elif fail <= L:
-                reason = "two boundary resolutions in one chain"
-            else:
-                kept.append((v, f))
-                continue
-            unsettled.append((cyl.path((v, f)), reason))
+                    continue
+                unsettled.append((cyl.path((v, f)), reason))
         if unsettled:
             # the reason is that of the unsettled candidate with the least path
             raise UnsettledResidual(e, residual_floor, min(unsettled)[1])
@@ -963,10 +965,7 @@ def krieger_coverage(
             unresolved += probes
             if not inside:
                 runs.append((f, f + 1))
-        stack = cyl.stack[v]
-        starts = list(
-            itertools.accumulate(map(cyl.floors.__getitem__, stack), initial=0)
-        )
+        stack, starts = cyl.stack[v], cyl.starts[v]
         for a, b in sorted(runs):
             j = bisect.bisect_right(starts, a) - 1
             while a < b:  # one level-n block at a time

@@ -268,14 +268,12 @@ def _level_cells(p, n: int) -> dict:
     A column is the level-n edge covering it and whether a level-n block
     starts there.
     """
-    up_lengths = coverings.level_graph(p, n + 1).length
-    low_lengths = coverings.level_graph(p, n).length
-    cells = {}
-    for e, walk in p.self_cover.emap.items():
-        cells[e] = tuple((q, i == 0) for q in walk for i in range(low_lengths[q]))
-        if len(cells[e]) != up_lengths[e]:
-            raise AssertionError("expanded word does not span its level-(n+1) length")
-    return cells
+    return {
+        e: tuple(
+            (q, c == a) for q, a, b in zip(walk, starts, starts[1:]) for c in range(a, b)
+        )
+        for e, (walk, starts) in coverings._blocks(p, n, n + 1).items()
+    }
 
 
 def _word_windows(cells: dict, word, radius: int):

@@ -126,3 +126,25 @@ def test_every_private_name_is_read_in_the_library():
                 and total[name] == own[name]
             ]
     assert unread == []
+
+
+def test_coverings_reads_no_private_bratteli_name():
+    """The covering side reads the diagram through its public routines.
+
+    Tower heights and block starts of a covering are its level lengths,
+    read off the block table in ``coverings``, so ``coverings.py`` reads
+    no ``bratteli._...`` name, as an attribute or as an import.
+    """
+    path = SRC / "coverings.py"
+    found = [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "bratteli"
+        and node.attr.startswith("_")
+        or isinstance(node, ast.ImportFrom)
+        and node.module == "bratteli"
+        and any(alias.name.startswith("_") for alias in node.names)
+    ]
+    assert found == []
